@@ -27,7 +27,7 @@ from scipy.special import ndtr
 from .detectors import KsResult, ks_pvalue, ks_statistic
 from .distributions import Categorical, SymbolDataset
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
-from .harness import RiskEstimate, wilson_interval
+from .harness import RiskEstimate, count_errors, row_verdicts, wilson_interval
 from .rng import Domain, substream
 
 
@@ -318,7 +318,9 @@ def imposs_probe(
 
     J = 0 trials feed the detector genuine uniform i.i.d. data, J = 1 trials
     feed it the adversarial construction; the detector receives the uniform
-    distribution as its clean reference in both cases.
+    distribution as its clean reference in both cases. Trials run through
+    the harness's block kernel, keyed (seed, PROBE, block), with the
+    detector called once per row.
     """
     if trials < 100:
         raise ParameterError("at least 100 trials are required")
@@ -326,16 +328,20 @@ def imposs_probe(
         raise ParameterError(
             f"informative regime needs floor(beta*k) = {config.m} > n = {config.n}"
         )
-    p0 = Categorical.uniform(config.k)
-    errors = 0
-    for t in range(trials):
-        rng = substream(seed, Domain.PROBE, t)
-        j = int(rng.integers(0, 2))
-        if j == 0:
-            symbols = rng.integers(0, config.k, config.n)
-        else:
-            anchors = rng.integers(0, config.k, config.m)
-            symbols = _draw_given_anchors(anchors, config, rng)
-        d = SymbolDataset(symbols, config.k)
-        errors += int(detector(d, p0)) != j
-    return wilson_interval(errors, trials)
+    k, n, m = config.k, config.n, config.m
+    p0 = Categorical.uniform(k)
+
+    def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
+        j = data.integers(0, 2, rows)
+        symbols = data.integers(0, k, (rows, n))
+        anchored = (data.random((rows, n)) < config.gamma) & (j[:, None] == 1)
+        v = data.integers(0, m, (rows, n))
+        # The anchors are i.i.d. uniform, so drawing one per distinct
+        # (row, anchor index) that a row references has the law of drawing
+        # all m per row, without a dense rows x m table.
+        cells, which = np.unique(np.nonzero(anchored)[0] * m + v[anchored], return_inverse=True)
+        symbols[anchored] = data.integers(0, k, cells.size)[which]
+        verdicts = row_verdicts(detector, ((SymbolDataset(row, k), p0) for row in symbols))
+        return int(np.count_nonzero(verdicts != j))
+
+    return wilson_interval(count_errors(step, trials, seed, (Domain.PROBE,)), trials)

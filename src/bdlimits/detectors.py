@@ -29,6 +29,8 @@ from .distributions import (
     draw_symbols,
     mix,
     tv_to_type,
+    type_counts,
+    type_distances,
 )
 from .errors import AlphabetMismatchError, ImpossibleSampleError, ParameterError
 from .rng import Domain, substream
@@ -56,6 +58,37 @@ class KsResult:
             raise ParameterError("p-value must lie in [0, 1]")
 
 
+def np_log_ratio(p0: Categorical, p1: Categorical) -> np.ndarray:
+    """Per-symbol log likelihood ratio log(p1 / p0) of the NP test.
+
+    A symbol impossible under p1 only gets -inf, under p0 only +inf, under
+    both NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(p1.probs) - np.log(p0.probs)
+
+
+def np_verdicts(symbols: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """NP verdicts for each row of a (rows, n) symbol block.
+
+    A row flags (1) iff its summed log ratio is >= 0. The infinities carry
+    the zero-mass rules: a symbol impossible under the mixture makes the
+    sum -inf (or NaN beside a +inf) and the row CLEAN; one impossible under
+    the clean law alone makes it +inf and the row BACKDOORED. A symbol
+    impossible under both raises :class:`ImpossibleSampleError`.
+    """
+    with np.errstate(invalid="ignore"):
+        llr = ratio[symbols].sum(axis=1)
+    suspect = symbols[np.isnan(llr)]
+    impossible = np.isnan(ratio[suspect])
+    if impossible.any():
+        bad = int(suspect[impossible][0])
+        raise ImpossibleSampleError(
+            f"symbol {bad} has zero probability under both hypotheses"
+        )
+    return (llr >= 0.0).astype(np.int64)
+
+
 def np_type3(d: SymbolDataset, pair: DistributionPair) -> Verdict:
     """Likelihood-ratio (Neyman-Pearson) detector with full knowledge.
 
@@ -64,23 +97,17 @@ def np_type3(d: SymbolDataset, pair: DistributionPair) -> Verdict:
     Symbols impossible under one hypothesis short-circuit the verdict;
     symbols impossible under both raise :class:`ImpossibleSampleError`.
     """
-    p0 = pair.p0.probs
-    p1 = mix(pair).probs
-    x = d.symbols
-    q0 = p0[x]
-    q1 = p1[x]
-    both_zero = (q0 == 0.0) & (q1 == 0.0)
-    if np.any(both_zero):
-        bad = int(x[both_zero][0])
-        raise ImpossibleSampleError(
-            f"symbol {bad} has zero probability under both hypotheses"
-        )
-    if np.any(q1 == 0.0):
-        return Verdict.CLEAN
-    if np.any(q0 == 0.0):
-        return Verdict.BACKDOORED
-    llr = float(np.log(q1).sum() - np.log(q0).sum())
-    return Verdict.BACKDOORED if llr >= 0.0 else Verdict.CLEAN
+    ratio = np_log_ratio(pair.p0, mix(pair))
+    return Verdict(int(np_verdicts(d.symbols[None, :], ratio)[0]))
+
+
+def tv_threshold(gamma: float, beta: float) -> float:
+    """Flag threshold gamma * (1 - beta) / 2 of the type-distance tests."""
+    if not 0.0 < gamma <= 1.0:
+        raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
+    if not 0.0 <= beta < 1.0:
+        raise ParameterError(f"beta must be in [0, 1), got {beta}")
+    return gamma * (1.0 - beta) / 2.0
 
 
 def type2_tv(
@@ -91,13 +118,16 @@ def type2_tv(
     Flags BACKDOORED when TV(p0, S_N) >= gamma * (1 - beta) / 2, with
     equality counting as a flag.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
-    if not 0.0 <= beta < 1.0:
-        raise ParameterError(f"beta must be in [0, 1), got {beta}")
-    threshold = gamma * (1.0 - beta) / 2.0
+    threshold = tv_threshold(gamma, beta)
     distance = tv_to_type(p0, d)
     return Verdict.BACKDOORED if distance >= threshold else Verdict.CLEAN
+
+
+def type1_distances(symbols: np.ndarray, clean: np.ndarray, k: int) -> np.ndarray:
+    """TV distance between the types of row r of two symbol blocks, per r."""
+    counts = type_counts(clean, k)
+    m = clean.shape[1]
+    return type_distances(symbols, lambda row, sym: counts(row, sym) / m)
 
 
 def type1_tv(
@@ -108,16 +138,12 @@ def type1_tv(
     The clean reference distribution is replaced by the type of an
     independently collected clean dataset.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
-    if not 0.0 <= beta < 1.0:
-        raise ParameterError(f"beta must be in [0, 1), got {beta}")
+    threshold = tv_threshold(gamma, beta)
     if d.alphabet_size != d_clean.alphabet_size:
         raise AlphabetMismatchError("datasets disagree on alphabet size")
-    t = np.bincount(d.symbols, minlength=d.alphabet_size) / len(d)
-    t_clean = np.bincount(d_clean.symbols, minlength=d.alphabet_size) / len(d_clean)
-    distance = 0.5 * float(np.abs(t - t_clean).sum())
-    threshold = gamma * (1.0 - beta) / 2.0
+    distance = float(
+        type1_distances(d.symbols[None, :], d_clean.symbols[None, :], d.alphabet_size)[0]
+    )
     return Verdict.BACKDOORED if distance >= threshold else Verdict.CLEAN
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AlphabetMismatchError, ParameterError, ResourceCapError
-from .rng import Domain, substream
+from .rng import Domain, blocks, substream
 
 #: Probability vectors must sum to 1 within this tolerance to be accepted.
 PROB_TOLERANCE = 1e-12
@@ -66,6 +66,11 @@ class Categorical:
         cdf[-1] = 1.0
         cdf.setflags(write=False)
         return cdf
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Symbols at cumulative-mass levels u in [0, 1), by inverting the CDF."""
+        idx = np.searchsorted(self._cdf, u, side="right")
+        return np.minimum(idx, self.alphabet_size - 1).astype(np.int64)
 
     @classmethod
     def uniform(cls, k: int) -> "Categorical":
@@ -218,11 +223,15 @@ def mix(pair: DistributionPair) -> Categorical:
     return Categorical(pair.gamma * pair.pb.probs + (1.0 - pair.gamma) * pair.p0.probs)
 
 
-def draw_symbols(p: Categorical, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. symbols from p by inverting the cumulative mass."""
-    u = rng.random(n)
-    idx = np.searchsorted(p._cdf, u, side="right")
-    return np.minimum(idx, p.alphabet_size - 1).astype(np.int64)
+def draw_symbols(
+    p: Categorical, n: int | tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """Draw i.i.d. symbols from p by inverting the cumulative mass.
+
+    ``n`` is a count or a shape; a (rows, n) shape draws row after row, so
+    it consumes the stream exactly as ``rows`` draws of n symbols would.
+    """
+    return p.quantile(rng.random(n))
 
 
 def sample(p: Categorical, n: int, seed: int) -> SymbolDataset:
@@ -240,21 +249,71 @@ def empirical_type(d: SymbolDataset) -> EmpiricalType:
     return EmpiricalType(probs=counts / n, sample_count=n)
 
 
+#: A reference law per row of a symbol block: (row, symbol) index arrays to
+#: the mass that row's reference puts on each symbol.
+Reference = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def sparse_types(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The types of the rows of a (rows, n) symbol block, as sparse triples.
+
+    Returns (row, symbol, count) arrays listing each symbol a row observed
+    once, sorted by row and then by symbol. No dense rows x K histogram is
+    built, so memory stays O(rows * n) on any alphabet.
+    """
+    rows, n = symbols.shape
+    ordered = np.sort(symbols, axis=1)
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    # each run of equal symbols ends where the next starts, the last at the end
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:] - starts[:-1]
+    counts[-1] = rows * n - starts[-1]
+    return starts // n, ordered.ravel()[starts], counts
+
+
+def type_counts(
+    symbols: np.ndarray, k: int
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Lookup (row, symbol) -> how often that row of a (rows, n) block holds it."""
+    row, sym, counts = sparse_types(symbols)
+    keys = row * k + sym  # ascending, since sparse_types sorts by (row, symbol)
+
+    def at(rows: np.ndarray, syms: np.ndarray) -> np.ndarray:
+        query = rows * k + syms
+        pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        return np.where(keys[pos] == query, counts[pos], 0)
+
+    return at
+
+
+def type_distances(symbols: np.ndarray, reference: Reference) -> np.ndarray:
+    """TV distance between each row's type and that row's reference law.
+
+    Uses sum_x |S(x) - p(x)| = sum_observed (|c_x/N - p(x)| - p(x)) + 1,
+    which is exact for any reference p summing to 1 and touches only the
+    symbols a row observed, so huge alphabets need no dense histogram.
+    """
+    rows, n = symbols.shape
+    row, sym, counts = sparse_types(symbols)
+    p_obs = reference(row, sym)
+    terms = np.abs(counts / n - p_obs) - p_obs
+    return 0.5 * (np.bincount(row, weights=terms, minlength=rows) + 1.0)
+
+
 def tv_to_type(p: Categorical, d: SymbolDataset) -> float:
     """TV distance between p and the type of d, touching only observed symbols.
 
-    Uses sum_x |S(x) - p(x)| = sum_observed (|c_x/N - p(x)| - p(x)) + 1,
-    which is exact and avoids materializing a dense histogram on huge
-    alphabets.
+    The one-row case of :func:`type_distances`, so per-dataset and block
+    computations agree bit for bit.
     """
     if d.alphabet_size != p.alphabet_size:
         raise AlphabetMismatchError(
             f"alphabet sizes differ: {d.alphabet_size} vs {p.alphabet_size}"
         )
-    observed, counts = np.unique(d.symbols, return_counts=True)
-    p_obs = p.probs[observed]
-    l1 = float((np.abs(counts / len(d) - p_obs) - p_obs).sum()) + 1.0
-    return 0.5 * l1
+    return float(type_distances(d.symbols[None, :], lambda row, sym: p.probs[sym])[0])
 
 
 def product_tv_exact(
@@ -288,16 +347,15 @@ def type_exceedance_frequency(
     """Fraction of seeded trials where TV(type of an n-sample, p) >= threshold.
 
     Empirical counterpart of the concentration bound
-    2K * exp(-8 N t^2 / K^2); trials are drawn in one batch from a single
-    substream and evaluated in trial-index order.
+    2K * exp(-8 N t^2 / K^2). Trials run in blocks, block b on
+    substream(seed, CONCENTRATION, b), with sparse types, so memory is
+    O(BLOCK * n) plus the probability vector on any alphabet.
     """
     if trials < 1 or n < 1:
         raise ParameterError("trials and n must be >= 1")
-    rng = substream(seed, Domain.CONCENTRATION)
-    k = p.alphabet_size
-    u = rng.random((trials, n))
-    symbols = np.minimum(np.searchsorted(p._cdf, u, side="right"), k - 1)
-    flat = symbols + np.arange(trials)[:, None] * k
-    counts = np.bincount(flat.ravel(), minlength=trials * k).reshape(trials, k)
-    tv = 0.5 * np.abs(counts / n - p.probs).sum(axis=1)
-    return float(np.mean(tv >= threshold))
+    exceed = 0
+    for index, rows in blocks(trials):
+        symbols = draw_symbols(p, (rows, n), substream(seed, Domain.CONCENTRATION, index))
+        distances = type_distances(symbols, lambda row, sym: p.probs[sym])
+        exceed += int(np.count_nonzero(distances >= threshold))
+    return exceed / trials

@@ -5,9 +5,18 @@ the fair coin J that selected whether the training set was drawn from the
 clean product law (J = 0) or from the contaminated mixture law (J = 1).
 Estimates carry a 99% Wilson interval.
 
-Every trial runs on its own substream derived from (master seed, domain,
-trial index), so aggregates are bit-identical regardless of scheduling or
-parallelism degree; results are merged in trial-index order.
+Every estimator runs through one block kernel. Trials run in blocks of
+``BLOCK = 4096``: block b draws its labels and datasets from
+substream(seed, domain, [branch,] b) and any randomness the detector needs
+from substream(seed, domain, [branch,] b, 1). Results are therefore a pure
+function of (seed, domain, block index), bit-identical regardless of how
+blocks are scheduled; block error counts are summed in block-index order.
+
+The empirical type is a sufficient statistic for every built-in detector,
+so each is a :class:`BatchDetector` that scores a whole block in a few
+numpy calls. Any other callable is called once per row of the block, in
+row order, with that row as a :class:`SymbolDataset` and the block's
+detector generator.
 """
 
 from __future__ import annotations
@@ -18,21 +27,32 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .detectors import np_type3, type1_tv, type2_tv
+from .detectors import (
+    np_log_ratio,
+    np_type3,
+    np_verdicts,
+    tv_threshold,
+    type1_distances,
+    type1_tv,
+    type2_tv,
+)
 from .distributions import (
     Categorical,
     DistributionPair,
+    Reference,
     SymbolDataset,
     draw_symbols,
     mix,
     tv_to_type,
+    type_counts,
+    type_distances,
 )
 from .errors import ConfigurationError, ParameterError
-from .rng import Domain, substream
+from .rng import Domain, blocks, substream
 
 #: two-sided 99% normal quantile used by the Wilson interval
 _Z99 = 2.5758293035489004
@@ -152,6 +172,27 @@ class JointPrior:
 
 
 @dataclass(frozen=True)
+class BatchDetector:
+    """A detector in its per-trial call shape, plus a batch form.
+
+    Calling the object runs the per-trial form, so it works wherever a plain
+    callable does. ``bind(pair, p1)`` runs once per estimate and returns a
+    function that scores a whole block: it takes the per-trial arguments
+    stacked by row (a (rows, n) symbol block for each dataset, a
+    :data:`~bdlimits.distributions.Reference` for trained parameters, a
+    vector of probe symbols) plus the block's detector generator where the
+    per-trial form takes one, and returns the verdicts the per-trial form
+    gives row by row.
+    """
+
+    trial: Callable[..., int]
+    bind: Callable[[DistributionPair, Categorical], Callable[..., np.ndarray]]
+
+    def __call__(self, *args) -> int:
+        return self.trial(*args)
+
+
+@dataclass(frozen=True)
 class TrainerStub:
     """Stand-in training algorithm: additive-smoothed symbol frequencies.
 
@@ -166,26 +207,49 @@ class TrainerStub:
         counts += self.smoothing
         return Categorical(counts / counts.sum())
 
+    def batch(self, symbols: np.ndarray, k: int) -> Reference:
+        """The trained parameters of every row of a (rows, n) block.
 
-def np_trial_detector() -> TrialDetector:
-    """Full-knowledge likelihood-ratio detector in harness form."""
+        Row r's smoothed frequency (c_x + s) / (n + K s) is computed for the
+        queried (row, symbol) pairs from the row's sparse type, never as a
+        dense rows x K array.
+        """
+        counts = type_counts(symbols, k)
+        total = symbols.shape[1] + k * self.smoothing
+        return lambda row, sym: (counts(row, sym) + self.smoothing) / total
+
+
+def np_trial_detector() -> BatchDetector:
+    """Full-knowledge likelihood-ratio detector in harness form.
+
+    The batch form sums log(p1 / p0), built once per estimate, over each row.
+    """
 
     def run(d: SymbolDataset, pair: DistributionPair, rng: np.random.Generator) -> int:
         return int(np_type3(d, pair))
 
-    return run
+    def bind(pair: DistributionPair, p1: Categorical):
+        ratio = np_log_ratio(pair.p0, p1)
+        return lambda symbols, rng: np_verdicts(symbols, ratio)
+
+    return BatchDetector(run, bind)
 
 
-def type2_trial_detector() -> TrialDetector:
+def type2_trial_detector() -> BatchDetector:
     """Type-distance detector in harness form, thresholded from the pair's knobs."""
 
     def run(d: SymbolDataset, pair: DistributionPair, rng: np.random.Generator) -> int:
         return int(type2_tv(d, pair.p0, pair.gamma, pair.beta))
 
-    return run
+    def bind(pair: DistributionPair, p1: Categorical):
+        threshold = tv_threshold(pair.gamma, pair.beta)
+        p0 = pair.p0.probs
+        return lambda symbols, rng: type_distances(symbols, lambda row, sym: p0[sym]) >= threshold
+
+    return BatchDetector(run, bind)
 
 
-def type1_trial_detector(m: int) -> TrialDetector:
+def type1_trial_detector(m: int) -> BatchDetector:
     """Type-1 detector in harness form; draws its m clean samples per trial."""
     if m < 1:
         raise ParameterError("m must be >= 1")
@@ -194,7 +258,16 @@ def type1_trial_detector(m: int) -> TrialDetector:
         d_clean = SymbolDataset(draw_symbols(pair.p0, m, rng), pair.alphabet_size)
         return int(type1_tv(d, d_clean, pair.gamma, pair.beta))
 
-    return run
+    def bind(pair: DistributionPair, p1: Categorical):
+        threshold = tv_threshold(pair.gamma, pair.beta)
+
+        def score(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+            clean = draw_symbols(pair.p0, (symbols.shape[0], m), rng)
+            return type1_distances(symbols, clean, pair.alphabet_size) >= threshold
+
+        return score
+
+    return BatchDetector(run, bind)
 
 
 def type2_callable_trial_detector(g2: Callable[..., int]) -> TrialDetector:
@@ -224,20 +297,68 @@ DETECTORS: dict[str, Callable[[], TrialDetector]] = {
 }
 
 
-def _risk_trial(
-    detector: TrialDetector,
-    pair: DistributionPair,
-    n: int,
-    seed: int,
-    index: int,
-    p1: Categorical,
-) -> bool:
-    """Run one labeled trial; True when the verdict disagrees with J."""
-    rng = substream(seed, Domain.RISK, index)
-    j = int(rng.integers(0, 2))
-    law = pair.p0 if j == 0 else p1
-    d = SymbolDataset(draw_symbols(law, n, rng), pair.alphabet_size)
-    return int(detector(d, pair, rng)) != j
+#: One block of an estimate: (rows, data generator, detector generator) to
+#: the number of the block's trials whose verdict was wrong.
+BlockStep = Callable[[int, np.random.Generator, np.random.Generator], int]
+
+
+def block_errors(step: BlockStep, seed: int, path: Sequence[int], index: int, rows: int) -> int:
+    """Errors among the ``rows`` trials of block ``index``.
+
+    A pure function of its arguments: the block draws its data from
+    substream(seed, *path, index) and its detector randomness from
+    substream(seed, *path, index, 1).
+    """
+    return int(step(rows, substream(seed, *path, index), substream(seed, *path, index, 1)))
+
+
+def count_errors(step: BlockStep, trials: int, seed: int, path: Sequence[int]) -> int:
+    """Errors over ``trials`` trials, run in blocks and summed in block order."""
+    return sum(block_errors(step, seed, path, index, rows) for index, rows in blocks(trials))
+
+
+def row_verdicts(detector: Callable[..., int], rows: Iterable[tuple]) -> np.ndarray:
+    """The fallback for callables without a batch form: one call per row, in order."""
+    return np.fromiter((int(detector(*args)) for args in rows), dtype=np.int64)
+
+
+def _draw_labeled(
+    laws: Sequence[Categorical], labels: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """A (rows, n) block whose row r is an i.i.d. sample from laws[labels[r]]."""
+    u = rng.random((labels.size, n))
+    symbols = np.empty(u.shape, dtype=np.int64)
+    for label, law in enumerate(laws):
+        labeled = labels == label
+        symbols[labeled] = law.quantile(u[labeled])
+    return symbols
+
+
+def _dataset_scorer(detector: TrialDetector, pair: DistributionPair, p1: Categorical):
+    """Block verdicts of a (dataset, pair, rng) detector: (symbols, rng) -> verdicts."""
+    if isinstance(detector, BatchDetector):
+        return detector.bind(pair, p1)
+    k = pair.alphabet_size
+    return lambda symbols, rng: row_verdicts(
+        detector, ((SymbolDataset(row, k), pair, rng) for row in symbols)
+    )
+
+
+def risk_step(detector: TrialDetector, pair: DistributionPair, n: int) -> BlockStep:
+    """The block step of :func:`estimate_risk`.
+
+    Each row draws a fair label J, then a dataset of size n from p0 (J = 0)
+    or the mixture (J = 1); an error is a verdict other than J.
+    """
+    p1 = mix(pair)
+    score = _dataset_scorer(detector, pair, p1)
+
+    def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
+        j = data.integers(0, 2, rows)
+        symbols = _draw_labeled((pair.p0, p1), j, n, data)
+        return int(np.count_nonzero(score(symbols, detector_rng) != j))
+
+    return step
 
 
 def estimate_risk(
@@ -252,10 +373,7 @@ def estimate_risk(
         raise ParameterError("at least 100 trials are required")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    p1 = mix(pair)
-    errors = sum(
-        _risk_trial(detector, pair, n, seed, i, p1) for i in range(trials)
-    )
+    errors = count_errors(risk_step(detector, pair, n), trials, seed, (Domain.RISK,))
     return wilson_interval(errors, trials)
 
 
@@ -270,18 +388,23 @@ def estimate_conditional_errors(
 
     Returns (false-backdoor rate, missed-backdoor rate): the probability of
     flagging a clean set and of clearing a contaminated one. Their average
-    matches the unconditional risk.
+    matches the unconditional risk. Branch j runs on its own blocks, keyed
+    (seed, CONDITIONAL, j, block).
     """
     if trials < 100:
         raise ParameterError("at least 100 trials are required per branch")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
     p1 = mix(pair)
+    score = _dataset_scorer(detector, pair, p1)
     estimates = []
     for j, law in ((0, pair.p0), (1, p1)):
-        errors = 0
-        for i in range(trials):
-            rng = substream(seed, Domain.CONDITIONAL, j, i)
-            d = SymbolDataset(draw_symbols(law, n, rng), pair.alphabet_size)
-            errors += int(detector(d, pair, rng)) != j
+
+        def step(rows, data, detector_rng, j=j, law=law) -> int:
+            symbols = draw_symbols(law, (rows, n), data)
+            return int(np.count_nonzero(score(symbols, detector_rng) != j))
+
+        errors = count_errors(step, trials, seed, (Domain.CONDITIONAL, j))
         estimates.append(wilson_interval(errors, trials))
     return estimates[0], estimates[1]
 
@@ -290,6 +413,47 @@ def estimate_conditional_errors(
 GeneralizedDetector = Callable[
     [Categorical, SymbolDataset, int, np.random.Generator], int
 ]
+
+
+def _trained_rows(trainer: Callable, train: np.ndarray, d_prime: np.ndarray, k: int):
+    """(trained parameters, clean dataset) per row, for the per-row fallback."""
+    for t, d in zip(train, d_prime):
+        yield trainer(SymbolDataset(t, k)), SymbolDataset(d, k)
+
+
+def _trained_step(
+    score: Callable[..., np.ndarray],
+    pair: DistributionPair,
+    p1: Categorical,
+    n: int,
+    m: int,
+    prior: JointPrior,
+    target: Flavor,
+) -> BlockStep:
+    """The block step of the estimators that score trained parameters.
+
+    Each row draws a cell (j, i) from the prior, a training set of size n
+    from p0 (j = 0) or the mixture (j = 1), m fresh clean samples, and a
+    probe symbol from p0 (i = 0) or pb (i = 1). ``score(train, d_prime, x,
+    rng)`` gives the block's verdicts; an error is a verdict other than the
+    flavor's target t(j, i).
+    """
+    weights = np.array([cell[2] for cell in prior.cells()])
+
+    def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
+        cell = data.choice(4, size=rows, p=weights)
+        j, i = cell // 2, cell % 2
+        train = _draw_labeled((pair.p0, p1), j, n, data)
+        d_prime = draw_symbols(pair.p0, (rows, m), data)
+        x = _draw_labeled((pair.p0, pair.pb), i, 1, data)[:, 0]
+        verdicts = score(train, d_prime, x, detector_rng)
+        return int(np.count_nonzero(verdicts != target.target(j, i)))
+
+    return step
+
+
+def _batchable(detector: Callable, trainer: Callable) -> bool:
+    return isinstance(detector, BatchDetector) and isinstance(trainer, TrainerStub)
 
 
 def estimate_generalized_risk(
@@ -308,7 +472,8 @@ def estimate_generalized_risk(
     Per trial: draw (j, i) from the prior, train on a clean or contaminated
     set of size n, draw m fresh clean samples, draw the probe from the clean
     distribution (i = 0) or the backdoor distribution itself (i = 1), and
-    compare the verdict with the flavor's target t(j, i).
+    compare the verdict with the flavor's target t(j, i). The batch form
+    runs when both the detector and the trainer have one.
     """
     if trials < 100:
         raise ParameterError("at least 100 trials are required")
@@ -316,30 +481,44 @@ def estimate_generalized_risk(
         raise ParameterError("n and m must be >= 1")
     prior.validate_for(target)
     p1 = mix(pair)
-    cells = prior.cells()
-    weights = np.array([c[2] for c in cells])
-    errors = 0
-    for t in range(trials):
-        rng = substream(seed, Domain.GENERALIZED, t)
-        j, i, _ = cells[int(rng.choice(4, p=weights))]
-        train_law = pair.p0 if j == 0 else p1
-        theta = trainer(SymbolDataset(draw_symbols(train_law, n, rng), pair.alphabet_size))
-        d_prime = SymbolDataset(draw_symbols(pair.p0, m, rng), pair.alphabet_size)
-        probe_law = pair.p0 if i == 0 else pair.pb
-        x = int(draw_symbols(probe_law, 1, rng)[0])
-        errors += int(detector(theta, d_prime, x, rng)) != target.target(j, i)
-    return wilson_interval(errors, trials)
+    k = pair.alphabet_size
+    if _batchable(detector, trainer):
+        batch = detector.bind(pair, p1)
+
+        def score(train, d_prime, x, rng):
+            return batch(trainer.batch(train, k), d_prime, x, rng)
+
+    else:
+
+        def score(train, d_prime, x, rng):
+            rows = _trained_rows(trainer, train, d_prime, k)
+            return row_verdicts(
+                detector, ((theta, d, int(xr), rng) for (theta, d), xr in zip(rows, x))
+            )
+
+    step = _trained_step(score, pair, p1, n, m, prior, target)
+    return wilson_interval(count_errors(step, trials, seed, (Domain.GENERALIZED,)), trials)
 
 
-def type0_tv_detector(gamma: float, beta: float) -> Callable[[Categorical, SymbolDataset], int]:
+#: Type-0 distances this close below the threshold are ties, which flag.
+#: Smoothed counts and clean types are both rational, so exact ties are
+#: common, and whether one rounds up or down differs between the per-trial
+#: parameters (a normalized Categorical) and the batch form.
+_TYPE0_TIE = 1e-12
+
+
+def type0_tv_detector(gamma: float, beta: float) -> BatchDetector:
     """Demonstration Type-0 detector: TV between trained parameters and the
     type of the fresh clean data, thresholded like the type-distance test."""
-    threshold = gamma * (1.0 - beta) / 2.0
+    threshold = gamma * (1.0 - beta) / 2.0 - _TYPE0_TIE
 
     def run(theta: Categorical, d_prime: SymbolDataset) -> int:
         return int(tv_to_type(theta, d_prime) >= threshold)
 
-    return run
+    def bind(pair: DistributionPair, p1: Categorical):
+        return lambda theta, d_prime: type_distances(d_prime, theta) >= threshold
+
+    return BatchDetector(run, bind)
 
 
 def type0_demo_risk(
@@ -351,19 +530,29 @@ def type0_demo_risk(
     trials: int,
     seed: int,
 ) -> RiskEstimate:
-    """Risk of a detector that only sees trained parameters and clean data."""
+    """Risk of a detector that only sees trained parameters and clean data.
+
+    The trained-parameter block step with a fair label J and no probe.
+    """
     if trials < 100:
         raise ParameterError("at least 100 trials are required")
+    if n < 1 or m < 1:
+        raise ParameterError("n and m must be >= 1")
     p1 = mix(pair)
-    errors = 0
-    for t in range(trials):
-        rng = substream(seed, Domain.TYPE0, t)
-        j = int(rng.integers(0, 2))
-        law = pair.p0 if j == 0 else p1
-        theta = trainer(SymbolDataset(draw_symbols(law, n, rng), pair.alphabet_size))
-        d_prime = SymbolDataset(draw_symbols(pair.p0, m, rng), pair.alphabet_size)
-        errors += int(detector0(theta, d_prime)) != j
-    return wilson_interval(errors, trials)
+    k = pair.alphabet_size
+    if _batchable(detector0, trainer):
+        batch = detector0.bind(pair, p1)
+
+        def score(train, d_prime, x, rng):
+            return batch(trainer.batch(train, k), d_prime)
+
+    else:
+
+        def score(train, d_prime, x, rng):
+            return row_verdicts(detector0, _trained_rows(trainer, train, d_prime, k))
+
+    step = _trained_step(score, pair, p1, n, m, JointPrior.mbd_default(), Flavor.MBD)
+    return wilson_interval(count_errors(step, trials, seed, (Domain.TYPE0,)), trials)
 
 
 @dataclass(frozen=True)
@@ -421,13 +610,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def bayes_probe_detector(pair: DistributionPair) -> GeneralizedDetector:
+def bayes_probe_detector(pair: DistributionPair) -> BatchDetector:
     """Score only the probe sample: flag it when pb is at least as likely as p0."""
+    flags = pair.pb.probs >= pair.p0.probs
 
     def run(theta: Categorical, d_prime: SymbolDataset, x: int, rng: np.random.Generator) -> int:
-        return int(pair.pb.probs[x] >= pair.p0.probs[x])
+        return int(flags[x])
 
-    return run
+    def bind(bound_pair: DistributionPair, p1: Categorical):
+        return lambda theta, d_prime, x, rng: flags[x]
+
+    return BatchDetector(run, bind)
 
 
 def run_experiment(config: dict) -> dict:

@@ -1,6 +1,7 @@
 """Tests for Monte-Carlo risk estimation and experiment plumbing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bdlimits import (
     estimate_conditional_errors,
     estimate_generalized_risk,
     estimate_risk,
+    mix,
     np_trial_detector,
     sample,
     tv_distance,
@@ -25,8 +27,8 @@ from bdlimits import (
     type2_trial_detector,
     wilson_interval,
 )
-from bdlimits.harness import _risk_trial, append_result, config_hash, mix
-from bdlimits.rng import substream
+from bdlimits.harness import append_result, block_errors, config_hash, risk_step
+from bdlimits.rng import BLOCK, Domain, substream
 
 
 def pair_of(p0, pb, gamma, beta=0.0):
@@ -85,16 +87,20 @@ class TestEstimateRisk:
         assert a == b
 
     def test_trial_order_independent(self):
-        detector = np_trial_detector()
-        p1 = mix(ORACLE_PAIR)
+        # blocks draw from streams keyed by block index, so evaluating them
+        # in any order gives the same counts, and the estimate is their sum
+        step = risk_step(np_trial_detector(), ORACLE_PAIR, 2)
+        sizes = [BLOCK, BLOCK, 37]
         forward = [
-            _risk_trial(detector, ORACLE_PAIR, 2, 4, i, p1) for i in range(300)
+            block_errors(step, 4, (Domain.RISK,), b, rows) for b, rows in enumerate(sizes)
         ]
         backward = [
-            _risk_trial(detector, ORACLE_PAIR, 2, 4, i, p1)
-            for i in reversed(range(300))
+            block_errors(step, 4, (Domain.RISK,), b, sizes[b]) for b in reversed(range(3))
         ]
         assert forward == list(reversed(backward))
+        trials = 2 * BLOCK + 37
+        est = estimate_risk(np_trial_detector(), ORACLE_PAIR, 2, trials, seed=4)
+        assert est == wilson_interval(sum(forward), trials)
 
     def test_ci_calibration(self):
         # the 99% interval should cover a known exact risk in >= 97% of runs
@@ -126,10 +132,21 @@ class TestConditionalErrors:
         assert fb.p_hat == 0.0 and mb.p_hat == 0.0
 
     def test_symmetric_pair_symmetric_errors(self):
+        # With n = 5 the NP test flags iff at least 3 symbols are 1, so each
+        # branch errs when at least 3 of 5 draws land on that branch's
+        # unlikely symbol: a binomial tail, the same for both branches.
         pair = pair_of([0.8, 0.2], [0.2, 0.8], gamma=1.0, beta=0.5)
         fb, mb = estimate_conditional_errors(np_trial_detector(), pair, 5, 4000, seed=7)
-        assert fb.ci_low <= mb.p_hat <= fb.ci_high
-        assert mb.ci_low <= fb.p_hat <= mb.ci_high
+
+        def tail(q):
+            return sum(math.comb(5, c) * q**c * (1 - q) ** (5 - c) for c in range(3, 6))
+
+        exact_fb = tail(pair.p0.probs[1])
+        exact_mb = tail(mix(pair).probs[0])
+        assert exact_fb == pytest.approx(exact_mb, abs=1e-15)
+        assert exact_fb == pytest.approx(0.05792, abs=1e-12)
+        assert fb.ci_low <= exact_fb <= fb.ci_high
+        assert mb.ci_low <= exact_mb <= mb.ci_high
 
     def test_average_matches_risk_and_remark_bound(self):
         pair = pair_of([0.75, 0.25], [0.2, 0.8], gamma=0.7, beta=0.5)
