@@ -28,7 +28,6 @@ from .detectors import (
     Verdict,
     adapt_type2_from_type1,
     adapt_type3_from_type2,
-    kolmogorov_sf,
     ks_pvalue,
     ks_statistic,
     np_type3,
@@ -72,10 +71,10 @@ from .harness import (
     estimate_generalized_risk,
     estimate_risk,
     np_trial_detector,
+    per_row,
     type0_demo_risk,
     type0_tv_detector,
     type1_trial_detector,
-    type2_callable_trial_detector,
     type2_trial_detector,
     wilson_interval,
 )

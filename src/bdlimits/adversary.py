@@ -27,7 +27,7 @@ from scipy.special import ndtr
 from .detectors import KsResult, ks_pvalue, ks_statistic
 from .distributions import Categorical, SymbolDataset
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
-from .harness import RiskEstimate, count_errors, row_verdicts, wilson_interval
+from .harness import RiskEstimate, count_errors, wilson_interval
 from .rng import Domain, substream
 
 
@@ -320,7 +320,9 @@ def imposs_probe(
     feed it the adversarial construction; the detector receives the uniform
     distribution as its clean reference in both cases. Trials run through
     the harness's block kernel, keyed (seed, PROBE, block), with the
-    detector called once per row.
+    detector called once per row. Unlike the harness detectors, this one is
+    a fixed function ``detector(d, p0)`` with no generator: the floor holds
+    for fixed detectors.
     """
     if trials < 100:
         raise ParameterError("at least 100 trials are required")
@@ -341,7 +343,9 @@ def imposs_probe(
         # all m per row, without a dense rows x m table.
         cells, which = np.unique(np.nonzero(anchored)[0] * m + v[anchored], return_inverse=True)
         symbols[anchored] = data.integers(0, k, cells.size)[which]
-        verdicts = row_verdicts(detector, ((SymbolDataset(row, k), p0) for row in symbols))
+        verdicts = np.fromiter(
+            (int(detector(SymbolDataset(row, k), p0)) for row in symbols), dtype=np.int64
+        )
         return int(np.count_nonzero(verdicts != j))
 
     return wilson_interval(count_errors(step, trials, seed, (Domain.PROBE,)), trials)

@@ -10,6 +10,7 @@ for deduplication.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import statistics
@@ -33,9 +34,9 @@ from .adversary import (
 )
 from .bounds import exact_type3_risk
 from .detectors import type2_tv
-from .distributions import Categorical, DistributionPair
-from .errors import BdLimitsError, ResourceCapError
-from .harness import DETECTORS, append_result, config_hash, estimate_risk
+from .distributions import DistributionPair
+from .errors import BdLimitsError, ParameterError, ResourceCapError
+from .harness import DETECTORS, append_result, config_hash, estimate_risk, uniform_vs_point_mass
 
 
 def _fail(message: str, code: int) -> None:
@@ -43,10 +44,13 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _emit(command: str, config: dict, payload, out: str | None) -> None:
-    """Print the deterministic payload; optionally append a timestamped record."""
+def _emit(command: str, config: dict, payload, out: str | None, text: str | None = None) -> None:
+    """Print the payload envelope, or ``text`` when given; optionally append a
+    timestamped record of the payload."""
     digest = config_hash(config)
-    click.echo(json.dumps({"command": command, "config_hash": digest, "payload": payload}))
+    if text is None:
+        text = json.dumps({"command": command, "config_hash": digest, "payload": payload})
+    click.echo(text)
     if out:
         append_result(
             out,
@@ -59,7 +63,19 @@ def _emit(command: str, config: dict, payload, out: str | None) -> None:
         )
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps every error a command raises to the documented exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ResourceCapError as exc:
+            _fail(str(exc), 3)
+        except (BdLimitsError, OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+            _fail(str(exc), 2)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Feasibility bounds and simulators for training-data backdoor detection."""
 
@@ -78,40 +94,25 @@ def main() -> None:
 @click.option("--out", default=None, type=click.Path(), help="Append the report to a JSON-lines file.")
 def bounds_table(alpha: float, beta: float, catalog_path: str | None, fmt: str, out: str | None) -> None:
     """Minimum training-set sizes for alpha-error detection, per dataset."""
-    try:
-        catalog = bounds.load_catalog(catalog_path)
-        rows = bounds.table_report(alpha, beta, catalog)
-    except (BdLimitsError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        _fail(str(exc), 2)
-        return
+    catalog = bounds.load_catalog(catalog_path)
+    rows = bounds.table_report(alpha, beta, catalog)
     payload = [row.to_jsonable() for row in rows]
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        text = json.dumps(payload, indent=2)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["name", "log10_alphabet", "log10_min_n"])
         for row in rows:
             writer.writerow([row.name, f"{row.log10_alphabet:.2f}", row.min_n_exponent])
-        click.echo(buf.getvalue().rstrip("\n"))
-    if out:
-        config = {"command": "bounds-table", "alpha": alpha, "beta": beta, "catalog": catalog_path}
-        append_result(
-            out,
-            {
-                "command": "bounds-table",
-                "config_hash": config_hash(config),
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                "payload": payload,
-            },
-        )
-
-
-def _benchmark_pair(k: int, gamma: float, beta: float) -> DistributionPair:
-    """Default instance: uniform clean distribution, point-mass backdoor."""
-    return DistributionPair(
-        Categorical.uniform(k), Categorical.point_mass(0, k), gamma=gamma, beta=beta
-    )
+        text = buf.getvalue().rstrip("\n")
+    config = {
+        "command": "bounds-table",
+        "alpha": alpha,
+        "beta": beta,
+        "catalog": [dataclasses.asdict(spec) for spec in catalog],
+    }
+    _emit("bounds-table", config, payload, out, text)
 
 
 @main.command("risk")
@@ -144,20 +145,12 @@ def risk(
     out: str | None,
 ) -> None:
     """Monte-Carlo risk of a detector on a distribution pair."""
-    try:
-        if pair_path is not None:
-            with open(pair_path, "r", encoding="utf-8") as fh:
-                pair = DistributionPair.from_jsonable(json.load(fh))
-        else:
-            pair = _benchmark_pair(k, gamma, beta)
-        detector = DETECTORS[detector_name]()
-        estimate = estimate_risk(detector, pair, n, trials, seed)
-    except ResourceCapError as exc:
-        _fail(str(exc), 3)
-        return
-    except (BdLimitsError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        _fail(str(exc), 2)
-        return
+    if pair_path is not None:
+        with open(pair_path, "r", encoding="utf-8") as fh:
+            pair = DistributionPair.from_jsonable(json.load(fh))
+    else:
+        pair = uniform_vs_point_mass(k, gamma, beta)
+    estimate = estimate_risk(DETECTORS[detector_name](), pair, n, trials, seed)
     payload = {
         "detector": detector_name,
         "k": pair.alphabet_size,
@@ -171,11 +164,7 @@ def risk(
         "oracle_gap": None,
     }
     if oracle:
-        try:
-            exact = exact_type3_risk(pair, n)
-        except ResourceCapError as exc:
-            _fail(str(exc), 3)
-            return
+        exact = exact_type3_risk(pair, n)
         payload["oracle_exact"] = exact
         payload["oracle_gap"] = abs(estimate.p_hat - exact)
     config = {
@@ -284,26 +273,21 @@ def toy(
     try:
         v = np.array([float(part) for part in v_text.split(",")])
     except ValueError as exc:
-        _fail(f"cannot parse --v: {exc}", 2)
-        return
+        raise ParameterError(f"cannot parse --v: {exc}") from exc
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-9 and norm > 0.0:
         click.echo(f"warning: |v| = {norm:.6f}, normalizing", err=True)
-    try:
-        config = ToyConfig.from_direction(v, sigma=sigma, gamma=gamma, n=n)
-        if seeds < 1:
-            raise BdLimitsError("--seeds must be >= 1")
-        records = []
-        for s in range(seed, seed + seeds):
-            report = toy_attack_report(config, s)
-            records.append({"seed": s, **report.to_jsonable()})
-        if svg_path:
-            _toy_svg(svg_path, config, seed)
-        if csv_path:
-            _toy_csv(csv_path, config, list(range(seed, seed + seeds)))
-    except BdLimitsError as exc:
-        _fail(str(exc), 2)
-        return
+    config = ToyConfig.from_direction(v, sigma=sigma, gamma=gamma, n=n)
+    if seeds < 1:
+        raise ParameterError("--seeds must be >= 1")
+    records = []
+    for s in range(seed, seed + seeds):
+        report = toy_attack_report(config, s)
+        records.append({"seed": s, **report.to_jsonable()})
+    if svg_path:
+        _toy_svg(svg_path, config, seed)
+    if csv_path:
+        _toy_csv(csv_path, config, list(range(seed, seed + seeds)))
     payload: dict = {
         "n": n,
         "gamma": gamma,
@@ -354,22 +338,18 @@ def probe(
     out: str | None,
 ) -> None:
     """Measure a clean-distribution detector against the marginally-clean sampler."""
-    try:
-        config = ImpossibilityConfig(k=k, beta=beta, gamma=gamma, n=n)
-        if config.m <= n:
-            raise BdLimitsError(
-                f"floor(beta*k) = {config.m} must exceed n = {n}; "
-                "increase k or beta, or decrease n"
-            )
+    config = ImpossibilityConfig(k=k, beta=beta, gamma=gamma, n=n)
+    if config.m <= n:
+        raise ParameterError(
+            f"floor(beta*k) = {config.m} must exceed n = {n}; "
+            "increase k or beta, or decrease n"
+        )
 
-        def detector(d, p0):
-            return int(type2_tv(d, p0, gamma, beta))
+    def detector(d, p0):
+        return int(type2_tv(d, p0, gamma, beta))
 
-        estimate = imposs_probe(detector, config, trials, seed)
-        floor = imposs_risk_floor(n, config.m)
-    except BdLimitsError as exc:
-        _fail(str(exc), 2)
-        return
+    estimate = imposs_probe(detector, config, trials, seed)
+    floor = imposs_risk_floor(n, config.m)
     satisfied = floor <= estimate.p_hat + 3.0 * estimate.ci_width
     payload = {
         "k": k,

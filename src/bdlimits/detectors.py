@@ -6,7 +6,10 @@ distribution itself; a Type-3 detector additionally sees the backdoor
 distribution, turning the task into a binary likelihood-ratio test between
 the clean product law and the contaminated product law. Adapters reduce a
 weaker-oracle detector to a stronger-oracle interface without changing its
-risk.
+risk. The adapters share one call shape, (dataset, oracle, rng): the oracle
+of a Type-2 detector is p0, that of a Type-3 detector the pair, and
+:func:`bdlimits.harness.per_row` runs a Type-3 detector in the Monte-Carlo
+harness.
 
 Verdict polarity: 1 flags the training set as drawn from the contaminated
 mixture, 0 as clean. Ties in the likelihood ratio and the threshold tests
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from .distributions import (
     Categorical,
@@ -33,7 +37,6 @@ from .distributions import (
     type_distances,
 )
 from .errors import AlphabetMismatchError, ImpossibleSampleError, ParameterError
-from .rng import Domain, substream
 
 
 class Verdict(enum.IntEnum):
@@ -164,41 +167,20 @@ def ks_statistic(values: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray
     return float(max(upper.max(), lower.max()))
 
 
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function of the Kolmogorov distribution.
-
-    Alternating series 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lam^2),
-    truncated when terms fall below 1e-10 and clamped to [0, 1]. For
-    lam below 1e-3 the value is 1 to double precision.
-    """
-    if lam <= 1e-3:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    k = 1
-    while True:
-        term = math.exp(-2.0 * k * k * lam * lam)
-        if term < 1e-10:
-            break
-        total += sign * term
-        sign = -sign
-        k += 1
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def ks_pvalue(statistic: float, n: int) -> float:
     """Asymptotic p-value for the one-sample KS statistic.
 
-    Applies the standard small-sample correction
+    Applies Stephens' small-sample correction
     lam = (sqrt(n) + 0.12 + 0.11 / sqrt(n)) * D_n before evaluating the
-    Kolmogorov survival function. The exact finite-n distribution is out
-    of scope.
+    Kolmogorov survival function ``scipy.special.kolmogorov``. The exact
+    finite-n distribution lives in ``scipy.stats``, whose import costs
+    about a second and 45 MB, so it is not used.
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")
     root_n = math.sqrt(n)
     lam = (root_n + 0.12 + 0.11 / root_n) * statistic
-    return kolmogorov_sf(lam)
+    return float(kolmogorov(lam))
 
 
 def ood_risk_exact(
@@ -227,65 +209,33 @@ def ood_risk_exact(
     return 0.5 * float(p0.probs[flagged].sum()) + 0.5 * float(pb.probs[~flagged].sum())
 
 
-class AdaptedType2:
-    """Type-2 detector built from a Type-1 detector.
-
-    On each call it draws an internal clean dataset of size ``m`` from the
-    supplied distribution and delegates to the wrapped detector. Without an
-    explicit generator the draw is repeated identically (deterministic given
-    the construction seed); risk-estimation harnesses pass per-trial
-    generators to realize a fresh clean draw per trial.
-    """
-
-    def __init__(
-        self,
-        g1: Callable[[SymbolDataset, SymbolDataset], int],
-        p0: Categorical,
-        m: int,
-        seed: int = 0,
-    ) -> None:
-        if m < 1:
-            raise ParameterError("internal clean sample size must be >= 1")
-        self._g1 = g1
-        self._p0 = p0
-        self._m = m
-        self._seed = seed
-
-    def __call__(
-        self,
-        d: SymbolDataset,
-        p0: Categorical,
-        rng: np.random.Generator | None = None,
-    ) -> Verdict:
-        if rng is None:
-            rng = substream(self._seed, Domain.ADAPTER)
-        d_clean = SymbolDataset(draw_symbols(p0, self._m, rng), p0.alphabet_size)
-        return Verdict(int(self._g1(d, d_clean)))
-
-
 def adapt_type2_from_type1(
-    g1: Callable[[SymbolDataset, SymbolDataset], int],
-    p0: Categorical,
-    m: int,
-    seed: int = 0,
-) -> AdaptedType2:
-    """Lift a Type-1 detector to the Type-2 interface by sampling p0 itself."""
-    return AdaptedType2(g1, p0, m, seed)
+    g1: Callable[[SymbolDataset, SymbolDataset], int], m: int
+) -> Callable[[SymbolDataset, Categorical, np.random.Generator], Verdict]:
+    """Lift a Type-1 detector to the Type-2 interface by sampling p0 itself.
+
+    The adapted detector ``g2(d, p0, rng)`` draws a clean dataset of size m
+    from p0 with ``rng`` and returns ``g1(d, d_clean)``.
+    """
+    if m < 1:
+        raise ParameterError("internal clean sample size must be >= 1")
+
+    def g2(d: SymbolDataset, p0: Categorical, rng: np.random.Generator) -> Verdict:
+        d_clean = SymbolDataset(draw_symbols(p0, m, rng), p0.alphabet_size)
+        return Verdict(int(g1(d, d_clean)))
+
+    return g2
 
 
 def adapt_type3_from_type2(
-    g2: Callable[..., int],
-) -> Callable[..., Verdict]:
-    """Lift a Type-2 detector to the Type-3 interface; pb is ignored."""
+    g2: Callable[[SymbolDataset, Categorical, np.random.Generator], int],
+) -> Callable[[SymbolDataset, DistributionPair, np.random.Generator], Verdict]:
+    """Lift a Type-2 detector to the Type-3 interface ``g3(d, pair, rng)``.
 
-    def g3(
-        d: SymbolDataset,
-        p0: Categorical,
-        pb: Categorical,
-        rng: np.random.Generator | None = None,
-    ) -> Verdict:
-        if isinstance(g2, AdaptedType2):
-            return Verdict(int(g2(d, p0, rng)))
-        return Verdict(int(g2(d, p0)))
+    The backdoor distribution is ignored; g2 sees only pair.p0.
+    """
+
+    def g3(d: SymbolDataset, pair: DistributionPair, rng: np.random.Generator) -> Verdict:
+        return Verdict(int(g2(d, pair.p0, rng)))
 
     return g3

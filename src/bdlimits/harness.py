@@ -12,11 +12,16 @@ from substream(seed, domain, [branch,] b, 1). Results are therefore a pure
 function of (seed, domain, block index), bit-identical regardless of how
 blocks are scheduled; block error counts are summed in block-index order.
 
-The empirical type is a sufficient statistic for every built-in detector,
-so each is a :class:`BatchDetector` that scores a whole block in a few
-numpy calls. Any other callable is called once per row of the block, in
-row order, with that row as a :class:`SymbolDataset` and the block's
-detector generator.
+A detector is one function ``detector(pair, p1)``, called once per estimate
+with the problem instance and its mixture p1, that returns a block scorer.
+The scorer takes a whole block stacked by row and returns one verdict per
+row: ``score(symbols, rng)`` for a (rows, n) block of training sets, and
+``score(theta, d_prime, x, rng)`` for trained parameters (a
+:data:`~bdlimits.distributions.Reference`), fresh clean samples and probe
+symbols. ``rng`` is the block's detector generator. The empirical type is a
+sufficient statistic for every built-in detector, so each scores a block in
+a few numpy calls; :func:`per_row` lifts a per-dataset callable
+``fn(d, pair, rng)`` into the same shape.
 """
 
 from __future__ import annotations
@@ -27,19 +32,11 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .detectors import (
-    np_log_ratio,
-    np_type3,
-    np_verdicts,
-    tv_threshold,
-    type1_distances,
-    type1_tv,
-    type2_tv,
-)
+from .detectors import np_log_ratio, np_verdicts, tv_threshold, type1_distances
 from .distributions import (
     Categorical,
     DistributionPair,
@@ -47,7 +44,6 @@ from .distributions import (
     SymbolDataset,
     draw_symbols,
     mix,
-    tv_to_type,
     type_counts,
     type_distances,
 )
@@ -57,9 +53,8 @@ from .rng import Domain, blocks, substream
 #: two-sided 99% normal quantile used by the Wilson interval
 _Z99 = 2.5758293035489004
 
-#: A detector as seen by the risk harness: dataset, problem instance, and a
-#: per-trial generator for randomized detectors.
-TrialDetector = Callable[[SymbolDataset, DistributionPair, np.random.Generator], int]
+#: A detector as seen by the harness: (pair, p1) to a block scorer.
+Detector = Callable[[DistributionPair, Categorical], Callable[..., np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -172,27 +167,6 @@ class JointPrior:
 
 
 @dataclass(frozen=True)
-class BatchDetector:
-    """A detector in its per-trial call shape, plus a batch form.
-
-    Calling the object runs the per-trial form, so it works wherever a plain
-    callable does. ``bind(pair, p1)`` runs once per estimate and returns a
-    function that scores a whole block: it takes the per-trial arguments
-    stacked by row (a (rows, n) symbol block for each dataset, a
-    :data:`~bdlimits.distributions.Reference` for trained parameters, a
-    vector of probe symbols) plus the block's detector generator where the
-    per-trial form takes one, and returns the verdicts the per-trial form
-    gives row by row.
-    """
-
-    trial: Callable[..., int]
-    bind: Callable[[DistributionPair, Categorical], Callable[..., np.ndarray]]
-
-    def __call__(self, *args) -> int:
-        return self.trial(*args)
-
-
-@dataclass(frozen=True)
 class TrainerStub:
     """Stand-in training algorithm: additive-smoothed symbol frequencies.
 
@@ -219,46 +193,36 @@ class TrainerStub:
         return lambda row, sym: (counts(row, sym) + self.smoothing) / total
 
 
-def np_trial_detector() -> BatchDetector:
+def np_trial_detector() -> Detector:
     """Full-knowledge likelihood-ratio detector in harness form.
 
-    The batch form sums log(p1 / p0), built once per estimate, over each row.
+    Sums log(p1 / p0), built once per estimate, over each row.
     """
 
-    def run(d: SymbolDataset, pair: DistributionPair, rng: np.random.Generator) -> int:
-        return int(np_type3(d, pair))
-
-    def bind(pair: DistributionPair, p1: Categorical):
+    def detector(pair: DistributionPair, p1: Categorical):
         ratio = np_log_ratio(pair.p0, p1)
         return lambda symbols, rng: np_verdicts(symbols, ratio)
 
-    return BatchDetector(run, bind)
+    return detector
 
 
-def type2_trial_detector() -> BatchDetector:
+def type2_trial_detector() -> Detector:
     """Type-distance detector in harness form, thresholded from the pair's knobs."""
 
-    def run(d: SymbolDataset, pair: DistributionPair, rng: np.random.Generator) -> int:
-        return int(type2_tv(d, pair.p0, pair.gamma, pair.beta))
-
-    def bind(pair: DistributionPair, p1: Categorical):
+    def detector(pair: DistributionPair, p1: Categorical):
         threshold = tv_threshold(pair.gamma, pair.beta)
         p0 = pair.p0.probs
         return lambda symbols, rng: type_distances(symbols, lambda row, sym: p0[sym]) >= threshold
 
-    return BatchDetector(run, bind)
+    return detector
 
 
-def type1_trial_detector(m: int) -> BatchDetector:
-    """Type-1 detector in harness form; draws its m clean samples per trial."""
+def type1_trial_detector(m: int) -> Detector:
+    """Type-1 detector in harness form; draws m clean samples per row."""
     if m < 1:
         raise ParameterError("m must be >= 1")
 
-    def run(d: SymbolDataset, pair: DistributionPair, rng: np.random.Generator) -> int:
-        d_clean = SymbolDataset(draw_symbols(pair.p0, m, rng), pair.alphabet_size)
-        return int(type1_tv(d, d_clean, pair.gamma, pair.beta))
-
-    def bind(pair: DistributionPair, p1: Categorical):
+    def detector(pair: DistributionPair, p1: Categorical):
         threshold = tv_threshold(pair.gamma, pair.beta)
 
         def score(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -267,31 +231,30 @@ def type1_trial_detector(m: int) -> BatchDetector:
 
         return score
 
-    return BatchDetector(run, bind)
+    return detector
 
 
-def type2_callable_trial_detector(g2: Callable[..., int]) -> TrialDetector:
-    """Wrap a (dataset, p0[, rng]) detector for the harness.
+def per_row(fn: Callable[[SymbolDataset, DistributionPair, np.random.Generator], int]) -> Detector:
+    """Lift a per-dataset detector ``fn(d, pair, rng)`` into harness form.
 
-    Detectors produced by :func:`bdlimits.detectors.adapt_type2_from_type1`
-    receive the per-trial generator; plain deterministic callables do not.
+    The scorer calls ``fn`` once per row of the block, in row order, with
+    that row as a :class:`SymbolDataset` and the block's detector generator.
     """
-    from .detectors import AdaptedType2
 
-    if isinstance(g2, AdaptedType2):
+    def detector(pair: DistributionPair, p1: Categorical):
+        k = pair.alphabet_size
 
-        def run(d: SymbolDataset, pair: DistributionPair, rng: np.random.Generator) -> int:
-            return int(g2(d, pair.p0, rng))
+        def score(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+            return np.fromiter(
+                (int(fn(SymbolDataset(row, k), pair, rng)) for row in symbols), dtype=np.int64
+            )
 
-    else:
+        return score
 
-        def run(d: SymbolDataset, pair: DistributionPair, rng: np.random.Generator) -> int:
-            return int(g2(d, pair.p0))
-
-    return run
+    return detector
 
 
-DETECTORS: dict[str, Callable[[], TrialDetector]] = {
+DETECTORS: dict[str, Callable[[], Detector]] = {
     "np": np_trial_detector,
     "type2-tv": type2_trial_detector,
 }
@@ -317,11 +280,6 @@ def count_errors(step: BlockStep, trials: int, seed: int, path: Sequence[int]) -
     return sum(block_errors(step, seed, path, index, rows) for index, rows in blocks(trials))
 
 
-def row_verdicts(detector: Callable[..., int], rows: Iterable[tuple]) -> np.ndarray:
-    """The fallback for callables without a batch form: one call per row, in order."""
-    return np.fromiter((int(detector(*args)) for args in rows), dtype=np.int64)
-
-
 def _draw_labeled(
     laws: Sequence[Categorical], labels: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -334,24 +292,14 @@ def _draw_labeled(
     return symbols
 
 
-def _dataset_scorer(detector: TrialDetector, pair: DistributionPair, p1: Categorical):
-    """Block verdicts of a (dataset, pair, rng) detector: (symbols, rng) -> verdicts."""
-    if isinstance(detector, BatchDetector):
-        return detector.bind(pair, p1)
-    k = pair.alphabet_size
-    return lambda symbols, rng: row_verdicts(
-        detector, ((SymbolDataset(row, k), pair, rng) for row in symbols)
-    )
-
-
-def risk_step(detector: TrialDetector, pair: DistributionPair, n: int) -> BlockStep:
+def risk_step(detector: Detector, pair: DistributionPair, n: int) -> BlockStep:
     """The block step of :func:`estimate_risk`.
 
     Each row draws a fair label J, then a dataset of size n from p0 (J = 0)
     or the mixture (J = 1); an error is a verdict other than J.
     """
     p1 = mix(pair)
-    score = _dataset_scorer(detector, pair, p1)
+    score = detector(pair, p1)
 
     def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
         j = data.integers(0, 2, rows)
@@ -362,7 +310,7 @@ def risk_step(detector: TrialDetector, pair: DistributionPair, n: int) -> BlockS
 
 
 def estimate_risk(
-    detector: TrialDetector,
+    detector: Detector,
     pair: DistributionPair,
     n: int,
     trials: int,
@@ -378,7 +326,7 @@ def estimate_risk(
 
 
 def estimate_conditional_errors(
-    detector: TrialDetector,
+    detector: Detector,
     pair: DistributionPair,
     n: int,
     trials: int,
@@ -396,7 +344,7 @@ def estimate_conditional_errors(
     if n < 1:
         raise ParameterError("n must be >= 1")
     p1 = mix(pair)
-    score = _dataset_scorer(detector, pair, p1)
+    score = detector(pair, p1)
     estimates = []
     for j, law in ((0, pair.p0), (1, p1)):
 
@@ -409,35 +357,33 @@ def estimate_conditional_errors(
     return estimates[0], estimates[1]
 
 
-#: Generalized detector: trained parameters, fresh clean data, probe sample.
-GeneralizedDetector = Callable[
-    [Categorical, SymbolDataset, int, np.random.Generator], int
-]
-
-
-def _trained_rows(trainer: Callable, train: np.ndarray, d_prime: np.ndarray, k: int):
-    """(trained parameters, clean dataset) per row, for the per-row fallback."""
-    for t, d in zip(train, d_prime):
-        yield trainer(SymbolDataset(t, k)), SymbolDataset(d, k)
-
-
-def _trained_step(
-    score: Callable[..., np.ndarray],
+def _trained_risk(
+    detector: Detector,
     pair: DistributionPair,
-    p1: Categorical,
     n: int,
     m: int,
     prior: JointPrior,
     target: Flavor,
-) -> BlockStep:
-    """The block step of the estimators that score trained parameters.
+    trainer: TrainerStub,
+    trials: int,
+    seed: int,
+    domain: Domain,
+) -> RiskEstimate:
+    """Risk of a detector scoring (trained params, clean data, probe sample).
 
     Each row draws a cell (j, i) from the prior, a training set of size n
     from p0 (j = 0) or the mixture (j = 1), m fresh clean samples, and a
-    probe symbol from p0 (i = 0) or pb (i = 1). ``score(train, d_prime, x,
-    rng)`` gives the block's verdicts; an error is a verdict other than the
-    flavor's target t(j, i).
+    probe symbol from p0 (i = 0) or pb (i = 1). The scorer sees the trained
+    parameters of every row, the clean samples and the probes; an error is
+    a verdict other than the flavor's target t(j, i).
     """
+    if trials < 100:
+        raise ParameterError("at least 100 trials are required")
+    if n < 1 or m < 1:
+        raise ParameterError("n and m must be >= 1")
+    prior.validate_for(target)
+    p1 = mix(pair)
+    score = detector(pair, p1)
     weights = np.array([cell[2] for cell in prior.cells()])
 
     def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
@@ -446,18 +392,15 @@ def _trained_step(
         train = _draw_labeled((pair.p0, p1), j, n, data)
         d_prime = draw_symbols(pair.p0, (rows, m), data)
         x = _draw_labeled((pair.p0, pair.pb), i, 1, data)[:, 0]
-        verdicts = score(train, d_prime, x, detector_rng)
+        theta = trainer.batch(train, pair.alphabet_size)
+        verdicts = score(theta, d_prime, x, detector_rng)
         return int(np.count_nonzero(verdicts != target.target(j, i)))
 
-    return step
-
-
-def _batchable(detector: Callable, trainer: Callable) -> bool:
-    return isinstance(detector, BatchDetector) and isinstance(trainer, TrainerStub)
+    return wilson_interval(count_errors(step, trials, seed, (domain,)), trials)
 
 
 def estimate_generalized_risk(
-    detector: GeneralizedDetector,
+    detector: Detector,
     pair: DistributionPair,
     n: int,
     m: int,
@@ -472,57 +415,32 @@ def estimate_generalized_risk(
     Per trial: draw (j, i) from the prior, train on a clean or contaminated
     set of size n, draw m fresh clean samples, draw the probe from the clean
     distribution (i = 0) or the backdoor distribution itself (i = 1), and
-    compare the verdict with the flavor's target t(j, i). The batch form
-    runs when both the detector and the trainer have one.
+    compare the verdict with the flavor's target t(j, i).
     """
-    if trials < 100:
-        raise ParameterError("at least 100 trials are required")
-    if n < 1 or m < 1:
-        raise ParameterError("n and m must be >= 1")
-    prior.validate_for(target)
-    p1 = mix(pair)
-    k = pair.alphabet_size
-    if _batchable(detector, trainer):
-        batch = detector.bind(pair, p1)
-
-        def score(train, d_prime, x, rng):
-            return batch(trainer.batch(train, k), d_prime, x, rng)
-
-    else:
-
-        def score(train, d_prime, x, rng):
-            rows = _trained_rows(trainer, train, d_prime, k)
-            return row_verdicts(
-                detector, ((theta, d, int(xr), rng) for (theta, d), xr in zip(rows, x))
-            )
-
-    step = _trained_step(score, pair, p1, n, m, prior, target)
-    return wilson_interval(count_errors(step, trials, seed, (Domain.GENERALIZED,)), trials)
+    return _trained_risk(
+        detector, pair, n, m, prior, target, trainer, trials, seed, Domain.GENERALIZED
+    )
 
 
 #: Type-0 distances this close below the threshold are ties, which flag.
 #: Smoothed counts and clean types are both rational, so exact ties are
-#: common, and whether one rounds up or down differs between the per-trial
-#: parameters (a normalized Categorical) and the batch form.
+#: common, and the float sum can land a hair either side of an exact tie.
 _TYPE0_TIE = 1e-12
 
 
-def type0_tv_detector(gamma: float, beta: float) -> BatchDetector:
+def type0_tv_detector(gamma: float, beta: float) -> Detector:
     """Demonstration Type-0 detector: TV between trained parameters and the
     type of the fresh clean data, thresholded like the type-distance test."""
     threshold = gamma * (1.0 - beta) / 2.0 - _TYPE0_TIE
 
-    def run(theta: Categorical, d_prime: SymbolDataset) -> int:
-        return int(tv_to_type(theta, d_prime) >= threshold)
+    def detector(pair: DistributionPair, p1: Categorical):
+        return lambda theta, d_prime, x, rng: type_distances(d_prime, theta) >= threshold
 
-    def bind(pair: DistributionPair, p1: Categorical):
-        return lambda theta, d_prime: type_distances(d_prime, theta) >= threshold
-
-    return BatchDetector(run, bind)
+    return detector
 
 
 def type0_demo_risk(
-    detector0: Callable[[Categorical, SymbolDataset], int],
+    detector0: Detector,
     pair: DistributionPair,
     n: int,
     m: int,
@@ -532,27 +450,14 @@ def type0_demo_risk(
 ) -> RiskEstimate:
     """Risk of a detector that only sees trained parameters and clean data.
 
-    The trained-parameter block step with a fair label J and no probe.
+    The trained-parameter estimate under the MBD prior with a fair label J.
+    The scorer still receives the probe, but under that prior the probe is
+    always drawn from p0, so it says nothing about J.
     """
-    if trials < 100:
-        raise ParameterError("at least 100 trials are required")
-    if n < 1 or m < 1:
-        raise ParameterError("n and m must be >= 1")
-    p1 = mix(pair)
-    k = pair.alphabet_size
-    if _batchable(detector0, trainer):
-        batch = detector0.bind(pair, p1)
-
-        def score(train, d_prime, x, rng):
-            return batch(trainer.batch(train, k), d_prime)
-
-    else:
-
-        def score(train, d_prime, x, rng):
-            return row_verdicts(detector0, _trained_rows(trainer, train, d_prime, k))
-
-    step = _trained_step(score, pair, p1, n, m, JointPrior.mbd_default(), Flavor.MBD)
-    return wilson_interval(count_errors(step, trials, seed, (Domain.TYPE0,)), trials)
+    return _trained_risk(
+        detector0, pair, n, m, JointPrior.mbd_default(), Flavor.MBD,
+        trainer, trials, seed, Domain.TYPE0,
+    )
 
 
 @dataclass(frozen=True)
@@ -610,17 +515,21 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def bayes_probe_detector(pair: DistributionPair) -> BatchDetector:
+def bayes_probe_detector(pair: DistributionPair) -> Detector:
     """Score only the probe sample: flag it when pb is at least as likely as p0."""
     flags = pair.pb.probs >= pair.p0.probs
 
-    def run(theta: Categorical, d_prime: SymbolDataset, x: int, rng: np.random.Generator) -> int:
-        return int(flags[x])
-
-    def bind(bound_pair: DistributionPair, p1: Categorical):
+    def detector(bound_pair: DistributionPair, p1: Categorical):
         return lambda theta, d_prime, x, rng: flags[x]
 
-    return BatchDetector(run, bind)
+    return detector
+
+
+def uniform_vs_point_mass(k: int, gamma: float, beta: float) -> DistributionPair:
+    """Default instance: uniform clean distribution, point-mass backdoor on 0."""
+    return DistributionPair(
+        Categorical.uniform(k), Categorical.point_mass(0, k), gamma=gamma, beta=beta
+    )
 
 
 def run_experiment(config: dict) -> dict:
@@ -640,14 +549,8 @@ def run_experiment(config: dict) -> dict:
         if "pair" in config:
             pair = DistributionPair.from_jsonable(config["pair"])
         else:
-            k = int(config["k"])
-            probs = np.zeros(k)
-            probs[0] = 1.0
-            pair = DistributionPair(
-                Categorical(np.full(k, 1.0 / k)),
-                Categorical(probs),
-                float(config["gamma"]),
-                float(config["beta"]),
+            pair = uniform_vs_point_mass(
+                int(config["k"]), float(config["gamma"]), float(config["beta"])
             )
         m = int(config.get("m", n))
         flavor = Flavor(config.get("flavor", "mbd"))

@@ -40,7 +40,6 @@ class Domain(enum.IntEnum):
     TOY_CLEAN = 7
     TOY_POISON = 8
     TOY_EVAL = 9
-    ADAPTER = 10
     CONCENTRATION = 11
 
 

@@ -32,6 +32,7 @@ from bdlimits import (
     mix,
     np_trial_detector,
     ood_risk_exact,
+    per_row,
     product_tv_exact,
     toy_attack_report,
     toy_ks_defense,
@@ -41,7 +42,6 @@ from bdlimits import (
     type0_tv_detector,
     type1_trial_detector,
     type1_tv,
-    type2_callable_trial_detector,
     type2_trial_detector,
     type2_tv,
     type_exceedance_frequency,
@@ -243,19 +243,16 @@ def test_criterion_9_reduction_ordering():
 
             # adapters track their source detector
             g1 = lambda d, dc: int(type1_tv(d, dc, pair.gamma, pair.beta))
-            adapted2 = adapt_type2_from_type1(g1, pair.p0, m, seed=15)
-            r2_adapted = estimate_risk(
-                type2_callable_trial_detector(adapted2), pair, n, trials, seed=12
-            )
+            adapted2 = adapt_type3_from_type2(adapt_type2_from_type1(g1, m))
+            r2_adapted = estimate_risk(per_row(adapted2), pair, n, trials, seed=12)
             assert abs(r2_adapted.p_hat - r1.p_hat) <= 3 * max(
                 r2_adapted.ci_width, r1.ci_width
             )
+            assert r2_adapted.p_hat == r1.p_hat
 
-            g2 = lambda d, p0: int(type2_tv(d, p0, pair.gamma, pair.beta))
+            g2 = lambda d, p0, rng: int(type2_tv(d, p0, pair.gamma, pair.beta))
             g3 = adapt_type3_from_type2(g2)
-            r3_adapted = estimate_risk(
-                lambda d, pr, rng: int(g3(d, pr.p0, pr.pb)), pair, n, trials, seed=13
-            )
+            r3_adapted = estimate_risk(per_row(g3), pair, n, trials, seed=13)
             assert r3_adapted.p_hat == r2.p_hat
 
             # more oracle access never hurts beyond Monte-Carlo noise

@@ -21,6 +21,14 @@ def runner():
     return CliRunner()
 
 
+def assert_clean_failure(result, code: int) -> None:
+    """The command failed with ``code``, an error line and no traceback."""
+    assert result.exit_code == code, result.output
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def payload_of(result) -> dict:
     envelope = json.loads(result.stdout.strip().splitlines()[0])
     assert set(envelope) == {"command", "config_hash", "payload"}
@@ -60,6 +68,25 @@ class TestBoundsTable:
         result = runner.invoke(main, ["bounds-table", "--catalog", str(path)])
         assert result.exit_code == 0
         assert result.stdout.count("\n") == 2  # header plus one row
+
+    @pytest.mark.parametrize("size", ['"abc"', "1e400"], ids=["string", "overflow"])
+    def test_bad_catalog_size_exits_2(self, runner, tmp_path, size):
+        path = tmp_path / "catalog.json"
+        path.write_text(f'[{{"name": "bad", "log10_size": {size}}}]')
+        result = runner.invoke(main, ["bounds-table", "--catalog", str(path)])
+        assert_clean_failure(result, 2)
+
+    def test_edited_catalog_is_not_a_duplicate(self, runner, tmp_path):
+        catalog = tmp_path / "catalog.json"
+        out = tmp_path / "results.jsonl"
+        args = ["bounds-table", "--catalog", str(catalog), "--out", str(out)]
+        catalog.write_text('[{"name": "tiny", "log10_size": 4.0}]')
+        first = runner.invoke(main, args)
+        catalog.write_text('[{"name": "tiny", "log10_size": 5.0}]')
+        second = runner.invoke(main, args)
+        assert first.exit_code == second.exit_code == 0
+        assert first.stdout != second.stdout
+        assert len(out.read_text().splitlines()) == 2
 
 
 class TestRisk:
@@ -106,6 +133,12 @@ class TestRisk:
         result = runner.invoke(main, ["risk", "--pair", str(path), "--trials", "100"])
         assert result.exit_code == 2
 
+    def test_non_numeric_gamma_exits_2(self, runner, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text('{"p0": [0.9, 0.1], "pb": [0.1, 0.9], "gamma": "x", "beta": 0.3}')
+        result = runner.invoke(main, ["risk", "--pair", str(path), "--trials", "100"])
+        assert_clean_failure(result, 2)
+
 
 class TestToy:
     def test_single_seed_record(self, runner):
@@ -136,6 +169,11 @@ class TestToy:
     def test_unparseable_direction_exits_2(self, runner):
         result = runner.invoke(main, ["toy", "--v", "a,b"])
         assert result.exit_code == 2
+
+    def test_nan_direction_exits_2(self, runner):
+        # a NaN direction gives a NaN KS statistic, which must fail cleanly, not hang
+        result = runner.invoke(main, ["toy", "--n", "40", "--v", "nan,1"])
+        assert_clean_failure(result, 2)
 
     def test_gamma_zero_success_near_clean_error(self, runner):
         result = runner.invoke(

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import kolmogorov, ndtr, ndtri
 
 from bdlimits import (
     Categorical,
@@ -17,17 +17,17 @@ from bdlimits import (
     adapt_type2_from_type1,
     adapt_type3_from_type2,
     estimate_risk,
-    kolmogorov_sf,
     ks_pvalue,
     ks_statistic,
     np_type3,
     ood_risk_exact,
+    per_row,
     sample,
     tv_distance,
     type1_tv,
     type2_tv,
     type1_trial_detector,
-    type2_callable_trial_detector,
+    type2_trial_detector,
 )
 from bdlimits.rng import substream
 
@@ -115,10 +115,12 @@ class TestKsPvalue:
         assert ks_pvalue(1.0, 1000) < 1e-12
 
     def test_series_value_at_lambda_one(self):
-        # alternating series evaluated to 1e-10: 2(e^-2 - e^-8 + e^-18 - ...)
+        # alternating series evaluated to 1e-10: 2(e^-2 - e^-8 + e^-18 - ...);
+        # at n = 25 the corrected lambda is (5 + 0.12 + 0.022) * d = 1
         expected = 2.0 * (math.exp(-2) - math.exp(-8) + math.exp(-18) - math.exp(-32))
-        assert kolmogorov_sf(1.0) == pytest.approx(expected, abs=1e-9)
-        assert kolmogorov_sf(1.0) == pytest.approx(0.2700, abs=5e-4)
+        p = ks_pvalue(1.0 / (5 + 0.12 + 0.022), 25)
+        assert p == pytest.approx(expected, abs=1e-9)
+        assert p == pytest.approx(0.2700, abs=5e-4)
 
     def test_monotone_decreasing_in_statistic(self):
         stats = np.linspace(0.0, 1.0, 41)
@@ -127,11 +129,11 @@ class TestKsPvalue:
 
     def test_small_sample_correction_applied(self):
         # correction factor shifts lambda, so p differs from the raw series
-        raw = kolmogorov_sf(math.sqrt(25) * 0.2)
+        raw = kolmogorov(math.sqrt(25) * 0.2)
         corrected = ks_pvalue(0.2, 25)
         assert corrected != raw
         assert corrected == pytest.approx(
-            kolmogorov_sf((math.sqrt(25) + 0.12 + 0.11 / math.sqrt(25)) * 0.2), abs=1e-15
+            kolmogorov((math.sqrt(25) + 0.12 + 0.11 / math.sqrt(25)) * 0.2), abs=1e-15
         )
 
 
@@ -169,43 +171,40 @@ class TestAdapters:
         def g1(d, d_clean):
             return int(len(d) % 2)
 
-        adapted = adapt_type2_from_type1(g1, pair.p0, m=8, seed=3)
+        adapted = adapt_type2_from_type1(g1, m=8)
         for n in (3, 4, 7):
             d = sample(pair.p0, n, seed=n)
-            assert int(adapted(d, pair.p0)) == g1(d, None)
+            assert int(adapted(d, pair.p0, substream(3, n))) == g1(d, None)
 
     def test_adapted_deterministic_given_seed(self):
         pair = self.pair()
         g1 = lambda d, dc: int(type1_tv(d, dc, pair.gamma, pair.beta))
-        adapted = adapt_type2_from_type1(g1, pair.p0, m=16, seed=5)
+        adapted = adapt_type2_from_type1(g1, m=16)
         d = sample(pair.p0, 10, seed=1)
-        assert adapted(d, pair.p0) == adapted(d, pair.p0)
+        assert adapted(d, pair.p0, substream(5, 0)) == adapted(d, pair.p0, substream(5, 0))
 
     def test_adapted_risk_matches_source_risk(self):
         pair = self.pair()
         m, trials = 32, 10**4
         g1 = lambda d, dc: int(type1_tv(d, dc, pair.gamma, pair.beta))
-        adapted = adapt_type2_from_type1(g1, pair.p0, m, seed=5)
-        r_adapted = estimate_risk(
-            type2_callable_trial_detector(adapted), pair, 8, trials, seed=77
-        )
+        adapted = per_row(adapt_type3_from_type2(adapt_type2_from_type1(g1, m)))
+        r_adapted = estimate_risk(adapted, pair, 8, trials, seed=77)
         r_source = estimate_risk(type1_trial_detector(m), pair, 8, trials, seed=78)
         width = max(r_adapted.ci_width, r_source.ci_width)
         assert abs(r_adapted.p_hat - r_source.p_hat) <= width
 
     def test_type3_from_type2_identical_verdicts(self):
         pair = self.pair()
-        g2 = lambda d, p0: int(type2_tv(d, p0, pair.gamma, pair.beta))
+        g2 = lambda d, p0, rng: int(type2_tv(d, p0, pair.gamma, pair.beta))
         g3 = adapt_type3_from_type2(g2)
         rng = substream(9, 4)
         for _ in range(50):
             d = SymbolDataset(rng.integers(0, 2, 12), 2)
-            assert int(g3(d, pair.p0, pair.pb)) == g2(d, pair.p0)
+            assert int(g3(d, pair, rng)) == g2(d, pair.p0, rng)
 
     def test_type3_from_type2_risk_equality_same_seed(self):
         pair = self.pair()
-        g2 = lambda d, p0: int(type2_tv(d, p0, pair.gamma, pair.beta))
-        g3 = adapt_type3_from_type2(g2)
-        r2 = estimate_risk(type2_callable_trial_detector(g2), pair, 10, 500, seed=6)
-        r3 = estimate_risk(lambda d, pr, rng: int(g3(d, pr.p0, pr.pb)), pair, 10, 500, seed=6)
+        g2 = lambda d, p0, rng: int(type2_tv(d, p0, pair.gamma, pair.beta))
+        r2 = estimate_risk(type2_trial_detector(), pair, 10, 500, seed=6)
+        r3 = estimate_risk(per_row(adapt_type3_from_type2(g2)), pair, 10, 500, seed=6)
         assert r3.p_hat == r2.p_hat

@@ -161,8 +161,8 @@ class TestGeneralizedRisk:
     def test_ood_bayes_rule_matches_tv_identity(self):
         pair = pair_of([0.6, 0.3, 0.1], [0.1, 0.2, 0.7], gamma=1.0, beta=0.9)
 
-        def bayes(theta, d_prime, x, rng):
-            return int(pair.pb.probs[x] >= pair.p0.probs[x])
+        def bayes(pair, p1):
+            return lambda theta, d_prime, x, rng: pair.pb.probs[x] >= pair.p0.probs[x]
 
         est = estimate_generalized_risk(
             bayes, pair, n=4, m=4, prior=JointPrior.ood_default(),
@@ -174,7 +174,7 @@ class TestGeneralizedRisk:
     def test_constant_detector_symmetric_prior(self):
         pair = pair_of([0.7, 0.3], [0.2, 0.8], gamma=0.8, beta=0.5)
         est = estimate_generalized_risk(
-            lambda theta, d, x, rng: 0, pair, n=3, m=3,
+            lambda pair, p1: lambda theta, d, x, rng: np.zeros(x.size), pair, n=3, m=3,
             prior=JointPrior.mbd_default(), target=Flavor.MBD,
             trainer=TrainerStub(), trials=2000, seed=11,
         )
@@ -187,9 +187,12 @@ class TestGeneralizedRisk:
         pair = DistributionPair(p0, pb, gamma=1.0, beta=0.2)
         seen = []
 
-        def recorder(theta, d_prime, x, rng):
-            seen.append(x)
-            return 0
+        def recorder(pair, p1):
+            def score(theta, d_prime, x, rng):
+                seen.extend(x.tolist())
+                return np.zeros(x.size)
+
+            return score
 
         estimate_generalized_risk(
             recorder, pair, n=2, m=2, prior=JointPrior(0.5, 0.0, 0.5, 0.0),
@@ -208,7 +211,7 @@ class TestGeneralizedRisk:
         pair = pair_of([0.7, 0.3], [0.2, 0.8], gamma=0.8, beta=0.5)
         with pytest.raises(ConfigurationError):
             estimate_generalized_risk(
-                lambda theta, d, x, rng: 0, pair, n=2, m=2,
+                lambda pair, p1: lambda theta, d, x, rng: np.zeros(x.size), pair, n=2, m=2,
                 prior=JointPrior.ood_default(), target=Flavor.SBD,
                 trainer=TrainerStub(), trials=200, seed=0,
             )
@@ -250,7 +253,7 @@ class TestType0Demo:
 
     def test_constant_detector_random_guess(self):
         est = type0_demo_risk(
-            lambda theta, d: 1, self.PAIR, n=10, m=40,
+            lambda pair, p1: lambda theta, d, x, rng: np.ones(x.size), self.PAIR, n=10, m=40,
             trainer=TrainerStub(), trials=2000, seed=15,
         )
         assert est.ci_low <= 0.5 <= est.ci_high

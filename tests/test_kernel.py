@@ -1,9 +1,9 @@
 """Contract tests for the block Monte-Carlo kernel.
 
-Every built-in detector has a batch form that scores a whole block; any
-other callable is called once per row. The two paths must agree verdict by
-verdict, and on huge alphabets memory must stay O(BLOCK * n) plus the
-probability vectors.
+Every built-in detector scores a whole block at once. Each must agree,
+verdict by verdict, with the library's per-dataset function it vectorizes,
+run row by row (through :func:`per_row` for the dataset detectors). On huge
+alphabets memory must stay O(BLOCK * n) plus the probability vectors.
 """
 
 import tracemalloc
@@ -24,14 +24,18 @@ from bdlimits import (
     imposs_probe,
     mix,
     np_trial_detector,
+    np_type3,
+    per_row,
+    tv_to_type,
     type0_tv_detector,
     type1_trial_detector,
+    type1_tv,
     type2_trial_detector,
     type2_tv,
     type_exceedance_frequency,
 )
 from bdlimits.distributions import draw_symbols
-from bdlimits.harness import row_verdicts
+from bdlimits.harness import _TYPE0_TIE
 from bdlimits.rng import substream
 
 ROWS = 500
@@ -58,24 +62,41 @@ def dataset_block(pair, n, seed):
     )
 
 
-def dataset_verdicts(detector, pair, symbols):
-    """(batch verdicts, fallback verdicts) on the same block and generator key."""
-    batch = detector.bind(pair, mix(pair))(symbols, substream(1, 2))
-    rng = substream(1, 2)
-    k = pair.alphabet_size
-    fallback = row_verdicts(detector, ((SymbolDataset(row, k), pair, rng) for row in symbols))
-    return np.asarray(batch, dtype=np.int64), fallback
+def dataset_verdicts(detector, reference, pair, symbols):
+    """(block verdicts, per-row reference verdicts) on the same generator key."""
+    verdicts = []
+    for lifted in (detector, per_row(reference)):
+        score = lifted(pair, mix(pair))
+        verdicts.append(np.asarray(score(symbols, substream(1, 2)), dtype=np.int64))
+    return verdicts[0], verdicts[1]
+
+
+def np_reference(d, pair, rng):
+    return np_type3(d, pair)
+
+
+def type2_reference(d, pair, rng):
+    return type2_tv(d, pair.p0, pair.gamma, pair.beta)
+
+
+def type1_reference(d, pair, rng):
+    d_clean = SymbolDataset(draw_symbols(pair.p0, 24, rng), pair.alphabet_size)
+    return type1_tv(d, d_clean, pair.gamma, pair.beta)
 
 
 @pytest.mark.parametrize("label,pair,n,m", PAIRS, ids=[p[0] for p in PAIRS])
 @pytest.mark.parametrize(
-    "factory",
-    [np_trial_detector, type2_trial_detector, lambda: type1_trial_detector(24)],
+    "factory,reference",
+    [
+        (np_trial_detector, np_reference),
+        (type2_trial_detector, type2_reference),
+        (lambda: type1_trial_detector(24), type1_reference),
+    ],
     ids=["np", "type2", "type1"],
 )
-def test_dataset_detectors_batch_equals_fallback(factory, label, pair, n, m):
+def test_dataset_detectors_batch_equals_fallback(factory, reference, label, pair, n, m):
     symbols = dataset_block(pair, n, seed=3)
-    batch, fallback = dataset_verdicts(factory(), pair, symbols)
+    batch, fallback = dataset_verdicts(factory(), reference, pair, symbols)
     assert batch.tolist() == fallback.tolist()
     assert 0 < batch.sum() < ROWS
 
@@ -87,7 +108,7 @@ def test_np_zero_mass_rules_batch_equals_fallback():
     rng = substream(4, 0)
     symbols = rng.integers(0, 3, (ROWS, 3))
     symbols[:20] = 1
-    batch, fallback = dataset_verdicts(np_trial_detector(), ZERO_MASS_PAIR, symbols)
+    batch, fallback = dataset_verdicts(np_trial_detector(), np_reference, ZERO_MASS_PAIR, symbols)
     assert batch.tolist() == fallback.tolist()
     has0 = (symbols == 0).any(axis=1)
     has2 = (symbols == 2).any(axis=1)
@@ -99,11 +120,11 @@ def test_np_zero_mass_rules_batch_equals_fallback():
 
 def test_np_impossible_symbol_raises_in_both_forms():
     symbols = np.array([[1, 1, 0], [1, 3, 2]])
-    detector = np_trial_detector()
+    score = np_trial_detector()(ZERO_MASS_PAIR, mix(ZERO_MASS_PAIR))
     with pytest.raises(ImpossibleSampleError, match="symbol 3"):
-        detector.bind(ZERO_MASS_PAIR, mix(ZERO_MASS_PAIR))(symbols, substream(1, 2))
+        score(symbols, substream(1, 2))
     with pytest.raises(ImpossibleSampleError, match="symbol 3"):
-        detector(SymbolDataset(symbols[1], 4), ZERO_MASS_PAIR, substream(1, 2))
+        np_type3(SymbolDataset(symbols[1], 4), ZERO_MASS_PAIR)
 
 
 @pytest.mark.parametrize("label,pair,n,m", PAIRS, ids=[p[0] for p in PAIRS])
@@ -117,15 +138,16 @@ def test_trained_detectors_batch_equals_fallback(label, pair, n, m):
     theta = trainer.batch(train, k)
     rows = [(trainer(SymbolDataset(t, k)), SymbolDataset(d, k)) for t, d in zip(train, d_prime)]
 
-    type0 = type0_tv_detector(pair.gamma, pair.beta)
-    batch0 = type0.bind(pair, mix(pair))(theta, d_prime)
-    assert np.asarray(batch0, dtype=np.int64).tolist() == row_verdicts(type0, rows).tolist()
+    score0 = type0_tv_detector(pair.gamma, pair.beta)(pair, mix(pair))
+    batch0 = np.asarray(score0(theta, d_prime, x, substream(1, 2)), dtype=np.int64)
+    threshold = pair.gamma * (1.0 - pair.beta) / 2.0 - _TYPE0_TIE
+    expected0 = [int(tv_to_type(t, d) >= threshold) for t, d in rows]
+    assert batch0.tolist() == expected0
 
-    probe = bayes_probe_detector(pair)
-    batch_probe = probe.bind(pair, mix(pair))(theta, d_prime, x, substream(1, 2))
-    rng = substream(1, 2)
-    fallback_probe = row_verdicts(probe, ((t, d, int(xr), rng) for (t, d), xr in zip(rows, x)))
-    assert np.asarray(batch_probe, dtype=np.int64).tolist() == fallback_probe.tolist()
+    score_probe = bayes_probe_detector(pair)(pair, mix(pair))
+    batch_probe = np.asarray(score_probe(theta, d_prime, x, substream(1, 2)), dtype=np.int64)
+    expected_probe = [int(pair.pb.probs[xr] >= pair.p0.probs[xr]) for xr in x]
+    assert batch_probe.tolist() == expected_probe
 
 
 def test_trainer_batch_matches_per_row_parameters():
