@@ -94,6 +94,8 @@ class ToyConfig:
         cls, v: Sequence[float], sigma: float, gamma: float, n: int
     ) -> "ToyConfig":
         arr = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError(f"direction v = {arr.tolist()} must be finite")
         norm = float(np.linalg.norm(arr))
         if norm == 0.0:
             raise ParameterError("direction must be nonzero")

@@ -14,12 +14,19 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .distributions import Categorical, DistributionPair, mix, product_tv_exact
+from .distributions import (
+    ENUMERATION_CAP,
+    Categorical,
+    DistributionPair,
+    mix,
+    product_tv_exact,
+)
 from .errors import ParameterError
 
 _LN10 = math.log(10.0)
@@ -128,13 +135,28 @@ class LogNumber:
         return "LogNumber(0)" if self.is_zero else f"LogNumber(10^{self.log10_value:g})"
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _positive_int(value: object, what: str) -> int:
+    """``value`` as an int >= 1; booleans and non-integral numbers are rejected."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if not _is_number(value) or not integral or value < 1:  # type: ignore[operator]
+        raise ParameterError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)  # type: ignore[arg-type]
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Alphabet description of a named dataset.
 
     Exactly one of the three shapes must be provided: image dimensions
-    (width, height, channels, color depth), per-feature categorical
-    cardinalities, or a direct base-10 log of the alphabet size.
+    (width, height, channels, color depth) or per-feature categorical
+    cardinalities, all integers >= 1, or a direct base-10 log of the
+    alphabet size, finite and >= 0.
     """
 
     name: str
@@ -163,12 +185,23 @@ class DatasetSpec:
             raise ParameterError(
                 f"dataset {self.name!r} must specify exactly one alphabet shape"
             )
-        if is_image and any(v < 1 for v in image_fields):  # type: ignore[operator]
-            raise ParameterError("image dimensions must be >= 1")
+        if is_image:
+            for field in ("width", "height", "channels", "color_depth"):
+                value = _positive_int(getattr(self, field), f"dataset {self.name!r} {field}")
+                object.__setattr__(self, field, value)
         if self.cardinalities is not None:
-            if len(self.cardinalities) == 0 or any(c < 1 for c in self.cardinalities):
-                raise ParameterError("cardinalities must be positive")
-            object.__setattr__(self, "cardinalities", tuple(self.cardinalities))
+            if len(self.cardinalities) == 0:
+                raise ParameterError(f"dataset {self.name!r} lists no cardinalities")
+            cards = tuple(
+                _positive_int(c, f"dataset {self.name!r} cardinality") for c in self.cardinalities
+            )
+            object.__setattr__(self, "cardinalities", cards)
+        if self.log10_size is not None:
+            size = self.log10_size
+            if not _is_number(size) or not 0.0 <= size < math.inf:
+                raise ParameterError(
+                    f"dataset {self.name!r} log10_size must be a finite number >= 0, got {size!r}"
+                )
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "DatasetSpec":
@@ -294,14 +327,12 @@ def type3_risk_floor(gamma: float, n: int, tv: float) -> float:
     return max(0.0, 0.5 - 0.5 * gamma * n * tv)
 
 
-def exact_type3_risk(pair: DistributionPair, n: int, cap: int | None = None) -> float:
-    """Exact optimal risk 1/2 - TV(P0^N, P1^N)/2 by product enumeration."""
-    p1 = mix(pair)
-    if cap is None:
-        tv_n = product_tv_exact(pair.p0, p1, n)
-    else:
-        tv_n = product_tv_exact(pair.p0, p1, n, cap=cap)
-    return 0.5 - 0.5 * tv_n
+def exact_type3_risk(pair: DistributionPair, n: int, cap: int = ENUMERATION_CAP) -> float:
+    """Exact optimal risk 1/2 - TV(P0^N, P1^N)/2, summed over the types of N draws.
+
+    Raises :class:`ResourceCapError` when the C(N+K-1, K-1) types exceed ``cap``.
+    """
+    return 0.5 - 0.5 * product_tv_exact(pair.p0, mix(pair), n, cap)
 
 
 def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> DistributionPair:

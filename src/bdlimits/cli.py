@@ -130,7 +130,7 @@ def bounds_table(alpha: float, beta: float, catalog_path: str | None, fmt: str, 
 )
 @click.option("--trials", default=10000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--oracle", is_flag=True, help="Also print the exact optimal risk from product enumeration.")
+@click.option("--oracle", is_flag=True, help="Also print the exact optimal risk, summed over the types of n draws.")
 @click.option("--out", default=None, type=click.Path())
 def risk(
     detector_name: str,
@@ -274,10 +274,10 @@ def toy(
         v = np.array([float(part) for part in v_text.split(",")])
     except ValueError as exc:
         raise ParameterError(f"cannot parse --v: {exc}") from exc
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-9 and norm > 0.0:
-        click.echo(f"warning: |v| = {norm:.6f}, normalizing", err=True)
     config = ToyConfig.from_direction(v, sigma=sigma, gamma=gamma, n=n)
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-9:
+        click.echo(f"warning: |v| = {norm:.6f}, normalizing", err=True)
     if seeds < 1:
         raise ParameterError("--seeds must be >= 1")
     records = []

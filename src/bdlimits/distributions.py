@@ -14,11 +14,13 @@ shared freely across concurrent tasks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import AlphabetMismatchError, ParameterError, ResourceCapError
 from .rng import Domain, blocks, substream
@@ -26,8 +28,11 @@ from .rng import Domain, blocks, substream
 #: Probability vectors must sum to 1 within this tolerance to be accepted.
 PROB_TOLERANCE = 1e-12
 
-#: Default ceiling on K**n outcomes for exact product-distribution enumeration.
+#: Default ceiling on the C(n+K-1, K-1) types the exact product oracle sums over.
 ENUMERATION_CAP = 10**7
+
+#: Children the exact oracle's type enumeration builds per step; bounds its memory.
+_TYPE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -321,8 +326,14 @@ def product_tv_exact(
 ) -> float:
     """Exact TV distance between the n-fold product distributions.
 
-    Enumerates all K**n outcomes, so it is an oracle for small instances
-    only; raises :class:`ResourceCapError` above ``cap`` outcomes.
+    The type c (count vector) of an outcome is sufficient, so the distance
+    is (1/2) sum_c multinomial(n; c) |p0^c - p1^c| over the C(n+K-1, K-1)
+    types. A type is built symbol by symbol, jumping to the next symbol
+    with a positive count, from running vectors per partial type (log
+    weight, log p0 mass, log p1 mass, remaining count, next symbol). They
+    are expanded depth first in chunks of ``_TYPE_CHUNK`` children, so at
+    most min(n, K) chunks are held at once. Raises
+    :class:`ResourceCapError` above ``cap`` types.
     """
     if p0.alphabet_size != p1.alphabet_size:
         raise AlphabetMismatchError(
@@ -331,14 +342,48 @@ def product_tv_exact(
     if n < 1:
         raise ParameterError("n must be >= 1")
     k = p0.alphabet_size
-    if k**n > cap:
-        raise ResourceCapError(f"{k}**{n} outcomes exceed the enumeration cap {cap}")
-    joint0 = p0.probs
-    joint1 = p1.probs
-    for _ in range(n - 1):
-        joint0 = np.kron(joint0, p0.probs)
-        joint1 = np.kron(joint1, p1.probs)
-    return 0.5 * float(np.abs(joint0 - joint1).sum())
+    types = math.comb(n + k - 1, k - 1)
+    if types > cap:
+        raise ResourceCapError(
+            f"{types} types of {n} draws on {k} symbols exceed the enumeration cap {cap}"
+        )
+    # counts placed are >= 1, so a zero mass gives log -inf and never 0 * log 0
+    with np.errstate(divide="ignore"):
+        log0, log1 = np.log(p0.probs), np.log(p1.probs)
+    sums: list[float] = []
+    # entries: (log weight, log p0 mass, log p1 mass, remaining count, next
+    # symbol) per partial type, and the first child still to expand
+    zero = np.zeros(1)
+    stack = [(zero + gammaln(n + 1), zero, zero, np.array([n]), np.array([0]), 0)]
+    while stack:
+        lw, l0, l1, rem, first, start = stack.pop()
+        # a partial type's children put c in 1..rem draws on a symbol
+        # j in first..K-2, and one child puts all rem draws on symbol K-1
+        size = (k - 1 - first) * rem + 1
+        ends = np.cumsum(size)
+        stop = min(start + _TYPE_CHUNK, int(ends[-1]))
+        if stop < ends[-1]:
+            stack.append((lw, l0, l1, rem, first, stop))
+        child = np.arange(start, stop)
+        parent = np.searchsorted(ends, child, side="right")
+        local = child - ends[parent] + size[parent]
+        rem = rem[parent]
+        sym = first[parent] + local // rem
+        counts = np.where(sym == k - 1, rem, local % rem + 1)
+        lw = lw[parent] - gammaln(counts + 1)
+        l0 = l0[parent] + counts * log0[sym]
+        l1 = l1[parent] + counts * log1[sym]
+        rem = rem - counts
+        # |e^a - e^b| = e^hi (1 - e^(lo - hi)); massless under both laws adds 0
+        hi, lo = np.maximum(l0, l1), np.minimum(l0, l1)
+        live = hi > -np.inf
+        done = live & (rem == 0)
+        terms = np.exp(lw[done] + hi[done]) * -np.expm1(lo[done] - hi[done])
+        sums.append(float(terms.sum()))
+        more = live & (rem > 0)
+        if more.any():
+            stack.append((lw[more], l0[more], l1[more], rem[more], sym[more] + 1, 0))
+    return 0.5 * math.fsum(sums)
 
 
 def type_exceedance_frequency(

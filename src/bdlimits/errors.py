@@ -20,7 +20,7 @@ class AlphabetMismatchError(BdLimitsError, ValueError):
 
 
 class ResourceCapError(BdLimitsError, RuntimeError):
-    """An exact enumeration would exceed the configured outcome cap."""
+    """An exact oracle would sum over more types than the configured cap."""
 
 
 class ImpossibleSampleError(BdLimitsError, ValueError):

@@ -2,13 +2,16 @@
 
 import json
 import math
+import warnings
 from importlib import resources
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from bdlimits import exact_type3_risk
 from bdlimits.cli import main
+from bdlimits.harness import uniform_vs_point_mass
 
 
 def schema(name: str) -> dict:
@@ -69,12 +72,31 @@ class TestBoundsTable:
         assert result.exit_code == 0
         assert result.stdout.count("\n") == 2  # header plus one row
 
-    @pytest.mark.parametrize("size", ['"abc"', "1e400"], ids=["string", "overflow"])
+    @pytest.mark.parametrize(
+        "size", ['"abc"', "1e400", "-5", "NaN"], ids=["string", "overflow", "negative", "nan"]
+    )
     def test_bad_catalog_size_exits_2(self, runner, tmp_path, size):
         path = tmp_path / "catalog.json"
         path.write_text(f'[{{"name": "bad", "log10_size": {size}}}]')
         result = runner.invoke(main, ["bounds-table", "--catalog", str(path)])
         assert_clean_failure(result, 2)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '"width": 2.5, "height": 2, "channels": 1, "color_depth": 2',
+            '"width": true, "height": 2, "channels": 1, "color_depth": 2',
+            '"cardinalities": [2, 2.5]',
+            '"cardinalities": [2, false]',
+        ],
+        ids=["fractional-width", "boolean-width", "fractional-card", "boolean-card"],
+    )
+    def test_impossible_catalog_shape_exits_2(self, runner, tmp_path, entry):
+        path = tmp_path / "catalog.json"
+        path.write_text(f'[{{"name": "bad", {entry}}}]')
+        result = runner.invoke(main, ["bounds-table", "--catalog", str(path)])
+        assert_clean_failure(result, 2)
+        assert result.stdout == ""
 
     def test_edited_catalog_is_not_a_duplicate(self, runner, tmp_path):
         catalog = tmp_path / "catalog.json"
@@ -127,6 +149,15 @@ class TestRisk:
         )
         assert result.exit_code == 3
 
+    def test_oracle_beyond_outcome_enumeration(self, runner):
+        # 3**40 outcomes, but only C(42, 2) = 861 types
+        result = runner.invoke(
+            main, ["risk", "--oracle", "--k", "3", "--n", "40", "--trials", "100"]
+        )
+        assert result.exit_code == 0, result.output
+        expected = exact_type3_risk(uniform_vs_point_mass(3, 0.5, 0.5), 40)
+        assert payload_of(result)["oracle_exact"] == expected
+
     def test_bad_pair_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "pair.json"
         path.write_text('{"p0": [0.9, 0.1]}')
@@ -170,10 +201,23 @@ class TestToy:
         result = runner.invoke(main, ["toy", "--v", "a,b"])
         assert result.exit_code == 2
 
+    @staticmethod
+    def assert_direction_rejected(runner, v: str, shown: str) -> None:
+        """``--v v`` exits 2 naming the direction, before any numpy warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["toy", "--n", "40", "--v", v])
+        assert_clean_failure(result, 2)
+        assert result.stderr == f"error: direction v = {shown} must be finite\n"
+        assert caught == []
+
     def test_nan_direction_exits_2(self, runner):
         # a NaN direction gives a NaN KS statistic, which must fail cleanly, not hang
-        result = runner.invoke(main, ["toy", "--n", "40", "--v", "nan,1"])
-        assert_clean_failure(result, 2)
+        self.assert_direction_rejected(runner, "nan,1", "[nan, 1.0]")
+
+    def test_infinite_direction_exits_2(self, runner):
+        # inf / inf would warn and then fail as a NaN direction does
+        self.assert_direction_rejected(runner, "inf,0", "[inf, 0.0]")
 
     def test_gamma_zero_success_near_clean_error(self, runner):
         result = runner.invoke(

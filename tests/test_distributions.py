@@ -1,6 +1,9 @@
 """Tests for categorical distributions, sampling, and TV distance."""
 
+import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +31,31 @@ from bdlimits.rng import substream
 
 def probs(*values):
     return Categorical(np.array(values, dtype=float))
+
+
+def outcome_tv(p0, p1, n):
+    """TV between the n-fold products by building all K**n outcome masses."""
+    joint0, joint1 = p0.probs, p1.probs
+    for _ in range(n - 1):
+        joint0 = np.kron(joint0, p0.probs)
+        joint1 = np.kron(joint1, p1.probs)
+    return 0.5 * float(np.abs(joint0 - joint1).sum())
+
+
+def rational_tv(p0, p1, n):
+    """TV between the n-fold products in exact rationals, summed over types."""
+    a = [Fraction(float(x)) for x in p0.probs]
+    b = [Fraction(float(x)) for x in p1.probs]
+    total = Fraction(0)
+    for draws in itertools.combinations_with_replacement(range(len(a)), n):
+        counts = [draws.count(x) for x in range(len(a))]
+        weight = math.factorial(n)
+        for c in counts:
+            weight //= math.factorial(c)
+        mass0 = math.prod(x**c for x, c in zip(a, counts))
+        mass1 = math.prod(x**c for x, c in zip(b, counts))
+        total += weight * abs(mass0 - mass1)
+    return total / 2
 
 
 @st.composite
@@ -216,8 +244,47 @@ class TestProductTv:
         assert got == pytest.approx(0.3125, abs=1e-15)
 
     def test_cap_enforced(self):
+        # C(104, 99) = 9.2e7 types of 5 draws on 100 symbols
         with pytest.raises(ResourceCapError):
-            product_tv_exact(Categorical.uniform(10), Categorical.uniform(10), 9)
+            product_tv_exact(Categorical.uniform(100), Categorical.uniform(100), 5)
+
+    def test_formerly_capped_instance(self):
+        # 10**9 outcomes but only C(18, 9) = 48,620 types
+        p1 = Categorical(np.r_[0.55, np.full(9, 0.05)])
+        assert 0.0 <= product_tv_exact(Categorical.uniform(10), p1, 9) <= 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_outcome_enumeration(self):
+        rng = substream(12, 3)
+        for k in range(2, 6):
+            for trial in range(12):
+                laws = rng.dirichlet(np.ones(k), size=2)
+                if trial % 2:  # zero masses, on different symbols when the draws differ
+                    laws[0, rng.integers(k)] = 0.0
+                    laws[1, rng.integers(k)] = 0.0
+                p0, p1 = (Categorical(law / law.sum()) for law in laws)
+                for n in range(1, 9):
+                    if k**n > 10**5:
+                        break
+                    assert abs(product_tv_exact(p0, p1, n) - outcome_tv(p0, p1, n)) <= 1e-12
+
+    @pytest.mark.parametrize("k, n", [(2, 60), (3, 25)])
+    def test_matches_exact_rationals(self, k, n):
+        rng = substream(13, k, n)
+        p0, p1 = (Categorical(rng.dirichlet(np.ones(k))) for _ in range(2))
+        assert abs(product_tv_exact(p0, p1, n) - float(rational_tv(p0, p1, n))) <= 1e-12
+
+    def test_memory_bounded(self):
+        # 1.6e6 types; a (types x K) count matrix alone would take 380 MB
+        p1 = Categorical(np.r_[0.5 + 0.5 / 30, np.full(29, 0.5 / 30)])
+        tracemalloc.start()
+        try:
+            tv = product_tv_exact(Categorical.uniform(30), p1, 6)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < tv < 1.0
+        assert peak < 64, peak
 
     def test_product_sandwich(self):
         rng = substream(11, 3)
