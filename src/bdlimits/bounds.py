@@ -38,11 +38,15 @@ class LogNumber:
 
     Multiplication, powers and comparisons are exact in log space; addition
     and subtraction go through log-sum-exp with relative error below 1e-12.
-    Zero is carried as an explicit flag since it has no logarithm.
+    Zero is carried as an explicit flag since it has no logarithm. A number
+    made by :meth:`from_float` also keeps that float in ``exact``: the base-10
+    logs of adjacent floats can round to the same double, so two such
+    numbers compare by their floats.
     """
 
     log10_value: float
     is_zero: bool = False
+    exact: float | None = None
 
     @classmethod
     def zero(cls) -> "LogNumber":
@@ -54,7 +58,7 @@ class LogNumber:
             raise ParameterError(f"LogNumber requires a finite nonnegative value, got {x}")
         if x == 0.0:
             return cls.zero()
-        return cls(math.log10(x))
+        return cls(math.log10(x), exact=x)
 
     @classmethod
     def from_log10(cls, log10_value: float) -> "LogNumber":
@@ -117,16 +121,25 @@ class LogNumber:
     def _key(self) -> tuple[int, float]:
         return (0, 0.0) if self.is_zero else (1, self.log10_value)
 
+    def _keys(self, other: "LogNumber") -> tuple:
+        """Sort keys of self and other: their floats when both have one."""
+        if self.exact is not None and other.exact is not None:
+            return self.exact, other.exact
+        return self._key(), other._key()
+
     def __lt__(self, other: "LogNumber") -> bool:
-        return self._key() < other._key()
+        mine, theirs = self._keys(other)
+        return mine < theirs
 
     def __le__(self, other: "LogNumber") -> bool:
-        return self._key() <= other._key()
+        mine, theirs = self._keys(other)
+        return mine <= theirs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogNumber):
             return NotImplemented
-        return self._key() == other._key()
+        mine, theirs = self._keys(other)
+        return mine == theirs
 
     def __hash__(self) -> int:
         return hash(self._key())

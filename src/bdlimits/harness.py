@@ -26,6 +26,7 @@ a few numpy calls; :func:`per_row` lifts a per-dataset callable
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
@@ -49,6 +50,9 @@ from .distributions import (
 )
 from .errors import ConfigurationError, ParameterError
 from .rng import Domain, blocks, substream
+
+#: bytes of whole lines the results-file scan reads at a time
+_SCAN_BLOCK = 1 << 14
 
 #: two-sided 99% normal quantile used by the Wilson interval
 _Z99 = 2.5758293035489004
@@ -581,22 +585,56 @@ def run_experiment(config: dict) -> dict:
 def append_result(path: str, record: dict) -> bool:
     """Append a record to a JSON-lines results file, deduplicating by config hash.
 
-    Returns False (and writes nothing) when a record with the same
-    ``config_hash`` field is already present.
+    Returns False, and writes nothing, when a line of the file parses as a
+    JSON object whose ``config_hash`` equals the record's. Corrupt lines
+    (invalid UTF-8, invalid JSON, or JSON that is not an object) are skipped.
+    A record without a ``config_hash``, or with None, is appended without
+    the check; any other non-string hash raises ParameterError.
+
+    The file is read once, in blocks of whole lines, and only a line that
+    contains the hash's UTF-8 bytes or a backslash is parsed: a line without
+    a backslash holds no escapes, so its ``config_hash`` can equal the hash
+    only by spelling it literally. The check and the write happen under one
+    exclusive ``fcntl.flock`` on the file, so concurrent writers are
+    serialized; the lock is POSIX advisory and binds only writers that take
+    it. A partial last line (a writer killed mid-record) is closed with a
+    newline before the record is written, so the record stays on its own line.
     """
     digest = record.get("config_hash")
-    if digest is not None and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    existing = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if existing.get("config_hash") == digest:
-                    return False
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    if digest is not None and not isinstance(digest, str):
+        raise ParameterError(f"config_hash must be a string, not {type(digest).__name__}")
+    with open(path, "a+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh is closed
+        fh.seek(0)
+        if digest is not None and _holds_digest(fh, digest):
+            return False
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
+        fh.write((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
     return True
+
+
+def _holds_digest(fh, digest: str) -> bool:
+    """Whether a line of the binary file ``fh`` is a JSON object with this
+    config hash. Only the lines of a block that holds a candidate are looked
+    at one by one."""
+    # surrogatepass: a lone surrogate is never valid UTF-8, so it can only
+    # appear escaped, and the backslash test catches that line
+    needle = digest.encode("utf-8", "surrogatepass")
+    while lines := fh.readlines(_SCAN_BLOCK):
+        block = b"".join(lines)
+        if needle not in block and b"\\" not in block:
+            continue
+        for raw in lines:
+            if needle not in raw and b"\\" not in raw:
+                continue
+            try:
+                existing = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError):
+                continue
+            if isinstance(existing, dict) and existing.get("config_hash") == digest:
+                return True
+    return False

@@ -56,6 +56,13 @@ class TestLogNumber:
             assert diff == pytest.approx(a - b, rel=1e-9, abs=1e-9 * a)
         assert (la < lb) == (a < b)
 
+    def test_adjacent_floats_ordered(self):
+        below, top = math.nextafter(1e6, 0.0), 1e6
+        assert math.log10(below) == math.log10(top)  # the logs collide
+        lb, lt = LogNumber.from_float(below), LogNumber.from_float(top)
+        assert lb < lt and lb <= lt and lb != lt and not lt < lb
+        assert (lt - lb).is_zero
+
     def test_subtraction_of_larger_rejected(self):
         with pytest.raises(ParameterError):
             LogNumber.from_float(1.0) - LogNumber.from_float(2.0)

@@ -8,6 +8,8 @@ from importlib import resources
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bdlimits import exact_type3_risk
 from bdlimits.cli import main
@@ -279,3 +281,74 @@ class TestResultsFileOption:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 2
         assert all({"command", "config_hash", "timestamp", "payload"} <= set(r) for r in records)
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"[1, 2]", b'"abc"', b'\xff{"config_hash": "x"}', b"[" * 100_000 + b'"\\n"'],
+        ids=["list", "string", "utf8", "deep"],
+    )
+    def test_corrupt_line_skipped(self, runner, tmp_path, line):
+        out = tmp_path / "results.jsonl"
+        out.write_bytes(line + b"\n")
+        result = runner.invoke(main, ["probe", "--trials", "200", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = out.read_bytes().splitlines()
+        assert lines[0] == line and len(lines) == 2
+        assert json.loads(lines[1])["command"] == "probe"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _shaped(keys: list[str]):
+    """Objects with the given keys, holding arbitrary JSON values."""
+    return st.fixed_dictionaries({}, optional={key: json_values for key in keys})
+
+
+catalogs = json_values | st.lists(
+    _shaped(["name", "width", "height", "channels", "color_depth", "cardinalities", "log10_size"]),
+    max_size=3,
+)
+masses = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5]), min_size=1, max_size=4)
+pairs = (
+    json_values
+    | _shaped(["p0", "pb", "gamma", "beta"])
+    | st.fixed_dictionaries({"p0": masses, "pb": masses}, optional={"gamma": json_values, "beta": json_values})
+)
+
+
+class TestInputBoundary:
+    """Arbitrary input files end in exit 0, 2 or 3, never in a traceback."""
+
+    @staticmethod
+    def assert_documented_exit(result) -> None:
+        assert result.exit_code in (0, 2, 3), result.output
+        if result.exit_code:
+            assert_clean_failure(result, result.exit_code)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(catalogs)
+    def test_catalog_file(self, runner, tmp_path, catalog):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(catalog))
+        self.assert_documented_exit(runner.invoke(main, ["bounds-table", "--catalog", str(path)]))
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pairs)
+    def test_pair_file(self, runner, tmp_path, pair):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair))
+        args = ["risk", "--pair", str(path), "--n", "2", "--trials", "100"]
+        self.assert_documented_exit(runner.invoke(main, args))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=64))
+    def test_results_file(self, runner, tmp_path, content):
+        out = tmp_path / "results.jsonl"
+        out.write_bytes(content)
+        args = ["bounds-table", "--format", "json", "--out", str(out)]
+        self.assert_documented_exit(runner.invoke(main, args))

@@ -2,9 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdlimits import (
     Categorical,
@@ -27,6 +35,7 @@ from bdlimits import (
     type2_trial_detector,
     wilson_interval,
 )
+from bdlimits import harness
 from bdlimits.harness import append_result, block_errors, config_hash, risk_step
 from bdlimits.rng import BLOCK, Domain, substream
 
@@ -331,3 +340,162 @@ class TestResultsFile:
             lines = [json.loads(line) for line in fh]
         assert len(lines) == 2
         assert {r["config_hash"] for r in lines} == {"abc123", "def456"}
+
+    def test_none_hash_appends_without_check(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        assert append_result(path, {"payload": 1}) is True
+        assert append_result(path, {"config_hash": None, "payload": 1}) is True
+        assert len(Path(path).read_bytes().splitlines()) == 2
+
+    @pytest.mark.parametrize("digest", [17, ["abc"], {"a": 1}, 1.5])
+    def test_non_string_hash_rejected(self, tmp_path, digest):
+        path = tmp_path / "results.jsonl"
+        with pytest.raises(ParameterError):
+            append_result(str(path), {"config_hash": digest})
+        assert not path.exists()
+
+    def test_partial_last_line_closed(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        fragment = b'{"config_hash": "aaaa", "payl'
+        path.write_bytes(fragment)
+        assert append_result(str(path), {"config_hash": "bbbb"}) is True
+        assert append_result(str(path), {"config_hash": "bbbb"}) is False
+        lines = path.read_bytes().split(b"\n")
+        assert lines == [fragment, b'{"config_hash": "bbbb"}', b""]
+
+    def test_parses_only_lines_holding_the_digest(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(3000):
+                record = {"config_hash": f"{i:016x}", "payload": {"n": i, "p_hat": i / 3000}}
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        parsed = []
+        real_loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or real_loads(text))
+        digest = "ffffffffffffffff"
+        assert append_result(str(path), {"config_hash": digest}) is True
+        assert len(parsed) == 0
+        assert append_result(str(path), {"config_hash": digest}) is False
+        assert len(parsed) == 1
+
+    def test_concurrent_writers_serialized(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _APPEND_MANY, str(path), str(i)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+            )
+            for i in range(4)
+        ]
+        try:
+            for worker in workers:
+                assert worker.stdout.readline() == b"ready\n"
+            for worker in workers:
+                worker.stdin.close()  # all four start appending at once
+            assert [worker.wait(timeout=60) for worker in workers] == [0, 0, 0, 0]
+        finally:
+            for worker in workers:
+                worker.kill()
+                worker.stdin.close()
+                worker.stdout.close()
+        digests = sorted(json.loads(line)["config_hash"] for line in path.read_bytes().splitlines())
+        assert digests == ["own-0", "own-1", "own-2", "own-3", "shared"]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_parsing_every_line(self, data):
+        digest = data.draw(_digests)
+        lines = data.draw(st.lists(_results_lines(digest), max_size=8))
+        content = b"".join(lines)
+        if content and data.draw(st.booleans()):
+            content = content.rstrip(b"\n")  # a partial last line
+        record = {"config_hash": digest, "payload": 1}
+        block = data.draw(st.sampled_from([1, 7, 64, harness._SCAN_BLOCK]))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "_SCAN_BLOCK", block):
+            path = Path(tmp) / "results.jsonl"
+            path.write_bytes(content)
+            appended = append_result(str(path), record)
+            after = path.read_bytes()
+        assert appended is not _reference_holds(content, digest)
+        if appended:
+            glue = b"\n" if content and not content.endswith(b"\n") else b""
+            assert after == content + glue + (json.dumps(record, sort_keys=True) + "\n").encode()
+        else:
+            assert after == content
+
+
+#: a writer process: 25 rounds of one shared and one own record, started
+#: when its stdin closes. A pause after each dedup miss holds the window
+#: between check and write open, so writers that did not exclude each other
+#: would all miss the shared record and all write it.
+_APPEND_MANY = """
+import sys, time
+from bdlimits import harness
+holds_digest = harness._holds_digest
+
+def holds_digest_then_pause(fh, digest):
+    found = holds_digest(fh, digest)
+    if not found:
+        time.sleep(0.05)
+    return found
+
+harness._holds_digest = holds_digest_then_pause
+path, worker = sys.argv[1], sys.argv[2]
+print("ready", flush=True)
+sys.stdin.read()
+for _ in range(25):
+    harness.append_result(path, {"config_hash": "shared", "payload": 0})
+    harness.append_result(path, {"config_hash": f"own-{worker}", "payload": worker})
+"""
+
+
+def _reference_holds(content: bytes, digest: str) -> bool:
+    """Whether a line of ``content`` parses as an object with this hash,
+    parsing every line."""
+    for raw in content.split(b"\n"):
+        try:
+            existing = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            continue
+        if isinstance(existing, dict) and existing.get("config_hash") == digest:
+            return True
+    return False
+
+
+_digests = st.one_of(
+    st.sampled_from(["abc123", "0123456789abcdef"]),
+    st.text(min_size=1, max_size=4),
+)
+
+
+def _escaped(text: str) -> str:
+    """``text`` as a JSON string body with every UTF-16 unit \\u-escaped."""
+    units = text.encode("utf-16-be", "surrogatepass")
+    return "".join(f"\\u{units[i]:02x}{units[i + 1]:02x}" for i in range(0, len(units), 2))
+
+
+@st.composite
+def _results_lines(draw, digest: str) -> bytes:
+    """One line of a results file: well-formed or not, holding ``digest``,
+    another hash, or a hash spelled with escapes."""
+    value = draw(st.one_of(st.just(digest), _digests, st.text(max_size=3)))
+    plain = json.dumps(value, ensure_ascii=draw(st.booleans()))[1:-1]
+    key = draw(st.sampled_from(["config_hash", "config_hash", "config_hash", "hash"]))
+    key_text = _escaped(key) if draw(st.booleans()) else key
+    value_text = _escaped(value) if draw(st.booleans()) else plain
+    record = f'{{"{key_text}": "{value_text}", "payload": 1}}'
+    line = draw(
+        st.one_of(
+            st.just(record.encode("utf-8")),
+            st.just(record[: draw(st.integers(0, len(record)))].encode("utf-8")),
+            st.just(b"\xff" + record.encode("utf-8")),
+            st.just(json.dumps([value]).encode()),
+            st.just(json.dumps(value).encode()),
+            st.sampled_from([b"", b"   ", b"null", b"{}"]),
+            st.binary(max_size=12),
+        )
+    )
+    ending = draw(st.sampled_from([b"\n", b"\n", b"\r\n"]))
+    return line + ending
