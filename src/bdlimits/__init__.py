@@ -38,9 +38,7 @@ from .detectors import (
 from .distributions import (
     Categorical,
     DistributionPair,
-    EmpiricalType,
     SymbolDataset,
-    empirical_type,
     mix,
     product_tv_exact,
     sample,
@@ -66,7 +64,6 @@ from .harness import (
     TrainerStub,
     bayes_probe_detector,
     benchmark_instances,
-    run_experiment,
     estimate_conditional_errors,
     estimate_generalized_risk,
     estimate_risk,
@@ -80,7 +77,6 @@ from .harness import (
 )
 from .adversary import (
     ImpossibilityConfig,
-    LabeledSample,
     LinearClassifier,
     ToyAttackReport,
     ToyConfig,

@@ -7,6 +7,9 @@ sample to f(x) = v . (y z), which is Normal(mu, sigma^2) with mu = v . 1,
 and runs a goodness-of-fit test. Knowing v, the attacker flips labels and
 shifts features by a vector delta chosen so v . delta = -2 mu, which leaves
 the law of f(x) unchanged while moving the trained decision boundary.
+A sample set is a label vector y of shape (n,) and a feature matrix z of
+shape (n, K), row i being sample i, and the attack is one array identity:
+(y, z) -> (-y, z + y delta).
 
 The second adversary defeats any fixed detector that must work from the
 clean distribution alone: it draws a dataset whose marginal law is exactly
@@ -102,58 +105,58 @@ class ToyConfig:
         return cls(k=arr.size, sigma=sigma, gamma=gamma, n=n, v=arr / norm)
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """A label in {-1, +1} and a feature vector in R^K."""
-
-    y: int
-    z: np.ndarray
+#: Fresh samples per evaluation set in :func:`toy_attack_report`.
+_EVAL_SAMPLES = 2000
 
 
-def _draw_clean(config: ToyConfig, n: int, rng: np.random.Generator) -> list[LabeledSample]:
+def _draw_clean(
+    config: ToyConfig, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     y = rng.integers(0, 2, n) * 2 - 1
     w = rng.standard_normal((n, config.k))
-    z = y[:, None] * np.ones(config.k) + config.sigma * w
-    return [LabeledSample(int(y[i]), z[i]) for i in range(n)]
+    return y, y[:, None] * np.ones(config.k) + config.sigma * w
 
 
-def toy_sample_clean(config: ToyConfig, n: int, seed: int) -> list[LabeledSample]:
-    """Draw n clean samples: y uniform on {-1, +1}, z = y*1 + sigma*w."""
+def toy_sample_clean(config: ToyConfig, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n clean samples (y, z): y uniform on {-1, +1}, z = y*1 + sigma*w.
+
+    ``y`` has shape (n,) and ``z`` shape (n, K); row i is sample i.
+    """
     if n < 1:
         raise ParameterError("n must be >= 1")
     return _draw_clean(config, n, substream(seed, Domain.TOY_CLEAN))
 
 
-def toy_backdoor(s: LabeledSample, config: ToyConfig) -> LabeledSample:
-    """Flip the label and shift the features by y*delta."""
-    return LabeledSample(-s.y, s.z + s.y * config.delta)
+def toy_backdoor(
+    y: np.ndarray, z: np.ndarray, config: ToyConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flip every label and shift each feature row by y*delta."""
+    return -y, z + y[:, None] * config.delta
 
 
 def toy_poison(
-    clean: list[LabeledSample], gamma: float, config: ToyConfig, seed: int
-) -> list[LabeledSample]:
-    """Independently replace each sample by its backdoored version at rate gamma."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ParameterError("gamma must be in [0, 1]")
-    rng = substream(seed, Domain.TOY_POISON)
-    replace = rng.random(len(clean)) < gamma
-    return [
-        toy_backdoor(s, config) if replace[i] else s for i, s in enumerate(clean)
-    ]
+    y: np.ndarray, z: np.ndarray, config: ToyConfig, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independently replace each sample by its backdoored version at rate config.gamma."""
+    replace = substream(seed, Domain.TOY_POISON).random(y.size) < config.gamma
+    yb, zb = toy_backdoor(y, z, config)
+    return np.where(replace, yb, y), np.where(replace[:, None], zb, z)
 
 
-def projections(data: list[LabeledSample], config: ToyConfig) -> np.ndarray:
+def projections(y: np.ndarray, z: np.ndarray, config: ToyConfig) -> np.ndarray:
     """Detector statistics f(x) = v . (y z) for each sample."""
-    return np.array([s.y * float(config.v @ s.z) for s in data])
+    # a stacked matmul takes one dot per row, the same sum as v @ z_i; a
+    # gemv (z @ v) may sum in another order and move the last bits
+    return y * np.matmul(z[:, None, :], config.v[:, None])[:, 0, 0]
 
 
-def toy_ks_defense(data: list[LabeledSample], config: ToyConfig) -> KsResult:
+def toy_ks_defense(y: np.ndarray, z: np.ndarray, config: ToyConfig) -> KsResult:
     """Project the dataset and KS-test it against Normal(mu, sigma^2)."""
-    if not data:
+    if y.size == 0:
         raise ParameterError("defense requires a nonempty dataset")
     if config.sigma == 0.0:
         raise ParameterError("the KS defense requires a positive sigma")
-    f = projections(data, config)
+    f = projections(y, z, config)
     cdf = lambda x: ndtr((x - config.mu) / config.sigma)  # noqa: E731
     stat = ks_statistic(f, cdf)
     return KsResult(statistic=stat, p_value=ks_pvalue(stat, f.size), n=f.size)
@@ -166,21 +169,17 @@ class LinearClassifier:
     w: np.ndarray
     b: float
 
-    def predict(self, z: np.ndarray) -> int:
-        return 1 if float(self.w @ z) + self.b >= 0.0 else -1
-
-    def predict_many(self, zs: np.ndarray) -> np.ndarray:
-        scores = zs @ self.w + self.b
-        return np.where(scores >= 0.0, 1, -1)
+    def predict(self, zs: np.ndarray) -> np.ndarray:
+        """Labels in {-1, +1} for the rows of ``zs``."""
+        return np.where(zs @ self.w + self.b >= 0.0, 1, -1)
 
 
-def toy_train_classifier(data: list[LabeledSample]) -> LinearClassifier:
+def toy_train_classifier(y: np.ndarray, z: np.ndarray) -> LinearClassifier:
     """Least-squares fit of the labels on the features, with intercept."""
-    labels = np.array([s.y for s in data], dtype=float)
+    labels = y.astype(float)
     if np.all(labels == labels[0]):
         raise DegenerateFitError("training data contains a single class")
-    zs = np.array([s.z for s in data], dtype=float)
-    design = np.hstack([zs, np.ones((len(data), 1))])
+    design = np.hstack([z, np.ones((y.size, 1))])
     coef, *_ = np.linalg.lstsq(design, labels, rcond=None)
     return LinearClassifier(w=coef[:-1], b=float(coef[-1]))
 
@@ -203,35 +202,24 @@ class ToyAttackReport:
         }
 
 
-def toy_attack_report(
-    config: ToyConfig, seed: int, eval_samples: int = 2000
-) -> ToyAttackReport:
+def toy_attack_report(config: ToyConfig, seed: int) -> ToyAttackReport:
     """Run the full pipeline: sample, poison, test, train, evaluate.
 
     The attack success rate is the fraction of freshly backdoored samples
     that the poisoned-data classifier assigns to their flipped target label;
     clean accuracy is measured on fresh clean samples.
     """
-    clean = toy_sample_clean(config, config.n, seed)
-    poisoned = toy_poison(clean, config.gamma, config, seed)
-    ks = toy_ks_defense(poisoned, config)
-    clf = toy_train_classifier(poisoned)
+    poisoned = toy_poison(*toy_sample_clean(config, config.n, seed), config, seed)
+    ks = toy_ks_defense(*poisoned, config)
+    clf = toy_train_classifier(*poisoned)
 
-    fresh = _draw_clean(config, eval_samples, substream(seed, Domain.TOY_EVAL))
-    zs = np.array([s.z for s in fresh])
-    ys = np.array([s.y for s in fresh])
-    clean_accuracy = float(np.mean(clf.predict_many(zs) == ys))
-
-    backdoored = [toy_backdoor(s, config) for s in fresh]
-    zb = np.array([s.z for s in backdoored])
-    yb = np.array([s.y for s in backdoored])
-    attack_success = float(np.mean(clf.predict_many(zb) == yb))
-
+    y, z = _draw_clean(config, _EVAL_SAMPLES, substream(seed, Domain.TOY_EVAL))
+    yb, zb = toy_backdoor(y, z, config)
     return ToyAttackReport(
         p_value=ks.p_value,
         ks_statistic=ks.statistic,
-        clean_accuracy=clean_accuracy,
-        attack_success_rate=attack_success,
+        clean_accuracy=float(np.mean(clf.predict(z) == y)),
+        attack_success_rate=float(np.mean(clf.predict(zb) == yb)),
     )
 
 

@@ -192,19 +192,17 @@ def _boundary_points(clf, x_min: float, x_max: float) -> tuple[tuple[float, floa
 
 def _toy_svg(path: str, config: ToyConfig, seed: int) -> None:
     clean = toy_sample_clean(config, config.n, seed)
-    poisoned = toy_poison(clean, config.gamma, config, seed)
-    clean_clf = toy_train_classifier(clean)
-    poisoned_clf = toy_train_classifier(poisoned)
+    poisoned = toy_poison(*clean, config, seed)
+    clean_clf = toy_train_classifier(*clean)
+    poisoned_clf = toy_train_classifier(*poisoned)
     panels = []
 
     if config.k == 2:
-        zs = np.array([s.z for s in poisoned])
-        ys = np.array([s.y for s in poisoned])
+        ys, zs = poisoned
         lo = float(zs.min()) - 0.5
         hi = float(zs.max()) + 0.5
         scatter = svgplot.Panel("poisoned training set", lo, hi, lo, hi)
-        for z, y in zip(zs, ys):
-            scatter.point(z[0], z[1], "#d62728" if y == 1 else "#1f77b4")
+        scatter.points(zs[:, 0], zs[:, 1], np.where(ys == 1, "#d62728", "#1f77b4"))
         for clf, color, dash in ((clean_clf, "#2ca02c", None), (poisoned_clf, "#9467bd", "6,4")):
             pts = _boundary_points(clf, lo, hi)
             if pts:
@@ -212,8 +210,8 @@ def _toy_svg(path: str, config: ToyConfig, seed: int) -> None:
         scatter.label("solid: clean fit, dashed: poisoned fit", lo + 0.1, hi - 0.3)
         panels.append(scatter)
 
-    f_clean = projections(clean, config)
-    f_pois = projections(poisoned, config)
+    f_clean = projections(*clean, config)
+    f_pois = projections(*poisoned, config)
     lo = float(min(f_clean.min(), f_pois.min())) - 0.2
     hi = float(max(f_clean.max(), f_pois.max())) + 0.2
     edges, dens_clean = svgplot.histogram_series(f_clean, 24, lo, hi)
@@ -238,14 +236,20 @@ def _toy_csv(path: str, config: ToyConfig, seeds: list[int]) -> None:
             + [f"z{i}" for i in range(config.k)]
         )
         for seed in seeds:
-            clean = toy_sample_clean(config, config.n, seed)
-            poisoned = toy_poison(clean, config.gamma, config, seed)
-            f = projections(poisoned, config)
-            for idx, (c, s) in enumerate(zip(clean, poisoned)):
-                writer.writerow(
-                    [seed, idx, int(c.y != s.y), s.y, f"{f[idx]:.6f}"]
-                    + [f"{z:.6f}" for z in s.z]
+            y, z = toy_sample_clean(config, config.n, seed)
+            yp, zp = toy_poison(y, z, config, seed)
+            writer.writerows(
+                np.column_stack(
+                    [
+                        np.full(y.size, str(seed)),
+                        np.arange(y.size).astype(str),
+                        (y != yp).astype(int).astype(str),
+                        yp.astype(str),
+                        np.char.mod("%.6f", projections(yp, zp, config)),
+                        np.char.mod("%.6f", zp),
+                    ]
                 )
+            )
 
 
 @main.command("toy")

@@ -2,10 +2,11 @@
 
 The symbols of an alphabet of size K are the integers 0..K-1. A
 :class:`Categorical` is a probability vector on that alphabet, a
-:class:`SymbolDataset` is an i.i.d. sample, and an :class:`EmpiricalType` is
-the normalized histogram of a sample. Total variation distance is computed
-in its canonical finite-alphabet form, half the L1 distance, which equals
-the supremum over event sets.
+:class:`SymbolDataset` is an i.i.d. sample. The type of a sample, its
+normalized histogram, is kept sparse as the symbols the sample holds and
+their counts (:func:`sparse_types`), so no K-vector is built per sample.
+Total variation distance is computed in its canonical finite-alphabet form,
+half the L1 distance, which equals the supremum over event sets.
 
 Everything here is a pure function of its inputs (sampling is pure given
 the seed) and all values are immutable after construction, so they can be
@@ -145,24 +146,6 @@ class SymbolDataset:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalType(Categorical):
-    """The type (empirical distribution) of a dataset of ``sample_count`` draws.
-
-    Entries are exact multiples of 1/N up to floating-point tolerance.
-    """
-
-    sample_count: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.sample_count < 1:
-            raise ParameterError("sample count must be >= 1")
-        scaled = self.probs * self.sample_count
-        if np.any(np.abs(scaled - np.round(scaled)) > PROB_TOLERANCE * self.sample_count):
-            raise ParameterError("type entries must be multiples of 1/N")
-
-
 @dataclass(frozen=True)
 class DistributionPair:
     """A clean distribution, a backdoor distribution, and the problem knobs.
@@ -245,13 +228,6 @@ def sample(p: Categorical, n: int, seed: int) -> SymbolDataset:
         raise ParameterError("sample size must be >= 1")
     rng = substream(seed, Domain.SAMPLE)
     return SymbolDataset(draw_symbols(p, n, rng), p.alphabet_size)
-
-
-def empirical_type(d: SymbolDataset) -> EmpiricalType:
-    """The type of a dataset: entry x equals count(x) / N."""
-    counts = np.bincount(d.symbols, minlength=d.alphabet_size)
-    n = len(d)
-    return EmpiricalType(probs=counts / n, sample_count=n)
 
 
 #: A reference law per row of a symbol block: (row, symbol) index arrays to

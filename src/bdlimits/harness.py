@@ -1,4 +1,4 @@
-"""Monte-Carlo risk estimation and experiment orchestration.
+"""Monte-Carlo risk estimation, benchmark instances and the results file.
 
 The risk of a detector is the probability that its verdict disagrees with
 the fair coin J that selected whether the training set was drawn from the
@@ -534,52 +534,6 @@ def uniform_vs_point_mass(k: int, gamma: float, beta: float) -> DistributionPair
     return DistributionPair(
         Categorical.uniform(k), Categorical.point_mass(0, k), gamma=gamma, beta=beta
     )
-
-
-def run_experiment(config: dict) -> dict:
-    """Execute one experiment described by a JSON config document.
-
-    Expected keys: ``detector``, ``trials``, ``seed``, ``n``, and either a
-    ``pair`` object ({p0, pb, gamma, beta}) or ``k``/``gamma``/``beta`` for a
-    uniform-vs-point-mass instance. ``flavor`` defaults to "mbd"; "sbd" and
-    "ood" run the generalized risk with the "bayes-probe" detector and the
-    flavor's default prior, using ``m`` clean samples (default n).
-    """
-    try:
-        detector_name = config["detector"]
-        n = int(config["n"])
-        trials = int(config["trials"])
-        seed = int(config["seed"])
-        if "pair" in config:
-            pair = DistributionPair.from_jsonable(config["pair"])
-        else:
-            pair = uniform_vs_point_mass(
-                int(config["k"]), float(config["gamma"]), float(config["beta"])
-            )
-        m = int(config.get("m", n))
-        flavor = Flavor(config.get("flavor", "mbd"))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigurationError(f"bad experiment config: {exc}") from exc
-
-    if flavor is Flavor.MBD:
-        if detector_name not in DETECTORS:
-            raise ConfigurationError(f"unknown detector {detector_name!r}")
-        estimate = estimate_risk(DETECTORS[detector_name](), pair, n, trials, seed)
-    else:
-        if detector_name != "bayes-probe":
-            raise ConfigurationError(
-                f"flavor {flavor.value!r} supports only the 'bayes-probe' detector"
-            )
-        prior = JointPrior.sbd_default() if flavor is Flavor.SBD else JointPrior.ood_default()
-        estimate = estimate_generalized_risk(
-            bayes_probe_detector(pair), pair, n, m, prior, flavor,
-            TrainerStub(), trials, seed,
-        )
-    return {
-        "config": config,
-        "config_hash": config_hash(config),
-        "risk": estimate.to_jsonable(),
-    }
 
 
 def append_result(path: str, record: dict) -> bool:

@@ -31,10 +31,11 @@ class Panel:
         span = self.y_max - self.y_min or 1.0
         return _PANEL_H - _MARGIN - (y - self.y_min) / span * (_PANEL_H - 2 * _MARGIN)
 
-    def point(self, x: float, y: float, color: str, r: float = 2.5) -> None:
-        self.elements.append(
-            f'<circle cx="{self._sx(x):.2f}" cy="{self._sy(y):.2f}" r="{r}" '
-            f'fill="{color}" fill-opacity="0.7"/>'
+    def points(self, xs: np.ndarray, ys: np.ndarray, colors, r: float = 2.5) -> None:
+        """One circle per (xs[i], ys[i]), filled with colors[i]."""
+        self.elements.extend(
+            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r}" fill="{color}" fill-opacity="0.7"/>'
+            for cx, cy, color in zip(self._sx(xs), self._sy(ys), colors)
         )
 
     def line(self, x0: float, y0: float, x1: float, y1: float, color: str, width: float = 1.5, dash: str | None = None) -> None:

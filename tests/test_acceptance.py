@@ -164,7 +164,7 @@ def test_criterion_5_toy_attack_ensemble():
         # (b) clean-data p-values are uniform at level 0.01
         clean_ps = np.sort(
             [
-                toy_ks_defense(toy_sample_clean(config, config.n, seed), config).p_value
+                toy_ks_defense(*toy_sample_clean(config, config.n, seed), config).p_value
                 for seed in range(100)
             ]
         )

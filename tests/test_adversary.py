@@ -4,19 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import chisquare
 
 from bdlimits import (
     DegenerateDirectionError,
     DegenerateFitError,
     ImpossibilityConfig,
-    LabeledSample,
     ParameterError,
+    ToyAttackReport,
     ToyConfig,
     imposs_conditional_sampler,
     imposs_probe,
     imposs_risk_floor,
     imposs_sampler,
+    ks_pvalue,
+    ks_statistic,
     projections,
     toy_attack_report,
     toy_backdoor,
@@ -27,7 +30,7 @@ from bdlimits import (
     toy_train_classifier,
     type2_tv,
 )
-from bdlimits.rng import substream
+from bdlimits.rng import Domain, substream
 
 
 def reference_config(gamma=0.5, n=150):
@@ -79,28 +82,27 @@ class TestToyDelta:
 class TestToySampling:
     def test_noiseless_case(self):
         cfg = ToyConfig.from_direction([1.0, 0.0], sigma=0.0, gamma=0.5, n=10)
-        for s in toy_sample_clean(cfg, 50, seed=3):
-            assert np.allclose(s.z, s.y * np.ones(2))
+        y, z = toy_sample_clean(cfg, 50, seed=3)
+        assert y.shape == (50,) and z.shape == (50, 2)
+        assert np.allclose(z, y[:, None] * np.ones(2))
 
     def test_same_seed_identical(self):
         cfg = reference_config()
-        a = toy_sample_clean(cfg, 20, seed=5)
-        b = toy_sample_clean(cfg, 20, seed=5)
-        assert all(x.y == y.y and np.array_equal(x.z, y.z) for x, y in zip(a, b))
+        ya, za = toy_sample_clean(cfg, 20, seed=5)
+        yb, zb = toy_sample_clean(cfg, 20, seed=5)
+        assert np.array_equal(ya, yb) and np.array_equal(za, zb)
 
     def test_projection_mean_matches_mu(self):
         cfg = reference_config()
-        data = toy_sample_clean(cfg, 10**5, seed=11)
-        f = projections(data, cfg)
+        f = projections(*toy_sample_clean(cfg, 10**5, seed=11), cfg)
         assert abs(f.mean() - cfg.mu) < 0.02
 
     def test_projection_law_invariance_moments(self):
         # first four moments of the projection are unchanged by the backdoor
         cfg = reference_config()
         clean = toy_sample_clean(cfg, 10**5, seed=13)
-        poisoned = [toy_backdoor(s, cfg) for s in clean]
-        f_clean = projections(clean, cfg)
-        f_bad = projections(poisoned, cfg)
+        f_clean = projections(*clean, cfg)
+        f_bad = projections(*toy_backdoor(*clean, cfg), cfg)
         assert abs(f_clean.mean() - f_bad.mean()) < 0.02
         assert abs(f_clean.var() - f_bad.var()) < 0.02
         c3 = ((f_clean - f_clean.mean()) ** 3).mean()
@@ -114,91 +116,85 @@ class TestToySampling:
 class TestToyBackdoor:
     def test_direct_substitution(self):
         cfg = ToyConfig.from_direction([1.0, 0.0], sigma=0.5, gamma=0.5, n=10)
-        s = LabeledSample(1, np.zeros(2))
-        b = toy_backdoor(s, cfg)
-        assert b.y == -1
-        assert np.allclose(b.z, [-2.0, 2.0])
+        yb, zb = toy_backdoor(np.array([1]), np.zeros((1, 2)), cfg)
+        assert yb.tolist() == [-1]
+        assert np.allclose(zb, [[-2.0, 2.0]])
 
     def test_involution(self):
         cfg = reference_config()
-        s = LabeledSample(-1, np.array([0.3, -1.2]))
-        bb = toy_backdoor(toy_backdoor(s, cfg), cfg)
-        assert bb.y == s.y
-        assert np.allclose(bb.z, s.z, atol=1e-12)
+        y, z = np.array([-1]), np.array([[0.3, -1.2]])
+        yy, zz = toy_backdoor(*toy_backdoor(y, z, cfg), cfg)
+        assert np.array_equal(yy, y)
+        assert np.allclose(zz, z, atol=1e-12)
 
 
 class TestToyPoison:
     def test_gamma_zero_unchanged(self):
-        cfg = reference_config()
-        clean = toy_sample_clean(cfg, 30, seed=2)
-        poisoned = toy_poison(clean, 0.0, cfg, seed=3)
-        assert all(p is c for c, p in zip(clean, poisoned))
+        cfg = reference_config(gamma=0.0)
+        y, z = toy_sample_clean(cfg, 30, seed=2)
+        yp, zp = toy_poison(y, z, cfg, seed=3)
+        assert np.array_equal(yp, y) and np.array_equal(zp, z)
 
     def test_gamma_one_all_flipped(self):
-        cfg = reference_config()
-        clean = toy_sample_clean(cfg, 30, seed=2)
-        poisoned = toy_poison(clean, 1.0, cfg, seed=3)
-        assert all(p.y == -c.y for c, p in zip(clean, poisoned))
+        cfg = reference_config(gamma=1.0)
+        y, z = toy_sample_clean(cfg, 30, seed=2)
+        yp, _ = toy_poison(y, z, cfg, seed=3)
+        assert np.array_equal(yp, -y)
 
     def test_replacement_fraction_binomial_band(self):
         cfg = reference_config()
         n = 10**4
-        clean = toy_sample_clean(cfg, n, seed=4)
-        poisoned = toy_poison(clean, 0.5, cfg, seed=5)
-        frac = np.mean([c.y != p.y for c, p in zip(clean, poisoned)])
+        y, z = toy_sample_clean(cfg, n, seed=4)
+        yp, _ = toy_poison(y, z, cfg, seed=5)
+        frac = np.mean(y != yp)
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 class TestKsDefense:
     def test_statistic_and_pvalue_ranges(self):
         cfg = reference_config()
-        result = toy_ks_defense(toy_sample_clean(cfg, 150, seed=1), cfg)
+        result = toy_ks_defense(*toy_sample_clean(cfg, 150, seed=1), cfg)
         assert 0.0 <= result.statistic <= 1.0
         assert 0.0 <= result.p_value <= 1.0
         assert result.n == 150
 
     def test_gross_shift_detected(self):
         cfg = reference_config()
-        data = toy_sample_clean(cfg, 150, seed=1)
-        shifted = [
-            LabeledSample(s.y, s.z + s.y * 10 * cfg.sigma * cfg.v) for s in data
-        ]
-        assert toy_ks_defense(shifted, cfg).p_value < 1e-6
+        y, z = toy_sample_clean(cfg, 150, seed=1)
+        shifted = z + y[:, None] * 10 * cfg.sigma * cfg.v
+        assert toy_ks_defense(y, shifted, cfg).p_value < 1e-6
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            toy_ks_defense([], reference_config())
+            toy_ks_defense(np.empty(0, dtype=np.int64), np.empty((0, 2)), reference_config())
 
 
 class TestToyClassifier:
     def test_clean_boundary_angle(self):
         cfg = ToyConfig.from_direction([1.0, 0.0], sigma=0.5, gamma=0.5, n=10)
-        clf = toy_train_classifier(toy_sample_clean(cfg, 1000, seed=8))
+        clf = toy_train_classifier(*toy_sample_clean(cfg, 1000, seed=8))
         ideal = np.ones(2) / math.sqrt(2)
         cosine = float(clf.w @ ideal) / np.linalg.norm(clf.w)
         assert math.degrees(math.acos(min(1.0, cosine))) < 15.0
 
     def test_separable_pair(self):
-        clf = toy_train_classifier(
-            [LabeledSample(1, np.array([1.0, 1.0])), LabeledSample(-1, np.array([-1.0, -1.0]))]
-        )
-        assert clf.predict(np.array([1.0, 1.0])) == 1
-        assert clf.predict(np.array([-1.0, -1.0])) == -1
+        z = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        clf = toy_train_classifier(np.array([1, -1]), z)
+        assert clf.predict(z).tolist() == [1, -1]
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateFitError):
-            toy_train_classifier([LabeledSample(1, np.zeros(2))] * 4)
+            toy_train_classifier(np.ones(4, dtype=np.int64), np.zeros((4, 2)))
 
     def test_full_poisoning_flips_predictions(self):
         # classifier trained at gamma = 1 anti-agrees with the clean classifier;
         # the axis direction keeps the flipped clusters well separated
         cfg = ToyConfig.from_direction([1.0, 0.0], sigma=0.5, gamma=1.0, n=1000)
         clean = toy_sample_clean(cfg, 1000, seed=9)
-        clean_clf = toy_train_classifier(clean)
-        flipped_clf = toy_train_classifier(toy_poison(clean, 1.0, cfg, seed=10))
-        fresh = toy_sample_clean(cfg, 2000, seed=11)
-        zs = np.array([s.z for s in fresh])
-        agree = np.mean(clean_clf.predict_many(zs) == flipped_clf.predict_many(zs))
+        clean_clf = toy_train_classifier(*clean)
+        flipped_clf = toy_train_classifier(*toy_poison(*clean, cfg, seed=10))
+        _, zs = toy_sample_clean(cfg, 2000, seed=11)
+        agree = np.mean(clean_clf.predict(zs) == flipped_clf.predict(zs))
         assert agree < 0.2
 
 
@@ -219,6 +215,89 @@ class TestToyAttackReport:
         report = toy_attack_report(reference_config(), seed=23)
         assert report.attack_success_rate > 0.9
         assert report.clean_accuracy > 0.9
+
+
+# One toy configuration per dimension K; every direction has mu^2 < K.
+PER_ROW_CONFIGS = {
+    2: ToyConfig.from_direction([0.981, 0.196], sigma=0.5, gamma=0.5, n=150),
+    3: ToyConfig.from_direction([0.6, 0.3, 0.2], sigma=0.5, gamma=0.4, n=90),
+    5: ToyConfig.from_direction([0.3, -0.2, 0.5, 0.1, 0.4], sigma=0.7, gamma=0.6, n=120),
+    7: ToyConfig.from_direction([0.2, 0.1, -0.4, 0.5, 0.3, 0.1, -0.2], sigma=0.8, gamma=0.5, n=60),
+}
+
+
+class TestPerRowReference:
+    """The array forms equal, bit for bit, the same steps taken one sample
+    at a time: one ``float(v @ z_i)`` and one ``z_i + y_i * delta`` per row."""
+
+    @staticmethod
+    def backdoor_row(y_i, z_i, config):
+        return -int(y_i), z_i + int(y_i) * config.delta
+
+    @staticmethod
+    def projection_rows(rows, config):
+        return np.array([y_i * float(config.v @ z_i) for y_i, z_i in rows])
+
+    @classmethod
+    def poison_rows(cls, y, z, config, seed):
+        replace = substream(seed, Domain.TOY_POISON).random(y.size) < config.gamma
+        return [
+            cls.backdoor_row(y_i, z_i, config) if r else (int(y_i), z_i)
+            for y_i, z_i, r in zip(y, z, replace)
+        ]
+
+    @classmethod
+    def reference_report(cls, config, seed):
+        def draw(n, rng):
+            y = rng.integers(0, 2, n) * 2 - 1
+            z = y[:, None] * np.ones(config.k) + config.sigma * rng.standard_normal((n, config.k))
+            return y, z
+
+        def accuracy(coef, rows):
+            zs = np.array([z_i for _, z_i in rows])
+            ys = np.array([y_i for y_i, _ in rows])
+            return float(np.mean(np.where(zs @ coef[:-1] + float(coef[-1]) >= 0.0, 1, -1) == ys))
+
+        poisoned = cls.poison_rows(*draw(config.n, substream(seed, Domain.TOY_CLEAN)), config, seed)
+        f = cls.projection_rows(poisoned, config)
+        stat = ks_statistic(f, lambda x: ndtr((x - config.mu) / config.sigma))
+        labels = np.array([y_i for y_i, _ in poisoned], dtype=float)
+        design = np.hstack([np.array([z_i for _, z_i in poisoned]), np.ones((config.n, 1))])
+        coef, *_ = np.linalg.lstsq(design, labels, rcond=None)
+        y, z = draw(2000, substream(seed, Domain.TOY_EVAL))
+        fresh = list(zip(y.tolist(), z))
+        return ToyAttackReport(
+            p_value=ks_pvalue(stat, f.size),
+            ks_statistic=stat,
+            clean_accuracy=accuracy(coef, fresh),
+            attack_success_rate=accuracy(coef, [cls.backdoor_row(y_i, z_i, config) for y_i, z_i in fresh]),
+        )
+
+    @staticmethod
+    def assert_rows_equal(y, z, rows):
+        assert y.tolist() == [y_i for y_i, _ in rows]
+        assert np.array_equal(z, np.array([z_i for _, z_i in rows]))
+
+    @pytest.mark.parametrize("k", sorted(PER_ROW_CONFIGS))
+    def test_arrays_match_rows(self, k):
+        config = PER_ROW_CONFIGS[k]
+        for seed in range(10):
+            y, z = toy_sample_clean(config, config.n, seed)
+            rows = list(zip(y.tolist(), z))
+            assert np.array_equal(projections(y, z, config), self.projection_rows(rows, config))
+            self.assert_rows_equal(
+                *toy_backdoor(y, z, config), [self.backdoor_row(y_i, z_i, config) for y_i, z_i in rows]
+            )
+            yp, zp = toy_poison(y, z, config, seed)
+            poisoned = self.poison_rows(y, z, config, seed)
+            self.assert_rows_equal(yp, zp, poisoned)
+            assert np.array_equal(projections(yp, zp, config), self.projection_rows(poisoned, config))
+
+    @pytest.mark.parametrize("k", sorted(PER_ROW_CONFIGS))
+    def test_report_matches_rows(self, k):
+        config = PER_ROW_CONFIGS[k]
+        for seed in range(10):
+            assert toy_attack_report(config, seed) == self.reference_report(config, seed)
 
 
 class TestImpossibilitySampler:

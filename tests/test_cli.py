@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import json
 import math
 import warnings
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bdlimits import exact_type3_risk
+from bdlimits import ToyConfig, exact_type3_risk, projections, toy_poison, toy_sample_clean
 from bdlimits.cli import main
 from bdlimits.harness import uniform_vs_point_mass
 
@@ -247,6 +248,17 @@ class TestToy:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "seed,index,poisoned,label,projection,z0,z1"
         assert len(lines) == 51
+        # the rows are the library's arrays for seed 0, as the command formats them
+        config = ToyConfig.from_direction([0.981, 0.196], sigma=0.5, gamma=0.5, n=50)
+        y, z = toy_sample_clean(config, config.n, 0)
+        yp, zp = toy_poison(y, z, config, 0)
+        f = projections(yp, zp, config)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[:5] for row in rows] == [
+            ["0", str(i), str(int(y[i] != yp[i])), str(yp[i]), f"{f[i]:.6f}"] for i in range(50)
+        ]
+        assert [row[5:] for row in rows] == [[f"{x:.6f}" for x in zp[i]] for i in range(50)]
 
 
 class TestProbe:

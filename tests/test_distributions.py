@@ -14,11 +14,9 @@ from bdlimits import (
     AlphabetMismatchError,
     Categorical,
     DistributionPair,
-    EmpiricalType,
     ParameterError,
     ResourceCapError,
     SymbolDataset,
-    empirical_type,
     mix,
     product_tv_exact,
     sample,
@@ -26,6 +24,7 @@ from bdlimits import (
     tv_to_type,
     type_exceedance_frequency,
 )
+from bdlimits.distributions import sparse_types
 from bdlimits.rng import substream
 
 
@@ -181,8 +180,8 @@ class TestSample:
     def test_uniform_frequencies_concentrate(self):
         # Hoeffding: deviation beyond 0.01 at 1e5 draws has probability < 1e-8
         d = sample(Categorical.uniform(2), 10**5, seed=7)
-        t = empirical_type(d)
-        assert abs(t.probs[0] - 0.5) < 0.01
+        counts = np.bincount(d.symbols, minlength=2)
+        assert abs(counts[0] / len(d) - 0.5) < 0.01
 
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
@@ -190,27 +189,28 @@ class TestSample:
 
 
 class TestEmpiricalType:
+    """The type of a dataset, kept sparse as (row, symbol, count) triples."""
+
     def test_balanced_counts(self):
-        d = SymbolDataset(np.array([0, 0, 1, 1]), 2)
-        assert np.allclose(empirical_type(d).probs, [0.5, 0.5])
+        row, sym, counts = sparse_types(np.array([[0, 0, 1, 1]]))
+        assert row.tolist() == [0, 0]
+        assert sym.tolist() == [0, 1]
+        assert counts.tolist() == [2, 2]
 
     def test_single_symbol(self):
-        d = SymbolDataset(np.array([0, 0, 0]), 2)
-        assert np.allclose(empirical_type(d).probs, [1.0, 0.0])
+        row, sym, counts = sparse_types(np.array([[0, 0, 0]]))
+        assert (row.tolist(), sym.tolist(), counts.tolist()) == ([0], [0], [3])
 
     def test_matches_counting_oracle(self):
         rng = substream(5, 1)
-        symbols = rng.integers(0, 4, 57)
-        d = SymbolDataset(symbols, 4)
-        t = empirical_type(d)
-        for x in range(4):
-            manual = sum(1 for s in symbols if s == x) / 57
-            assert t.probs[x] == pytest.approx(manual, abs=1e-15)
-        assert t.sample_count == 57
-
-    def test_rejects_non_multiple_entries(self):
-        with pytest.raises(ParameterError):
-            EmpiricalType(probs=np.array([0.3, 0.7]), sample_count=7)
+        symbols = rng.integers(0, 4, (3, 57))
+        row, sym, counts = sparse_types(symbols)
+        dense = np.zeros((3, 4), dtype=np.int64)
+        dense[row, sym] = counts
+        for r in range(3):
+            for x in range(4):
+                assert dense[r, x] == sum(1 for s in symbols[r] if s == x)
+        assert np.all(counts > 0)
 
     def test_tv_to_type_equals_dense_path(self):
         rng = substream(6, 2)
@@ -218,7 +218,8 @@ class TestEmpiricalType:
             k = int(rng.integers(2, 8))
             p = Categorical(rng.dirichlet(np.ones(k)))
             d = SymbolDataset(rng.integers(0, k, int(rng.integers(1, 40))), k)
-            dense = tv_distance(p, Categorical(empirical_type(d).probs))
+            histogram = np.bincount(d.symbols, minlength=k) / len(d)
+            dense = 0.5 * float(np.abs(p.probs - histogram).sum())
             assert tv_to_type(p, d) == pytest.approx(dense, abs=1e-12)
 
 

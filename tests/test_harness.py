@@ -23,6 +23,7 @@ from bdlimits import (
     ParameterError,
     TrainerStub,
     SymbolDataset,
+    bayes_probe_detector,
     estimate_conditional_errors,
     estimate_generalized_risk,
     estimate_risk,
@@ -276,53 +277,31 @@ class TestType0Demo:
         assert est0.p_hat >= est3.p_hat - 3 * max(est0.ci_width, est3.ci_width)
 
 
-class TestRunExperiment:
-    def test_mbd_config_document(self):
-        from bdlimits import run_experiment
+class TestEstimatorEntryPoints:
+    """The default pair, a pair given as a JSON document, and the OOD flavor,
+    each through the estimator that runs it."""
 
-        config = {
-            "detector": "np", "k": 2, "n": 2, "gamma": 0.5, "beta": 0.5,
-            "trials": 5000, "seed": 1,
-        }
-        record = run_experiment(config)
-        assert record["config_hash"] == config_hash(config)
-        assert record["risk"]["ci_low"] <= ORACLE_RISK <= record["risk"]["ci_high"]
+    def test_mbd_oracle_interval(self):
+        pair = harness.uniform_vs_point_mass(2, 0.5, 0.5)
+        est = estimate_risk(np_trial_detector(), pair, 2, 5000, seed=1)
+        assert est.ci_low <= ORACLE_RISK <= est.ci_high
 
-    def test_explicit_pair_document(self):
-        from bdlimits import run_experiment
-
-        record = run_experiment(
-            {
-                "detector": "type2-tv",
-                "pair": {"p0": [0.9, 0.1], "pb": [0.1, 0.9], "gamma": 1.0, "beta": 0.3},
-                "n": 10, "trials": 500, "seed": 2,
-            }
+    def test_explicit_pair_type2(self):
+        pair = DistributionPair.from_jsonable(
+            {"p0": [0.9, 0.1], "pb": [0.1, 0.9], "gamma": 1.0, "beta": 0.3}
         )
-        assert record["risk"]["p_hat"] < 0.2
+        est = estimate_risk(type2_trial_detector(), pair, 10, 500, seed=2)
+        assert est.p_hat < 0.2
 
-    def test_ood_flavor_uses_bayes_probe(self):
-        from bdlimits import run_experiment
-
+    def test_ood_bayes_probe_value(self):
         pair_doc = {"p0": [0.8, 0.15, 0.05], "pb": [0.05, 0.15, 0.8], "gamma": 1.0, "beta": 0.3}
-        record = run_experiment(
-            {"detector": "bayes-probe", "pair": pair_doc, "n": 3, "m": 3,
-             "flavor": "ood", "trials": 3000, "seed": 3}
+        pair = DistributionPair.from_jsonable(pair_doc)
+        est = estimate_generalized_risk(
+            bayes_probe_detector(pair), pair, 3, 3, JointPrior.ood_default(), Flavor.OOD,
+            TrainerStub(), 3000, 3,
         )
-        p0 = Categorical(np.array(pair_doc["p0"]))
-        pb = Categorical(np.array(pair_doc["pb"]))
-        expected = 0.5 - 0.5 * tv_distance(p0, pb)
-        assert record["risk"]["ci_low"] - 0.01 <= expected <= record["risk"]["ci_high"] + 0.01
-
-    def test_bad_config_rejected(self):
-        from bdlimits import run_experiment
-
-        with pytest.raises(ConfigurationError):
-            run_experiment({"detector": "np", "n": 2, "trials": 500})  # no seed/pair
-        with pytest.raises(ConfigurationError):
-            run_experiment(
-                {"detector": "np", "k": 2, "n": 2, "gamma": 0.5, "beta": 0.5,
-                 "trials": 500, "seed": 0, "flavor": "sbd"}
-            )
+        expected = 0.5 - 0.5 * tv_distance(pair.p0, pair.pb)
+        assert est.ci_low - 0.01 <= expected <= est.ci_high + 0.01
 
 
 class TestResultsFile:
