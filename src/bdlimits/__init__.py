@@ -82,6 +82,7 @@ from .adversary import (
     ToyConfig,
     imposs_conditional_sampler,
     imposs_probe,
+    imposs_risk,
     imposs_risk_floor,
     imposs_sampler,
     projections,

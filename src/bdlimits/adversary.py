@@ -11,8 +11,8 @@ A sample set is a label vector y of shape (n,) and a feature matrix z of
 shape (n, K), row i being sample i, and the attack is one array identity:
 (y, z) -> (-y, z + y delta).
 
-The second adversary defeats any fixed detector that must work from the
-clean distribution alone: it draws a dataset whose marginal law is exactly
+The second adversary defeats any detector that must work from the clean
+distribution alone: it draws a dataset whose marginal law is exactly
 the clean uniform distribution, yet which, conditioned on a hidden anchor
 set, is an i.i.d. contaminated sample. Its guaranteed risk floor is
 exp(-N^2 / (M - N)) / 2 with M anchors and N training samples.
@@ -28,9 +28,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .detectors import KsResult, ks_pvalue, ks_statistic
-from .distributions import Categorical, SymbolDataset
+from .distributions import Categorical, DistributionPair, SymbolDataset
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
-from .harness import RiskEstimate, count_errors, wilson_interval
+from .harness import Detector, RiskEstimate, count_errors, wilson_interval
 from .rng import Domain, substream
 
 
@@ -292,36 +292,18 @@ def imposs_sampler(config: ImpossibilityConfig, seed: int) -> SymbolDataset:
 
 
 def imposs_risk_floor(n: int, m: int) -> float:
-    """Guaranteed risk floor exp(-n^2 / (m - n)) / 2 of any fixed detector."""
+    """Guaranteed risk floor exp(-n^2 / (m - n)) / 2 of any clean-distribution detector."""
     if m <= n:
         raise ParameterError("the floor requires m > n")
     return 0.5 * math.exp(-(n * n) / (m - n))
 
 
-def imposs_probe(
-    detector: Callable[[SymbolDataset, Categorical], int],
-    config: ImpossibilityConfig,
-    trials: int,
-    seed: int,
+def _probe_risk(
+    score: Callable[..., np.ndarray], config: ImpossibilityConfig, trials: int, seed: int
 ) -> RiskEstimate:
-    """Monte-Carlo risk of a clean-distribution detector against the sampler.
-
-    J = 0 trials feed the detector genuine uniform i.i.d. data, J = 1 trials
-    feed it the adversarial construction; the detector receives the uniform
-    distribution as its clean reference in both cases. Trials run through
-    the harness's block kernel, keyed (seed, PROBE, block), with the
-    detector called once per row. Unlike the harness detectors, this one is
-    a fixed function ``detector(d, p0)`` with no generator: the floor holds
-    for fixed detectors.
-    """
-    if trials < 100:
-        raise ParameterError("at least 100 trials are required")
-    if config.m <= config.n:
-        raise ParameterError(
-            f"informative regime needs floor(beta*k) = {config.m} > n = {config.n}"
-        )
+    """Risk of a block scorer over the probe's trials: fair labels J, J = 0
+    rows uniform i.i.d., J = 1 rows from the adversarial construction."""
     k, n, m = config.k, config.n, config.m
-    p0 = Categorical.uniform(k)
 
     def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
         j = data.integers(0, 2, rows)
@@ -333,9 +315,60 @@ def imposs_probe(
         # all m per row, without a dense rows x m table.
         cells, which = np.unique(np.nonzero(anchored)[0] * m + v[anchored], return_inverse=True)
         symbols[anchored] = data.integers(0, k, cells.size)[which]
-        verdicts = np.fromiter(
-            (int(detector(SymbolDataset(row, k), p0)) for row in symbols), dtype=np.int64
-        )
-        return int(np.count_nonzero(verdicts != j))
+        return int(np.count_nonzero(score(symbols, detector_rng) != j))
 
     return wilson_interval(count_errors(step, trials, seed, (Domain.PROBE,)), trials)
+
+
+def _check_probe(config: ImpossibilityConfig, trials: int) -> None:
+    if trials < 100:
+        raise ParameterError("at least 100 trials are required")
+    if config.m <= config.n:
+        raise ParameterError(
+            f"informative regime needs floor(beta*k) = {config.m} > n = {config.n}"
+        )
+
+
+def imposs_risk(
+    detector: Detector, config: ImpossibilityConfig, trials: int, seed: int
+) -> RiskEstimate:
+    """Monte-Carlo risk of a clean-distribution detector against the sampler.
+
+    J = 0 trials feed the detector genuine uniform i.i.d. data, J = 1 trials
+    feed it the adversarial construction. ``detector`` is a harness
+    detector, bound once to the clean view it may honestly hold: the pair
+    (uniform, uniform, gamma, beta) with mixture p1 = uniform, since the
+    adversarial data's marginal law is exactly uniform. Its scorer gets each
+    block of trials at once, keyed (seed, PROBE, block), with the block's
+    detector generator. A detector that uses its generator is a mixture of
+    fixed detectors, so the floor :func:`imposs_risk_floor` still holds.
+    """
+    _check_probe(config, trials)
+    uniform = Categorical.uniform(config.k)
+    score = detector(DistributionPair(uniform, uniform, config.gamma, config.beta), uniform)
+    return _probe_risk(score, config, trials, seed)
+
+
+def imposs_probe(
+    detector: Callable[[SymbolDataset, Categorical], int],
+    config: ImpossibilityConfig,
+    trials: int,
+    seed: int,
+) -> RiskEstimate:
+    """:func:`imposs_risk` for a fixed detector ``detector(d, p0)``.
+
+    The same trials, with the detector called once per row on that row as a
+    :class:`SymbolDataset` and the uniform distribution as p0. No
+    :class:`DistributionPair` is built, so every config is accepted,
+    ``beta = 1`` included.
+    """
+    _check_probe(config, trials)
+    k = config.k
+    p0 = Categorical.uniform(k)
+
+    def score(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.fromiter(
+            (int(detector(SymbolDataset(row, k), p0)) for row in symbols), dtype=np.int64
+        )
+
+    return _probe_risk(score, config, trials, seed)

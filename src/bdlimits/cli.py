@@ -24,7 +24,7 @@ from . import bounds, svgplot
 from .adversary import (
     ImpossibilityConfig,
     ToyConfig,
-    imposs_probe,
+    imposs_risk,
     imposs_risk_floor,
     toy_attack_report,
     toy_poison,
@@ -33,7 +33,6 @@ from .adversary import (
     projections,
 )
 from .bounds import exact_type3_risk
-from .detectors import type2_tv
 from .distributions import DistributionPair
 from .errors import BdLimitsError, ParameterError, ResourceCapError
 from .harness import DETECTORS, append_result, config_hash, estimate_risk, uniform_vs_point_mass
@@ -348,11 +347,7 @@ def probe(
             f"floor(beta*k) = {config.m} must exceed n = {n}; "
             "increase k or beta, or decrease n"
         )
-
-    def detector(d, p0):
-        return int(type2_tv(d, p0, gamma, beta))
-
-    estimate = imposs_probe(detector, config, trials, seed)
+    estimate = imposs_risk(DETECTORS[detector_name](), config, trials, seed)
     floor = imposs_risk_floor(n, config.m)
     satisfied = floor <= estimate.p_hat + 3.0 * estimate.ci_width
     payload = {

@@ -175,6 +175,11 @@ class DistributionPair:
     def alphabet_size(self) -> int:
         return self.p0.alphabet_size
 
+    @cached_property
+    def mixture(self) -> Categorical:
+        """The contaminated distribution gamma*pb + (1-gamma)*p0, built once per pair."""
+        return Categorical(self.gamma * self.pb.probs + (1.0 - self.gamma) * self.p0.probs)
+
     def is_admissible(self) -> bool:
         """Whether TV(p0, pb) >= 1 - beta."""
         return tv_distance(self.p0, self.pb) >= 1.0 - self.beta
@@ -207,8 +212,8 @@ def tv_distance(p: Categorical, q: Categorical) -> float:
 
 
 def mix(pair: DistributionPair) -> Categorical:
-    """The contaminated distribution gamma*pb + (1-gamma)*p0."""
-    return Categorical(pair.gamma * pair.pb.probs + (1.0 - pair.gamma) * pair.p0.probs)
+    """The contaminated distribution gamma*pb + (1-gamma)*p0 (``pair.mixture``)."""
+    return pair.mixture
 
 
 def draw_symbols(

@@ -8,6 +8,7 @@ from scipy.special import ndtr
 from scipy.stats import chisquare
 
 from bdlimits import (
+    Categorical,
     DegenerateDirectionError,
     DegenerateFitError,
     ImpossibilityConfig,
@@ -16,6 +17,7 @@ from bdlimits import (
     ToyConfig,
     imposs_conditional_sampler,
     imposs_probe,
+    imposs_risk,
     imposs_risk_floor,
     imposs_sampler,
     ks_pvalue,
@@ -28,9 +30,12 @@ from bdlimits import (
     toy_poison,
     toy_sample_clean,
     toy_train_classifier,
+    type1_trial_detector,
+    type2_trial_detector,
     type2_tv,
 )
-from bdlimits.rng import Domain, substream
+from bdlimits.distributions import sparse_types
+from bdlimits.rng import BLOCK, Domain, substream
 
 
 def reference_config(gamma=0.5, n=150):
@@ -381,3 +386,95 @@ class TestImpossProbe:
         a = imposs_probe(detector, cfg, trials=300, seed=9)
         b = imposs_probe(detector, cfg, trials=300, seed=9)
         assert a == b
+
+    def test_beta_one_fixed_detector_accepted(self):
+        # ImpossibilityConfig takes beta = 1 (m = k anchors); a fixed detector
+        # needs no DistributionPair, which would reject it
+        cfg = ImpossibilityConfig(k=200, beta=1.0, gamma=1.0, n=10)
+        assert cfg.m == 200
+        estimate = imposs_probe(lambda d, p0: 1, cfg, trials=300, seed=2)
+        assert estimate == imposs_probe(lambda d, p0: 1, cfg, trials=300, seed=2)
+        assert 0.0 < estimate.p_hat < 1.0
+
+
+def _collision_block(pair, p1):
+    """Flag a row that holds some symbol twice; anchors make repeats likely."""
+
+    def score(symbols, rng):
+        row, _, counts = sparse_types(symbols)
+        return np.bincount(row, weights=counts > 1, minlength=symbols.shape[0]) > 0
+
+    return score
+
+
+def _collision_row(d, p0):
+    return int(np.unique(d.symbols).size < d.symbols.size)
+
+
+#: (k, beta, n) of informative configs, m = floor(beta k) > n
+PROBE_SIZES = [(200, 0.1, 10), (10**5, 0.01, 20), (10**6, 0.01, 20)]
+
+
+class TestImpossRisk:
+    """The block path agrees with the per-row path bit for bit."""
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    @pytest.mark.parametrize("k, beta, n", PROBE_SIZES)
+    def test_type2_matches_fixed_detector(self, k, beta, n, gamma):
+        cfg = ImpossibilityConfig(k=k, beta=beta, gamma=gamma, n=n)
+        fixed = lambda d, p0: int(type2_tv(d, p0, gamma, beta))  # noqa: E731
+        block = imposs_risk(type2_trial_detector(), cfg, trials=1000, seed=3)
+        assert block == imposs_probe(fixed, cfg, trials=1000, seed=3)
+
+    def test_type2_across_block_boundary(self):
+        cfg = ImpossibilityConfig(k=10**5, beta=0.01, gamma=1.0, n=20)
+        fixed = lambda d, p0: int(type2_tv(d, p0, 1.0, 0.01))  # noqa: E731
+        trials = 2 * BLOCK + 37
+        block = imposs_risk(type2_trial_detector(), cfg, trials, seed=0)
+        assert block == imposs_probe(fixed, cfg, trials, seed=0)
+        assert block.trials == trials
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    def test_varying_verdicts_match(self, gamma):
+        # the type-distance test flags every row in the informative regime;
+        # a repeat test flags some rows only, so each verdict is compared
+        cfg = ImpossibilityConfig(k=200, beta=0.1, gamma=gamma, n=10)
+        trials = BLOCK + 500
+        block = imposs_risk(_collision_block, cfg, trials, seed=11)
+        assert block == imposs_probe(_collision_row, cfg, trials, seed=11)
+        assert 0.05 < block.p_hat < 0.45
+
+    def test_detector_bound_to_honest_view(self):
+        cfg = ImpossibilityConfig(k=300, beta=0.2, gamma=0.7, n=12)
+        seen = []
+
+        def detector(pair, p1):
+            seen.append((pair, p1))
+            return lambda symbols, rng: np.ones(symbols.shape[0], dtype=np.int64)
+
+        imposs_risk(detector, cfg, trials=BLOCK + 1, seed=0)
+        assert len(seen) == 1
+        pair, p1 = seen[0]
+        uniform = Categorical.uniform(300)
+        assert pair.p0 == pair.pb == p1 == uniform
+        assert (pair.gamma, pair.beta) == (0.7, 0.2)
+
+    def test_randomized_detector_respects_floor(self):
+        # a detector that uses its generator is a mixture of fixed detectors
+        cfg = ImpossibilityConfig(k=2000, beta=0.05, gamma=1.0, n=10)
+        estimate = imposs_risk(type1_trial_detector(30), cfg, trials=2000, seed=5)
+        floor = imposs_risk_floor(cfg.n, cfg.m)
+        assert estimate.p_hat >= floor - 3 * estimate.ci_width
+
+    def test_regime_validation(self):
+        cfg = ImpossibilityConfig(k=100, beta=0.1, gamma=1.0, n=25)
+        with pytest.raises(ParameterError):
+            imposs_risk(type2_trial_detector(), cfg, trials=200, seed=0)
+        ok = ImpossibilityConfig(k=2000, beta=0.05, gamma=1.0, n=10)
+        with pytest.raises(ParameterError):
+            imposs_risk(type2_trial_detector(), ok, trials=99, seed=0)
+
+    def test_beta_one_rejected_by_the_clean_view(self):
+        cfg = ImpossibilityConfig(k=200, beta=1.0, gamma=1.0, n=10)
+        with pytest.raises(ParameterError, match="beta"):
+            imposs_risk(type2_trial_detector(), cfg, trials=200, seed=0)

@@ -282,6 +282,28 @@ class TestProbe:
     def test_deterministic_output(self, runner):
         assert runner.invoke(main, self.ARGS).stdout == runner.invoke(main, self.ARGS).stdout
 
+    def test_default_golden(self, runner):
+        # K = 1e5, n = 20, gamma = 1, beta = 0.01, seed 0: 4966 errors in 10^4 trials
+        result = runner.invoke(main, ["probe", "--trials", "10000"])
+        assert result.exit_code == 0, result.output
+        payload = payload_of(result)
+        assert payload["risk"]["p_hat"] == 0.4966
+        assert payload["m"] == 1000 and payload["floor_satisfied"] is True
+        assert result.stderr == "measured risk 0.4966 [0.4837, 0.5095], floor 0.3324: PASS\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--beta", "1"], "error: beta must be in [0, 1), got 1.0\n"),
+            (["--gamma", "0"], "error: gamma must be in (0, 1], got 0.0\n"),
+        ],
+        ids=["beta-one", "gamma-zero"],
+    )
+    def test_threshold_knobs_out_of_range_exit_2(self, runner, args, message):
+        result = runner.invoke(main, ["probe", "--trials", "200", *args])
+        assert_clean_failure(result, 2)
+        assert result.stderr == message
+
 
 class TestResultsFileOption:
     def test_out_appends_and_dedupes(self, runner, tmp_path):

@@ -161,6 +161,20 @@ class TestMix:
             lhs = tv_distance(p0, mix(pair))
             assert lhs == pytest.approx(gamma * tv_distance(p0, pb), abs=1e-12)
 
+    def test_built_once_per_pair(self):
+        rng = substream(43, 0)
+        for _ in range(50):
+            k = int(rng.integers(2, 6))
+            p0 = Categorical(rng.dirichlet(np.ones(k)))
+            pb = Categorical(rng.dirichlet(np.ones(k)))
+            gamma = float(rng.uniform(0.0, 1.0))
+            pair = DistributionPair(p0, pb, gamma, beta=0.0)
+            first = mix(pair)
+            assert mix(pair) is first and pair.mixture is first
+            # the same expression the mixture was built from, bit for bit
+            expected = Categorical(gamma * pb.probs + (1.0 - gamma) * p0.probs)
+            assert np.array_equal(first.probs, expected.probs)
+
 
 class TestSample:
     def test_point_mass_is_constant(self):

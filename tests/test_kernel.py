@@ -22,6 +22,7 @@ from bdlimits import (
     benchmark_instances,
     estimate_risk,
     imposs_probe,
+    imposs_risk,
     mix,
     np_trial_detector,
     np_type3,
@@ -193,6 +194,21 @@ def test_huge_alphabet_probe_memory():
     detector = lambda d, p0: int(type2_tv(d, p0, 1.0, 0.01))  # noqa: E731
     peak = peak_mb(lambda: imposs_probe(detector, config, trials=5000, seed=0))
     assert peak < 100, peak
+
+
+def test_huge_alphabet_probe_risk_memory():
+    # the block scorer holds the sparse types of one block, never a
+    # BLOCK x K histogram (32 GB here)
+    config = ImpossibilityConfig(k=10**6, beta=0.01, gamma=1.0, n=20)
+    result = {}
+    peak = peak_mb(
+        lambda: result.setdefault(
+            "est", imposs_risk(type2_trial_detector(), config, trials=5000, seed=0)
+        )
+    )
+    assert peak < 100, peak
+    # every type of 20 draws sits far from uniform, so the detector always flags
+    assert result["est"].ci_low <= 0.5 <= result["est"].ci_high
 
 
 def test_type_exceedance_memory():
