@@ -10,7 +10,6 @@ that defeat fixed detectors.
 from .bounds import (
     BoundReport,
     DatasetSpec,
-    LogNumber,
     achievability_alpha_bound,
     alphabet_log10,
     exact_type3_risk,

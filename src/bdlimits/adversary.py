@@ -30,8 +30,8 @@ from scipy.special import ndtr
 from .detectors import KsResult, ks_pvalue, ks_statistic
 from .distributions import Categorical, DistributionPair, SymbolDataset
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
-from .harness import Detector, RiskEstimate, count_errors, wilson_interval
-from .rng import Domain, substream
+from .harness import Detector, RiskEstimate, wilson_interval
+from .rng import Domain, count_errors, substream
 
 
 def toy_delta(v: np.ndarray, k: int) -> np.ndarray:
@@ -325,7 +325,8 @@ def _check_probe(config: ImpossibilityConfig, trials: int) -> None:
         raise ParameterError("at least 100 trials are required")
     if config.m <= config.n:
         raise ParameterError(
-            f"informative regime needs floor(beta*k) = {config.m} > n = {config.n}"
+            f"floor(beta*k) = {config.m} must exceed n = {config.n}; "
+            "increase k or beta, or decrease n"
         )
 
 

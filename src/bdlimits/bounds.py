@@ -2,12 +2,12 @@
 
 The alphabet of an image dataset has size D**(W*H*C), e.g. 256**3072 for
 32x32 RGB images, and the sample-size bounds built on it reach 10**369904.
-:class:`LogNumber` represents such nonnegative reals by their base-10
-logarithm so the bound formulas can be evaluated without overflow, while
-remaining bit-compatible with native floats on small inputs.
+Alphabet sizes and minimum training-set sizes are therefore passed around
+as plain floats holding their base-10 logarithm, with -inf for zero, and
+the bound formula is evaluated on those logs without overflow.
 
-All logarithms inside the bound formulas are natural; results are converted
-to base 10 only for reporting.
+The log-ratio terms inside the bound formulas are natural logs, as in the
+paper.
 """
 
 from __future__ import annotations
@@ -28,125 +28,6 @@ from .distributions import (
     product_tv_exact,
 )
 from .errors import ParameterError
-
-_LN10 = math.log(10.0)
-
-
-@dataclass(frozen=True)
-class LogNumber:
-    """A nonnegative real stored as its base-10 logarithm.
-
-    Multiplication, powers and comparisons are exact in log space; addition
-    and subtraction go through log-sum-exp with relative error below 1e-12.
-    Zero is carried as an explicit flag since it has no logarithm. A number
-    made by :meth:`from_float` also keeps that float in ``exact``: the base-10
-    logs of adjacent floats can round to the same double, so two such
-    numbers compare by their floats.
-    """
-
-    log10_value: float
-    is_zero: bool = False
-    exact: float | None = None
-
-    @classmethod
-    def zero(cls) -> "LogNumber":
-        return cls(float("-inf"), True)
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogNumber":
-        if x < 0.0 or not math.isfinite(x):
-            raise ParameterError(f"LogNumber requires a finite nonnegative value, got {x}")
-        if x == 0.0:
-            return cls.zero()
-        return cls(math.log10(x), exact=x)
-
-    @classmethod
-    def from_log10(cls, log10_value: float) -> "LogNumber":
-        return cls(float(log10_value))
-
-    def to_float(self) -> float:
-        """Native float value; inf when the exponent exceeds float range."""
-        if self.is_zero:
-            return 0.0
-        if self.log10_value > 308.0:
-            return math.inf
-        return 10.0**self.log10_value
-
-    def __mul__(self, other: "LogNumber") -> "LogNumber":
-        if self.is_zero or other.is_zero:
-            return LogNumber.zero()
-        return LogNumber(self.log10_value + other.log10_value)
-
-    def __truediv__(self, other: "LogNumber") -> "LogNumber":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogNumber zero")
-        if self.is_zero:
-            return LogNumber.zero()
-        return LogNumber(self.log10_value - other.log10_value)
-
-    def __add__(self, other: "LogNumber") -> "LogNumber":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        hi, lo = max(self.log10_value, other.log10_value), min(
-            self.log10_value, other.log10_value
-        )
-        return LogNumber(hi + math.log1p(10.0 ** (lo - hi)) / _LN10)
-
-    def __sub__(self, other: "LogNumber") -> "LogNumber":
-        """Difference; requires self >= other."""
-        if other.is_zero:
-            return self
-        if self < other:
-            raise ParameterError("LogNumber subtraction would be negative")
-        diff = other.log10_value - self.log10_value
-        if diff >= 0.0:  # equal values up to float resolution
-            return LogNumber.zero()
-        rest = -math.expm1(diff * _LN10)
-        if rest <= 0.0:
-            return LogNumber.zero()
-        return LogNumber(self.log10_value + math.log10(rest))
-
-    def power(self, exponent: float) -> "LogNumber":
-        if self.is_zero:
-            if exponent <= 0.0:
-                raise ParameterError("zero cannot be raised to a nonpositive power")
-            return LogNumber.zero()
-        return LogNumber(self.log10_value * exponent)
-
-    def sqrt(self) -> "LogNumber":
-        return self.power(0.5)
-
-    def _key(self) -> tuple[int, float]:
-        return (0, 0.0) if self.is_zero else (1, self.log10_value)
-
-    def _keys(self, other: "LogNumber") -> tuple:
-        """Sort keys of self and other: their floats when both have one."""
-        if self.exact is not None and other.exact is not None:
-            return self.exact, other.exact
-        return self._key(), other._key()
-
-    def __lt__(self, other: "LogNumber") -> bool:
-        mine, theirs = self._keys(other)
-        return mine < theirs
-
-    def __le__(self, other: "LogNumber") -> bool:
-        mine, theirs = self._keys(other)
-        return mine <= theirs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LogNumber):
-            return NotImplemented
-        mine, theirs = self._keys(other)
-        return mine == theirs
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "LogNumber(0)" if self.is_zero else f"LogNumber(10^{self.log10_value:g})"
-
 
 def _is_number(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -249,59 +130,69 @@ class BoundReport:
         }
 
 
-def alphabet_log10(spec: DatasetSpec) -> LogNumber:
+def alphabet_log10(spec: DatasetSpec) -> float:
     """Base-10 log of the dataset's alphabet size."""
     if spec.log10_size is not None:
-        return LogNumber.from_log10(spec.log10_size)
+        return float(spec.log10_size)
     if spec.cardinalities is not None:
-        return LogNumber.from_log10(sum(math.log10(c) for c in spec.cardinalities))
+        return sum(math.log10(c) for c in spec.cardinalities)
     pixels = spec.width * spec.height * spec.channels  # type: ignore[operator]
-    return LogNumber.from_log10(pixels * math.log10(spec.color_depth))  # type: ignore[arg-type]
+    return pixels * math.log10(spec.color_depth)  # type: ignore[arg-type]
 
 
-def _min_n_from_log_terms(log_ratio: float, beta: float, log_alphabet: LogNumber) -> LogNumber:
-    """Shared core: log_ratio/2 + sqrt(log_ratio^2/4 + (beta*|X| - 1)*(-log_ratio)).
+def _log10_sum(a: float, b: float) -> float:
+    """log10(10**a + 10**b) for finite a and b, without overflow."""
+    hi, lo = max(a, b), min(a, b)
+    return hi + math.log10(1.0 + 10.0 ** (lo - hi))
 
-    ``log_ratio`` is a natural log and must be <= 0 for the bound to bind;
-    positive values and beta*|X| <= 1 clamp to zero.
+
+def _min_n_log10(log_ratio: float, beta: float, log_alphabet: float) -> float:
+    """log10 of sqrt(L^2/4 + (beta*|X| - 1) L) - L/2, where L = -log_ratio.
+
+    ``log_ratio`` is a natural log. The bound binds only when it is negative
+    and beta*|X| > 1; otherwise N_min is 0 and the result -inf. The value is
+    evaluated in the rationalized form (beta*|X| - 1) L / (sqrt(L^2/4 +
+    (beta*|X| - 1) L) + L/2), which has no cancellation.
     """
-    if log_ratio > 0.0:
-        return LogNumber.zero()
-    beta_alphabet = LogNumber.from_float(beta) * log_alphabet
-    one = LogNumber.from_float(1.0)
-    if beta_alphabet <= one or log_ratio == 0.0:
-        return LogNumber.zero()
-    neg_log = -log_ratio
-    discriminant = (beta_alphabet - one) * LogNumber.from_float(neg_log) + LogNumber.from_float(
-        log_ratio * log_ratio / 4.0
-    )
-    root = discriminant.sqrt()
-    half = LogNumber.from_float(neg_log / 2.0)
-    if root <= half:
-        return LogNumber.zero()
-    return root - half
+    if not 0.0 <= log_alphabet < math.inf:
+        raise ParameterError(
+            f"log10 alphabet size must be finite and >= 0, got {log_alphabet!r}"
+        )
+    if log_ratio >= 0.0 or beta == 0.0:
+        return -math.inf
+    t = math.log10(beta) + log_alphabet  # log10(beta*|X|)
+    if t <= 0.0:
+        return -math.inf
+    log_excess = t + math.log10(-math.expm1(-t * math.log(10.0)))  # log10(beta*|X| - 1)
+    log_product = log_excess + math.log10(-log_ratio)
+    log_half = math.log10(-log_ratio / 2.0)
+    log_root = _log10_sum(2.0 * log_half, log_product) / 2.0
+    return log_product - _log10_sum(log_root, log_half)
 
 
-def impossibility_min_n(alpha: float, beta: float, log_alphabet: LogNumber) -> LogNumber:
-    """Minimum training-set size below which alpha-error detection is ruled out.
+def impossibility_min_n(alpha: float, beta: float, log_alphabet: float) -> float:
+    """log10 of the training-set size below which alpha-error detection is ruled out.
 
-    Evaluates log(2 alpha)/2 + sqrt(log(2 alpha)^2 / 4 + (beta*|X| - 1) *
-    log(1/(2 alpha))) with natural logs, clamped to 0 when beta*|X| <= 1 or
-    the discriminant turns negative. At alpha = 1/2 the bound is always 0.
+    ``log_alphabet`` is log10|X|. The bound is log(2 alpha)/2 + sqrt(log(2
+    alpha)^2 / 4 + (beta*|X| - 1) * log(1/(2 alpha))) with natural logs; the
+    result is its base-10 log, or -inf when it is 0: at alpha = 1/2, beta = 0
+    or beta*|X| <= 1.
     """
     if not 0.0 < alpha <= 0.5:
         raise ParameterError(f"alpha must be in (0, 0.5], got {alpha}")
     if not 0.0 <= beta <= 1.0:
         raise ParameterError(f"beta must be in [0, 1], got {beta}")
-    return _min_n_from_log_terms(math.log(2.0 * alpha), beta, log_alphabet)
+    return _min_n_log10(math.log(2.0 * alpha), beta, log_alphabet)
 
 
-def sbd_min_n(alpha: float, beta: float, r: float, log_alphabet: LogNumber) -> LogNumber:
-    """Sample-detection variant of :func:`impossibility_min_n`.
+def sbd_min_n(alpha: float, beta: float, r: float, log_alphabet: float) -> float:
+    """Sample-detection variant of :func:`impossibility_min_n`, also log10 in
+    and log10 out, with -inf for a bound of 0.
 
     ``r`` is the smaller of the prior masses on the two agreeing (j, i)
-    cells; log(2 alpha) is replaced by log(alpha / r). At r = 1/2 this
-    reproduces :func:`impossibility_min_n` exactly.
+    cells; log(2 alpha) is replaced by log(alpha / r), so the bound is 0 for
+    alpha >= r. At r = 1/2 this reproduces :func:`impossibility_min_n`
+    exactly.
     """
     if r <= 0.0 or r > 0.5:
         raise ParameterError(f"r must be in (0, 0.5], got {r}")
@@ -309,7 +200,7 @@ def sbd_min_n(alpha: float, beta: float, r: float, log_alphabet: LogNumber) -> L
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if not 0.0 <= beta <= 1.0:
         raise ParameterError(f"beta must be in [0, 1], got {beta}")
-    return _min_n_from_log_terms(math.log(alpha / r), beta, log_alphabet)
+    return _min_n_log10(math.log(alpha / r), beta, log_alphabet)
 
 
 def sbd_infinite_alphabet_feasible(alpha: float, r: float) -> bool:
@@ -374,11 +265,9 @@ def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> Distrib
     return DistributionPair(p0, pb, gamma, beta=1.0 - tv)
 
 
-def min_n_exponent(min_n: LogNumber) -> int:
+def min_n_exponent(log10_min_n: float) -> int:
     """Reporting exponent: floor(log10 N_min), never below 0."""
-    if min_n.is_zero:
-        return 0
-    return max(0, math.floor(min_n.log10_value))
+    return math.floor(log10_min_n) if log10_min_n > 0.0 else 0
 
 
 def table_report(
@@ -392,7 +281,7 @@ def table_report(
         rows.append(
             BoundReport(
                 name=spec.name,
-                log10_alphabet=log_alphabet.log10_value,
+                log10_alphabet=log_alphabet,
                 min_n_exponent=min_n_exponent(min_n),
             )
         )

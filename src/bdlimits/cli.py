@@ -342,11 +342,6 @@ def probe(
 ) -> None:
     """Measure a clean-distribution detector against the marginally-clean sampler."""
     config = ImpossibilityConfig(k=k, beta=beta, gamma=gamma, n=n)
-    if config.m <= n:
-        raise ParameterError(
-            f"floor(beta*k) = {config.m} must exceed n = {n}; "
-            "increase k or beta, or decrease n"
-        )
     estimate = imposs_risk(DETECTORS[detector_name](), config, trials, seed)
     floor = imposs_risk_floor(n, config.m)
     satisfied = floor <= estimate.p_hat + 3.0 * estimate.ci_width

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import AlphabetMismatchError, ParameterError, ResourceCapError
-from .rng import Domain, blocks, substream
+from .rng import Domain, count_errors, substream
 
 #: Probability vectors must sum to 1 within this tolerance to be accepted.
 PROB_TOLERANCE = 1e-12
@@ -379,9 +379,9 @@ def type_exceedance_frequency(
     """
     if trials < 1 or n < 1:
         raise ParameterError("trials and n must be >= 1")
-    exceed = 0
-    for index, rows in blocks(trials):
-        symbols = draw_symbols(p, (rows, n), substream(seed, Domain.CONCENTRATION, index))
-        distances = type_distances(symbols, lambda row, sym: p.probs[sym])
-        exceed += int(np.count_nonzero(distances >= threshold))
-    return exceed / trials
+
+    def step(rows: int, data: np.random.Generator, _: np.random.Generator) -> int:
+        distances = type_distances(draw_symbols(p, (rows, n), data), lambda row, sym: p.probs[sym])
+        return int(np.count_nonzero(distances >= threshold))
+
+    return count_errors(step, trials, seed, (Domain.CONCENTRATION,)) / trials

@@ -49,7 +49,7 @@ from .distributions import (
     type_distances,
 )
 from .errors import ConfigurationError, ParameterError
-from .rng import Domain, blocks, substream
+from .rng import BlockStep, Domain, block_errors, count_errors  # noqa: F401
 
 #: bytes of whole lines the results-file scan reads at a time
 _SCAN_BLOCK = 1 << 14
@@ -264,26 +264,6 @@ DETECTORS: dict[str, Callable[[], Detector]] = {
 }
 
 
-#: One block of an estimate: (rows, data generator, detector generator) to
-#: the number of the block's trials whose verdict was wrong.
-BlockStep = Callable[[int, np.random.Generator, np.random.Generator], int]
-
-
-def block_errors(step: BlockStep, seed: int, path: Sequence[int], index: int, rows: int) -> int:
-    """Errors among the ``rows`` trials of block ``index``.
-
-    A pure function of its arguments: the block draws its data from
-    substream(seed, *path, index) and its detector randomness from
-    substream(seed, *path, index, 1).
-    """
-    return int(step(rows, substream(seed, *path, index), substream(seed, *path, index, 1)))
-
-
-def count_errors(step: BlockStep, trials: int, seed: int, path: Sequence[int]) -> int:
-    """Errors over ``trials`` trials, run in blocks and summed in block order."""
-    return sum(block_errors(step, seed, path, index, rows) for index, rows in blocks(trials))
-
-
 def _draw_labeled(
     laws: Sequence[Categorical], labels: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -435,7 +415,7 @@ _TYPE0_TIE = 1e-12
 def type0_tv_detector(gamma: float, beta: float) -> Detector:
     """Demonstration Type-0 detector: TV between trained parameters and the
     type of the fresh clean data, thresholded like the type-distance test."""
-    threshold = gamma * (1.0 - beta) / 2.0 - _TYPE0_TIE
+    threshold = tv_threshold(gamma, beta) - _TYPE0_TIE
 
     def detector(pair: DistributionPair, p1: Categorical):
         return lambda theta, d_prime, x, rng: type_distances(d_prime, theta) >= threshold

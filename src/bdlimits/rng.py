@@ -16,7 +16,7 @@ consequences the rest of the package relies on:
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,3 +60,23 @@ def blocks(trials: int) -> Iterator[tuple[int, int]]:
     """
     for index, start in enumerate(range(0, trials, BLOCK)):
         yield index, min(BLOCK, trials - start)
+
+
+#: One block of trials: (rows, data generator, detector generator) to the
+#: number of the block's trials that count, e.g. wrong verdicts.
+BlockStep = Callable[[int, np.random.Generator, np.random.Generator], int]
+
+
+def block_errors(step: BlockStep, seed: int, path: Sequence[int], index: int, rows: int) -> int:
+    """Errors among the ``rows`` trials of block ``index``.
+
+    A pure function of its arguments: the block draws its data from
+    substream(seed, *path, index) and its detector randomness from
+    substream(seed, *path, index, 1).
+    """
+    return int(step(rows, substream(seed, *path, index), substream(seed, *path, index, 1)))
+
+
+def count_errors(step: BlockStep, trials: int, seed: int, path: Sequence[int]) -> int:
+    """Errors over ``trials`` trials, run in blocks and summed in block order."""
+    return sum(block_errors(step, seed, path, index, rows) for index, rows in blocks(trials))

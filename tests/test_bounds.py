@@ -1,5 +1,6 @@
-"""Tests for log-space arithmetic and the feasibility bound formulas."""
+"""Tests for the feasibility bound formulas, evaluated on base-10 logs."""
 
+import decimal
 import math
 
 import pytest
@@ -11,7 +12,6 @@ from bdlimits import (
     Categorical,
     DatasetSpec,
     DistributionPair,
-    LogNumber,
     ParameterError,
     achievability_alpha_bound,
     alphabet_log10,
@@ -27,69 +27,28 @@ from bdlimits import (
     type3_risk_floor,
 )
 
-positive_floats = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
-
-
-class TestLogNumber:
-    def test_zero_round_trip(self):
-        z = LogNumber.from_float(0.0)
-        assert z.is_zero and z.to_float() == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            LogNumber.from_float(-1.0)
-
-    def test_huge_exponent(self):
-        big = LogNumber.from_log10(3697.5)
-        assert big.to_float() == math.inf
-        assert big.power(2).log10_value == pytest.approx(7395.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(positive_floats, positive_floats)
-    def test_arithmetic_matches_floats(self, a, b):
-        la, lb = LogNumber.from_float(a), LogNumber.from_float(b)
-        assert (la * lb).to_float() == pytest.approx(a * b, rel=1e-12)
-        assert (la + lb).to_float() == pytest.approx(a + b, rel=1e-12)
-        assert (la / lb).to_float() == pytest.approx(a / b, rel=1e-12)
-        if a >= b:
-            diff = (la - lb).to_float()
-            assert diff == pytest.approx(a - b, rel=1e-9, abs=1e-9 * a)
-        assert (la < lb) == (a < b)
-
-    def test_adjacent_floats_ordered(self):
-        below, top = math.nextafter(1e6, 0.0), 1e6
-        assert math.log10(below) == math.log10(top)  # the logs collide
-        lb, lt = LogNumber.from_float(below), LogNumber.from_float(top)
-        assert lb < lt and lb <= lt and lb != lt and not lt < lb
-        assert (lt - lb).is_zero
-
-    def test_subtraction_of_larger_rejected(self):
-        with pytest.raises(ParameterError):
-            LogNumber.from_float(1.0) - LogNumber.from_float(2.0)
-
-    def test_subtracting_negligible_term(self):
-        big = LogNumber.from_log10(1000.0)
-        assert (big - LogNumber.from_float(5.0)).log10_value == pytest.approx(1000.0)
-
-    def test_sqrt(self):
-        assert LogNumber.from_float(81.0).sqrt().to_float() == pytest.approx(9.0)
-
-
 class TestImpossibilityMinN:
     def test_alpha_half_is_zero(self):
         for log_k in (6.35, 1888.06, 739811.32):
-            n = impossibility_min_n(0.5, 0.001, LogNumber.from_log10(log_k))
-            assert n.is_zero
+            n = impossibility_min_n(0.5, 0.001, log_k)
+            assert n == -math.inf
 
     def test_beta_alphabet_below_one_clamps(self):
-        assert impossibility_min_n(0.1, 0.0, LogNumber.from_log10(100.0)).is_zero
-        assert impossibility_min_n(0.1, 0.001, LogNumber.from_float(500.0)).is_zero
+        assert impossibility_min_n(0.1, 0.0, 100.0) == -math.inf
+        assert impossibility_min_n(0.1, 0.001, math.log10(500.0)) == -math.inf
+
+    @pytest.mark.parametrize("log_k", [-1.0, math.inf, math.nan])
+    def test_bad_log_alphabet_rejected(self, log_k):
+        with pytest.raises(ParameterError):
+            impossibility_min_n(0.1, 0.001, log_k)
+        with pytest.raises(ParameterError):
+            sbd_min_n(0.1, 0.001, 0.25, log_k)
 
     def test_alpha_validation(self):
         with pytest.raises(ParameterError):
-            impossibility_min_n(0.0, 0.5, LogNumber.from_float(10.0))
+            impossibility_min_n(0.0, 0.5, math.log10(10.0))
         with pytest.raises(ParameterError):
-            impossibility_min_n(0.7, 0.5, LogNumber.from_float(10.0))
+            impossibility_min_n(0.7, 0.5, math.log10(10.0))
 
     def test_matches_direct_float_evaluation(self):
         for alpha in (0.01, 0.1, 0.3, 0.49):
@@ -98,13 +57,13 @@ class TestImpossibilityMinN:
                 expected = max(
                     0.0, a / 2 + math.sqrt(a * a / 4 + (beta * k - 1) * (-a))
                 )
-                got = impossibility_min_n(alpha, beta, LogNumber.from_float(k))
+                got = impossibility_min_n(alpha, beta, math.log10(k))
                 if expected == 0.0 or beta * k <= 1.0:
                     continue
-                assert got.to_float() == pytest.approx(expected, rel=1e-9)
+                assert 10**got == pytest.approx(expected, rel=1e-9)
 
     def test_monotone_in_alpha(self):
-        log_k = LogNumber.from_log10(20.0)
+        log_k = 20.0
         values = [
             impossibility_min_n(a, 0.01, log_k) for a in (0.01, 0.05, 0.1, 0.3, 0.5)
         ]
@@ -113,7 +72,7 @@ class TestImpossibilityMinN:
 
     def test_monotone_in_beta_alphabet(self):
         values = [
-            impossibility_min_n(0.1, 0.01, LogNumber.from_log10(e))
+            impossibility_min_n(0.1, 0.01, e)
             for e in (4.0, 8.0, 16.0, 100.0)
         ]
         for lo, hi in zip(values, values[1:]):
@@ -122,10 +81,60 @@ class TestImpossibilityMinN:
     def test_alpha_to_zero_approaches_beta_alphabet(self):
         # with beta*K = 5 and alpha = 1e-300 the bound sits within 1% of beta*K - 1
         target = 0.5 * 10 - 1
-        got = impossibility_min_n(1e-300, 0.5, LogNumber.from_float(10)).to_float()
+        got = 10 ** impossibility_min_n(1e-300, 0.5, math.log10(10))
         assert got == pytest.approx(target, rel=0.01)
-        farther = impossibility_min_n(1e-30, 0.5, LogNumber.from_float(10)).to_float()
+        farther = 10 ** impossibility_min_n(1e-30, 0.5, math.log10(10))
         assert farther < got
+
+
+def reference_min_n(alpha: float, beta: float, log_k: float) -> tuple[float, decimal.Decimal]:
+    """(log10 N_min, beta*|X| - 1) in 60-digit decimal arithmetic on the exact
+    input floats, where N_min = sqrt(L^2/4 + (beta*|X| - 1) L) - L/2 and
+    L = -ln(2 alpha); log10 N_min is -inf when the bound is 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ctx.Emax = decimal.MAX_EMAX
+        big_l = -(2 * decimal.Decimal(alpha)).ln()
+        excess = decimal.Decimal(beta) * decimal.Decimal(10) ** decimal.Decimal(log_k) - 1
+        if big_l <= 0 or excess <= 0:
+            return -math.inf, excess
+        min_n = (big_l * big_l / 4 + excess * big_l).sqrt() - big_l / 2
+        return float(min_n.log10()), excess
+
+
+class TestDecimalReference:
+    """log10 N_min within 1e-13 * max(1, |log10 N_min|) of a 60-digit reference.
+
+    Within 1% above beta*|X| = 1 the value is ill-conditioned in the inputs
+    themselves: one ulp of beta moves log10 N_min by more than the tolerance.
+    There N_min < (beta*|X| - 1) < 0.01, and that is what is checked.
+    """
+
+    @staticmethod
+    def assert_matches(alpha: float, beta: float, log_k: float) -> None:
+        got = impossibility_min_n(alpha, beta, log_k)
+        ref, excess = reference_min_n(alpha, beta, log_k)
+        if excess < decimal.Decimal("0.01"):
+            assert got < -2.0 + 1e-13
+        else:
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (got, ref)
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(0.1, 0.001), (0.05, 0.001), (0.01, 0.0001), (0.3, 0.01), (0.49, 1.0), (1e-300, 0.5)],
+    )
+    def test_bundled_catalog(self, alpha, beta):
+        for spec in load_catalog():
+            self.assert_matches(alpha, beta, alphabet_log10(spec))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-300, 0.49),
+        st.floats(1e-4, 1.0),
+        st.floats(0.0, 7.4e5),
+    )
+    def test_random_inputs(self, alpha, beta, log_k):
+        self.assert_matches(alpha, beta, log_k)
 
 
 class TestGoldenTable:
@@ -146,15 +155,15 @@ class TestGoldenTable:
 
     def test_alphabet_log10_values(self):
         catalog = {spec.name: spec for spec in load_catalog()}
-        bw = alphabet_log10(catalog["B/W MNIST"]).log10_value
+        bw = alphabet_log10(catalog["B/W MNIST"])
         assert bw == pytest.approx(784 * math.log10(2), abs=1e-9)
-        mnist = alphabet_log10(catalog["MNIST"]).log10_value
+        mnist = alphabet_log10(catalog["MNIST"])
         assert mnist == pytest.approx(1888.1, abs=0.1)
-        assert alphabet_log10(catalog["Iris"]).log10_value == pytest.approx(6.35)
+        assert alphabet_log10(catalog["Iris"]) == pytest.approx(6.35)
 
     def test_categorical_cardinalities_shape(self):
         spec = DatasetSpec(name="t", cardinalities=(10, 20, 5))
-        assert alphabet_log10(spec).log10_value == pytest.approx(math.log10(1000))
+        assert alphabet_log10(spec) == pytest.approx(math.log10(1000))
 
     def test_incomplete_image_shape_rejected(self):
         with pytest.raises(ParameterError):
@@ -165,9 +174,9 @@ class TestGoldenTable:
             BoundReport(name="t", log10_alphabet=1.0, min_n_exponent=-1)
 
     def test_exponent_clamps_at_zero(self):
-        assert min_n_exponent(LogNumber.zero()) == 0
-        assert min_n_exponent(LogNumber.from_float(0.5)) == 0
-        assert min_n_exponent(LogNumber.from_float(59.2)) == 1
+        assert min_n_exponent(-math.inf) == 0
+        assert min_n_exponent(math.log10(0.5)) == 0
+        assert min_n_exponent(math.log10(59.2)) == 1
 
 
 class TestAchievability:
@@ -219,26 +228,25 @@ class TestRiskFloor:
 
 class TestSbdBound:
     def test_alpha_equals_r_is_zero(self):
-        assert sbd_min_n(0.25, 0.001, 0.25, LogNumber.from_log10(100.0)).is_zero
+        assert sbd_min_n(0.25, 0.001, 0.25, 100.0) == -math.inf
 
     def test_r_half_reproduces_impossibility(self):
         for alpha in (0.05, 0.1, 0.3):
             for log_k in (6.35, 942.0):
-                lk = LogNumber.from_log10(log_k)
-                assert sbd_min_n(alpha, 0.001, 0.5, lk) == impossibility_min_n(
-                    alpha, 0.001, lk
+                assert sbd_min_n(alpha, 0.001, 0.5, log_k) == impossibility_min_n(
+                    alpha, 0.001, log_k
                 )
 
     def test_matches_direct_float_evaluation(self):
         alpha, r, beta, k = 0.1, 0.25, 0.001, 10**6
         a = math.log(alpha / r)
         expected = a / 2 + math.sqrt(a * a / 4 + (beta * k - 1) * (-a))
-        got = sbd_min_n(alpha, beta, r, LogNumber.from_float(k))
-        assert got.to_float() == pytest.approx(expected, rel=1e-9)
+        got = sbd_min_n(alpha, beta, r, math.log10(k))
+        assert 10**got == pytest.approx(expected, rel=1e-9)
 
     def test_r_validation(self):
         with pytest.raises(ParameterError):
-            sbd_min_n(0.1, 0.001, 0.0, LogNumber.from_float(10.0))
+            sbd_min_n(0.1, 0.001, 0.0, math.log10(10.0))
 
     def test_infinite_alphabet_verdict(self):
         assert sbd_infinite_alphabet_feasible(0.3, 0.25)

@@ -331,6 +331,11 @@ class TestTypeConcentration:
         b = type_exceedance_frequency(p, 30, 0.2, 2000, seed=4)
         assert a == b
 
+    def test_golden_value(self):
+        # two blocks on substream(4, CONCENTRATION, b): 380 of 5000 trials exceed
+        p = Categorical.uniform(3)
+        assert type_exceedance_frequency(p, 30, 0.2, 5000, seed=4) == 0.076
+
 
 class TestSymbolDataset:
     def test_rejects_out_of_alphabet(self):

@@ -276,6 +276,11 @@ class TestType0Demo:
         est3 = estimate_risk(np_trial_detector(), self.PAIR, 10, 2000, seed=16)
         assert est0.p_hat >= est3.p_hat - 3 * max(est0.ci_width, est3.ci_width)
 
+    @pytest.mark.parametrize("gamma, beta", [(0.0, 0.5), (0.5, 1.0)])
+    def test_degenerate_threshold_rejected(self, gamma, beta):
+        with pytest.raises(ParameterError):
+            type0_tv_detector(gamma, beta)
+
 
 class TestEstimatorEntryPoints:
     """The default pair, a pair given as a JSON document, and the OOD flavor,
