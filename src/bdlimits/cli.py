@@ -109,7 +109,8 @@ def bounds_table(alpha: float, beta: float, catalog_path: str | None, fmt: str, 
         "command": "bounds-table",
         "alpha": alpha,
         "beta": beta,
-        "catalog": [dataclasses.asdict(spec) for spec in catalog],
+        # shallow: every field is a scalar or a tuple of ints
+        "catalog": [{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)} for spec in catalog],
     }
     _emit("bounds-table", config, payload, out, text)
 

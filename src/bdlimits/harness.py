@@ -33,6 +33,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,8 +52,8 @@ from .distributions import (
 from .errors import ConfigurationError, ParameterError
 from .rng import BlockStep, Domain, block_errors, count_errors  # noqa: F401
 
-#: bytes of whole lines the results-file scan reads at a time
-_SCAN_BLOCK = 1 << 14
+#: bytes the results-file scan reads at a time, before it completes the last line
+_SCAN_BLOCK = 1 << 16
 
 #: two-sided 99% normal quantile used by the Wilson interval
 _Z99 = 2.5758293035489004
@@ -525,14 +526,17 @@ def append_result(path: str, record: dict) -> bool:
     A record without a ``config_hash``, or with None, is appended without
     the check; any other non-string hash raises ParameterError.
 
-    The file is read once, in blocks of whole lines, and only a line that
-    contains the hash's UTF-8 bytes or a backslash is parsed: a line without
-    a backslash holds no escapes, so its ``config_hash`` can equal the hash
-    only by spelling it literally. The check and the write happen under one
-    exclusive ``fcntl.flock`` on the file, so concurrent writers are
-    serialized; the lock is POSIX advisory and binds only writers that take
-    it. A partial last line (a writer killed mid-record) is closed with a
-    newline before the record is written, so the record stays on its own line.
+    The file is read once, in blocks of 64 KiB that each end on a line
+    boundary, so the scan holds at most one block plus one line. Lines end
+    at ``b"\\n"`` only. Each block is searched for the hash's UTF-8 bytes
+    and for a backslash, and only the lines around a hit are parsed: a line
+    without a backslash holds no escapes, so its ``config_hash`` can equal
+    the hash only by spelling it literally. The check and the write happen
+    under one exclusive ``fcntl.flock`` on the file, so concurrent writers
+    are serialized; the lock is POSIX advisory and binds only writers that
+    take it. A partial last line (a writer killed mid-record) is closed with
+    a newline before the record is written, so the record stays on its own
+    line.
     """
     digest = record.get("config_hash")
     if digest is not None and not isinstance(digest, str):
@@ -553,18 +557,20 @@ def append_result(path: str, record: dict) -> bool:
 
 def _holds_digest(fh, digest: str) -> bool:
     """Whether a line of the binary file ``fh`` is a JSON object with this
-    config hash. Only the lines of a block that holds a candidate are looked
-    at one by one."""
+    config hash. Each block is searched whole for the hash and for a
+    backslash, and only the lines around a hit are parsed, each once."""
     # surrogatepass: a lone surrogate is never valid UTF-8, so it can only
-    # appear escaped, and the backslash test catches that line
+    # appear escaped, and the backslash search finds that line
     needle = digest.encode("utf-8", "surrogatepass")
-    while lines := fh.readlines(_SCAN_BLOCK):
-        block = b"".join(lines)
-        if needle not in block and b"\\" not in block:
-            continue
+    # No line holds b"\n", so a hash with one appears only escaped, on a
+    # backslash line; the backslash search skips lines the hash search parsed
+    literal = b"\n" not in needle
+    while block := fh.read(_SCAN_BLOCK):
+        block += fh.readline()  # end the block on a line boundary
+        lines = _lines_holding(block, b"\\")
+        if literal:
+            lines = chain(_lines_holding(block, needle), (raw for raw in lines if needle not in raw))
         for raw in lines:
-            if needle not in raw and b"\\" not in raw:
-                continue
             try:
                 existing = json.loads(raw.decode("utf-8"))
             except (ValueError, RecursionError):
@@ -572,3 +578,15 @@ def _holds_digest(fh, digest: str) -> bool:
             if isinstance(existing, dict) and existing.get("config_hash") == digest:
                 return True
     return False
+
+
+def _lines_holding(block: bytes, mark: bytes):
+    """Yield each ``b"\\n"``-separated line of ``block`` that holds ``mark``,
+    once, without the newline."""
+    pos = block.find(mark)
+    while pos >= 0:
+        end = block.find(b"\n", pos)
+        if end < 0:
+            end = len(block)  # a partial last line
+        yield block[block.rfind(b"\n", 0, pos) + 1 : end]
+        pos = block.find(mark, end + 1)  # past the newline, so a hit always moves on

@@ -113,6 +113,29 @@ class TestBoundsTable:
         assert first.stdout != second.stdout
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize(
+        "args, catalog, digest",
+        [
+            ([], None, "c94869f74e2f3191"),
+            (
+                ["--alpha", "0.05"],
+                '[{"name": "tab", "cardinalities": [2, 3, 5]},'
+                ' {"name": "img", "width": 4, "height": 4, "channels": 1, "color_depth": 2}]',
+                "deba385d22520636",
+            ),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_config_hash_pinned(self, runner, tmp_path, args, catalog, digest):
+        # results files written by earlier versions must still deduplicate
+        out = tmp_path / "results.jsonl"
+        if catalog is not None:
+            (tmp_path / "catalog.json").write_text(catalog)
+            args = [*args, "--catalog", str(tmp_path / "catalog.json")]
+        result = runner.invoke(main, ["bounds-table", *args, "--out", str(out)])
+        assert result.exit_code == 0
+        assert json.loads(out.read_text())["config_hash"] == digest
+
 
 class TestRisk:
     def test_oracle_gap_within_ci(self, runner):

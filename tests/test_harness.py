@@ -1,11 +1,14 @@
 """Tests for Monte-Carlo risk estimation and experiment plumbing."""
 
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -309,6 +312,15 @@ class TestEstimatorEntryPoints:
         assert est.ci_low - 0.01 <= expected <= est.ci_high + 0.01
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every text ``json.loads`` parses while the test runs."""
+    texts = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: texts.append(text) or real_loads(text))
+    return texts
+
+
 class TestResultsFile:
     def test_config_hash_key_order_invariant(self):
         assert config_hash({"a": 1, "b": [1, 2]}) == config_hash({"b": [1, 2], "a": 1})
@@ -361,6 +373,103 @@ class TestResultsFile:
         assert len(parsed) == 0
         assert append_result(str(path), {"config_hash": digest}) is False
         assert len(parsed) == 1
+
+    def test_parses_each_candidate_line_once(self, tmp_path, parsed):
+        # candidates spread over several blocks: lines holding the hash (some
+        # twice), lines holding a backslash, and lines holding both
+        digest = "0123456789abcdef"
+        lines = []
+        for i in range(6000):
+            payload = {"n": i}
+            if i % 50 == 0:
+                payload["note"] = digest * (1 + i % 3)
+            if i % 50 == 25 or i % 500 == 0:
+                payload["name"] = "caf\u00e9 \\"
+            lines.append(json.dumps({"config_hash": f"{i:016x}", "payload": payload}, sort_keys=True))
+        path = tmp_path / "results.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert path.stat().st_size > 4 * harness._SCAN_BLOCK
+        assert append_result(str(path), {"config_hash": digest}) is True
+        expected = [line for line in lines if digest in line or "\\" in line]
+        assert len(expected) == 240
+        assert sorted(text.rstrip("\n") for text in parsed) == sorted(expected)
+
+    def test_hash_in_another_lines_value_appended(self, tmp_path, parsed):
+        digest = "0123456789abcdef"
+        lines = [json.dumps({"config_hash": f"{i:016x}", "payload": {"n": i}}) for i in range(3000)]
+        lines[1500] = json.dumps({"config_hash": "other", "payload": {"note": digest}})
+        path = tmp_path / "results.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert append_result(str(path), {"config_hash": digest}) is True
+        assert [text.rstrip("\n") for text in parsed] == [lines[1500]]
+        assert append_result(str(path), {"config_hash": digest}) is False
+
+    @pytest.mark.parametrize("where", ["head", "straddle", "tail"])
+    def test_line_longer_than_a_block_found(self, tmp_path, where):
+        digest = "0123456789abcdef"
+        prefix = "".join(json.dumps({"config_hash": f"{i:016x}"}) + "\n" for i in range(100))
+        before, key = '{"a": "', '", "config_hash": "'
+        pad = 3 * harness._SCAN_BLOCK
+        # "straddle" starts the hash 8 bytes before the first block ends
+        straddle = harness._SCAN_BLOCK - 8 - len(prefix + before + key)
+        head = {"head": 0, "straddle": straddle, "tail": pad}[where]
+        line = before + "x" * head + key + digest + '", "z": "' + "x" * (pad - head) + '"}\n'
+        path = tmp_path / "results.jsonl"
+        path.write_text(prefix + line + prefix)
+        offset = (prefix + line).index(digest)
+        if where == "straddle":
+            assert offset < harness._SCAN_BLOCK < offset + len(digest)
+        assert len(line) > harness._SCAN_BLOCK
+        assert append_result(str(path), {"config_hash": digest}) is False
+        assert path.read_text() == prefix + line + prefix
+
+    @pytest.mark.parametrize("block", [1, 7, harness._SCAN_BLOCK])
+    @pytest.mark.parametrize("stored", [False, True])
+    @pytest.mark.parametrize("digest", ["\nab", "ab\n", "\n", "", "\\", "a\\b"])
+    def test_newline_and_empty_hashes_terminate(self, tmp_path, parsed, digest, stored, block):
+        # a search that resumed at a line's newline, not past it, would find a
+        # hash that starts with b"\n" at the same place forever
+        raw = digest.encode()
+        lines = [b"x" + raw + b"y", raw, b'{"config_hash": "' + raw + b'"}', b'{"config_hash": "other"}']
+        if stored:
+            lines.append(json.dumps({"config_hash": digest}).encode())
+        content = b"\n".join(lines) + b"\n"
+        path = tmp_path / "results.jsonl"
+        path.write_bytes(content)
+        held = _reference_holds(content, digest)
+        parsed.clear()  # keep only the parses append_result makes
+        with mock.patch.object(harness, "_SCAN_BLOCK", block), _deadline(10):
+            appended = append_result(str(path), {"config_hash": digest})
+        assert appended is not held
+        assert not (stored and appended)
+        assert all(digest in text or "\\" in text for text in parsed)
+
+    @pytest.mark.parametrize(
+        "line", [b'{"config_hash": "abcd"}\r{"n": 1}', b'{"n": 1}\r{"config_hash": "abcd"}']
+    )
+    def test_carriage_return_does_not_end_a_line(self, tmp_path, line):
+        path = tmp_path / "results.jsonl"
+        path.write_bytes(line + b"\r\n")
+        assert _reference_holds(line, "abcd") is False
+        assert append_result(str(path), {"config_hash": "abcd"}) is True
+
+    def test_scan_memory_bounded(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        longest = 0
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(56_000):
+                payload = {"n": i, "rows": list(range(i % 50))}
+                line = json.dumps({"config_hash": f"{i:016x}", "payload": payload}) + "\n"
+                longest = max(longest, len(line))
+                fh.write(line)
+        assert path.stat().st_size >= 8 << 20
+        tracemalloc.start()
+        try:
+            assert append_result(str(path), {"config_hash": "0123456789abcdef"}) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * harness._SCAN_BLOCK + longest
 
     def test_concurrent_writers_serialized(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -433,6 +542,22 @@ for _ in range(25):
     harness.append_result(path, {"config_hash": "shared", "payload": 0})
     harness.append_result(path, {"config_hash": f"own-{worker}", "payload": worker})
 """
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the body, rather than hang, after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _reference_holds(content: bytes, digest: str) -> bool:
