@@ -74,10 +74,10 @@ class ToyConfig:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ParameterError("dimension must be >= 2")
-        if self.sigma < 0.0:
+        if not 0.0 <= self.sigma < math.inf:
             # sigma = 0 is tolerated for noiseless sampling checks; the KS
             # defense itself requires a positive sigma
-            raise ParameterError("sigma must be nonnegative")
+            raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ParameterError("gamma must be in [0, 1]")
         if self.n < 1:
@@ -254,13 +254,17 @@ class ImpossibilityConfig:
         object.__setattr__(self, "m", m)
 
 
-def _draw_given_anchors(
-    anchors: np.ndarray, config: ImpossibilityConfig, rng: np.random.Generator
+def _draw_anchored(
+    rows: int, config: ImpossibilityConfig, rng: np.random.Generator, rate, anchor: Callable
 ) -> np.ndarray:
-    x0 = rng.integers(0, config.k, config.n)
-    g = rng.random(config.n) < config.gamma
-    v = rng.integers(0, config.m, config.n)
-    return np.where(g, anchors[v], x0)
+    """(rows, n) uniform symbols, each replaced at ``rate`` (a scalar or a
+    per-row column) by ``anchor(row, v)``, the row's anchor at a uniform
+    index v < m. Draws symbols, coins, indices, then what ``anchor`` draws."""
+    x = rng.integers(0, config.k, (rows, config.n))
+    g = rng.random((rows, config.n)) < rate
+    v = rng.integers(0, config.m, (rows, config.n))
+    x[g] = anchor(np.nonzero(g)[0], v[g])
+    return x
 
 
 def imposs_conditional_sampler(
@@ -275,7 +279,8 @@ def imposs_conditional_sampler(
     if anchors.size != config.m:
         raise ParameterError(f"expected {config.m} anchors, got {anchors.size}")
     rng = substream(seed, Domain.PROBE_SAMPLER)
-    return SymbolDataset(_draw_given_anchors(anchors, config, rng), config.k)
+    x = _draw_anchored(1, config, rng, config.gamma, lambda row, v: anchors[v])
+    return SymbolDataset(x[0], config.k)
 
 
 def imposs_sampler(config: ImpossibilityConfig, seed: int) -> SymbolDataset:
@@ -288,7 +293,8 @@ def imposs_sampler(config: ImpossibilityConfig, seed: int) -> SymbolDataset:
     """
     rng = substream(seed, Domain.PROBE_SAMPLER)
     anchors = rng.integers(0, config.k, config.m)
-    return SymbolDataset(_draw_given_anchors(anchors, config, rng), config.k)
+    x = _draw_anchored(1, config, rng, config.gamma, lambda row, v: anchors[v])
+    return SymbolDataset(x[0], config.k)
 
 
 def imposs_risk_floor(n: int, m: int) -> float:
@@ -303,18 +309,18 @@ def _probe_risk(
 ) -> RiskEstimate:
     """Risk of a block scorer over the probe's trials: fair labels J, J = 0
     rows uniform i.i.d., J = 1 rows from the adversarial construction."""
-    k, n, m = config.k, config.n, config.m
 
     def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
         j = data.integers(0, 2, rows)
-        symbols = data.integers(0, k, (rows, n))
-        anchored = (data.random((rows, n)) < config.gamma) & (j[:, None] == 1)
-        v = data.integers(0, m, (rows, n))
-        # The anchors are i.i.d. uniform, so drawing one per distinct
-        # (row, anchor index) that a row references has the law of drawing
-        # all m per row, without a dense rows x m table.
-        cells, which = np.unique(np.nonzero(anchored)[0] * m + v[anchored], return_inverse=True)
-        symbols[anchored] = data.integers(0, k, cells.size)[which]
+
+        def anchor(row: np.ndarray, v: np.ndarray) -> np.ndarray:
+            # The anchors are i.i.d. uniform, so drawing one per distinct
+            # (row, anchor index) that a row references has the law of
+            # drawing all m per row, without a dense rows x m table.
+            cells, which = np.unique(row * config.m + v, return_inverse=True)
+            return data.integers(0, config.k, cells.size)[which]
+
+        symbols = _draw_anchored(rows, config, data, config.gamma * j[:, None], anchor)
         return int(np.count_nonzero(score(symbols, detector_rng) != j))
 
     return wilson_interval(count_errors(step, trials, seed, (Domain.PROBE,)), trials)

@@ -20,13 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .distributions import (
-    ENUMERATION_CAP,
-    Categorical,
-    DistributionPair,
-    mix,
-    product_tv_exact,
-)
+from .distributions import Categorical, DistributionPair, mix, product_tv_exact
 from .errors import ParameterError
 
 def _is_number(value: object) -> bool:
@@ -231,12 +225,12 @@ def type3_risk_floor(gamma: float, n: int, tv: float) -> float:
     return max(0.0, 0.5 - 0.5 * gamma * n * tv)
 
 
-def exact_type3_risk(pair: DistributionPair, n: int, cap: int = ENUMERATION_CAP) -> float:
+def exact_type3_risk(pair: DistributionPair, n: int) -> float:
     """Exact optimal risk 1/2 - TV(P0^N, P1^N)/2, summed over the types of N draws.
 
-    Raises :class:`ResourceCapError` when the C(N+K-1, K-1) types exceed ``cap``.
+    Raises :class:`ResourceCapError` when the C(N+K-1, K-1) types exceed 1e7.
     """
-    return 0.5 - 0.5 * product_tv_exact(pair.p0, mix(pair), n, cap)
+    return 0.5 - 0.5 * product_tv_exact(pair.p0, mix(pair), n)
 
 
 def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> DistributionPair:

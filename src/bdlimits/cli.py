@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation error, 3 resource cap exceeded. Every
-randomized subcommand takes --seed (default 0, never wall clock), and the
-payload printed to stdout is a deterministic function of the flags. Records
-appended via --out additionally carry a timestamp and a config hash used
-for deduplication.
+Exit codes: 0 success, 2 validation error, 3 resource cap exceeded (the
+oracle's enumeration cap, or memory). Every randomized subcommand takes
+--seed (default 0, never wall clock), and the payload printed to stdout is a
+deterministic function of the flags. Records appended via --out additionally
+carry a timestamp and a config hash used for deduplication.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class _Main(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except ResourceCapError as exc:
-            _fail(str(exc), 3)
+        except (ResourceCapError, MemoryError) as exc:
+            _fail(str(exc) or "out of memory", 3)
         except (BdLimitsError, OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             _fail(str(exc), 2)
 
@@ -169,12 +169,9 @@ def risk(
         payload["oracle_gap"] = abs(estimate.p_hat - exact)
     config = {
         "command": "risk",
-        "detector": detector_name,
         "pair": pair.to_jsonable(),
-        "n": n,
-        "trials": trials,
-        "seed": seed,
         "oracle": oracle,
+        **{key: payload[key] for key in ("detector", "n", "trials", "seed")},
     }
     _emit("risk", config, payload, out)
 
@@ -284,10 +281,7 @@ def toy(
         click.echo(f"warning: |v| = {norm:.6f}, normalizing", err=True)
     if seeds < 1:
         raise ParameterError("--seeds must be >= 1")
-    records = []
-    for s in range(seed, seed + seeds):
-        report = toy_attack_report(config, s)
-        records.append({"seed": s, **report.to_jsonable()})
+    records = [{"seed": s, **toy_attack_report(config, s).to_jsonable()} for s in range(seed, seed + seeds)]
     if svg_path:
         _toy_svg(svg_path, config, seed)
     if csv_path:
@@ -302,22 +296,14 @@ def toy(
     }
     if seeds > 1:
         payload["summary"] = {
-            "median_p_value": statistics.median(r["p_value"] for r in records),
-            "median_attack_success_rate": statistics.median(
-                r["attack_success_rate"] for r in records
-            ),
-            "median_clean_accuracy": statistics.median(
-                r["clean_accuracy"] for r in records
-            ),
+            f"median_{key}": statistics.median(r[key] for r in records)
+            for key in ("p_value", "attack_success_rate", "clean_accuracy")
         }
     config_doc = {
         "command": "toy",
-        "n": n,
-        "gamma": gamma,
-        "sigma": sigma,
-        "v": [float(x) for x in config.v],
         "seeds": seeds,
         "seed": seed,
+        **{key: payload[key] for key in ("n", "gamma", "sigma", "v")},
     }
     _emit("toy", config_doc, payload, out)
 
@@ -361,13 +347,7 @@ def probe(
     }
     config_doc = {
         "command": "probe",
-        "k": k,
-        "beta": beta,
-        "gamma": gamma,
-        "n": n,
-        "detector": detector_name,
-        "trials": trials,
-        "seed": seed,
+        **{key: payload[key] for key in ("k", "beta", "gamma", "n", "detector", "trials", "seed")},
     }
     _emit("probe", config_doc, payload, out)
     click.echo(

@@ -132,19 +132,6 @@ class SymbolDataset:
     def __len__(self) -> int:
         return int(self.symbols.size)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "symbols": [int(s) for s in self.symbols],
-            "alphabet_size": int(self.alphabet_size),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "SymbolDataset":
-        return cls(
-            np.asarray(data["symbols"], dtype=np.int64),
-            int(data["alphabet_size"]),
-        )
-
 
 @dataclass(frozen=True)
 class DistributionPair:
@@ -302,9 +289,7 @@ def tv_to_type(p: Categorical, d: SymbolDataset) -> float:
     return float(type_distances(d.symbols[None, :], lambda row, sym: p.probs[sym])[0])
 
 
-def product_tv_exact(
-    p0: Categorical, p1: Categorical, n: int, cap: int = ENUMERATION_CAP
-) -> float:
+def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     """Exact TV distance between the n-fold product distributions.
 
     The type c (count vector) of an outcome is sufficient, so the distance
@@ -314,7 +299,7 @@ def product_tv_exact(
     weight, log p0 mass, log p1 mass, remaining count, next symbol). They
     are expanded depth first in chunks of ``_TYPE_CHUNK`` children, so at
     most min(n, K) chunks are held at once. Raises
-    :class:`ResourceCapError` above ``cap`` types.
+    :class:`ResourceCapError` above ``ENUMERATION_CAP`` types.
     """
     if p0.alphabet_size != p1.alphabet_size:
         raise AlphabetMismatchError(
@@ -324,9 +309,9 @@ def product_tv_exact(
         raise ParameterError("n must be >= 1")
     k = p0.alphabet_size
     types = math.comb(n + k - 1, k - 1)
-    if types > cap:
+    if types > ENUMERATION_CAP:
         raise ResourceCapError(
-            f"{types} types of {n} draws on {k} symbols exceed the enumeration cap {cap}"
+            f"{types} types of {n} draws on {k} symbols exceed the enumeration cap {ENUMERATION_CAP}"
         )
     # counts placed are >= 1, so a zero mass gives log -inf and never 0 * log 0
     with np.errstate(divide="ignore"):

@@ -50,7 +50,7 @@ from .distributions import (
     type_distances,
 )
 from .errors import ConfigurationError, ParameterError
-from .rng import BlockStep, Domain, block_errors, count_errors  # noqa: F401
+from .rng import BlockStep, Domain, count_errors
 
 #: bytes the results-file scan reads at a time, before it completes the last line
 _SCAN_BLOCK = 1 << 16
@@ -88,13 +88,13 @@ class RiskEstimate:
         }
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z99) -> RiskEstimate:
+def wilson_interval(errors: int, trials: int) -> RiskEstimate:
     """Wilson score interval; well behaved near risks of 0 and 1."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if not 0 <= errors <= trials:
         raise ParameterError("error count outside [0, trials]")
-    p = errors / trials
+    p, z = errors / trials, _Z99
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))

@@ -16,7 +16,7 @@ consequences the rest of the package relies on:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,15 +53,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def blocks(trials: int) -> Iterator[tuple[int, int]]:
-    """(block index, rows) for each block of ``trials`` trials, in order.
-
-    Every block holds :data:`BLOCK` rows except possibly the last.
-    """
-    for index, start in enumerate(range(0, trials, BLOCK)):
-        yield index, min(BLOCK, trials - start)
-
-
 #: One block of trials: (rows, data generator, detector generator) to the
 #: number of the block's trials that count, e.g. wrong verdicts.
 BlockStep = Callable[[int, np.random.Generator, np.random.Generator], int]
@@ -78,5 +69,8 @@ def block_errors(step: BlockStep, seed: int, path: Sequence[int], index: int, ro
 
 
 def count_errors(step: BlockStep, trials: int, seed: int, path: Sequence[int]) -> int:
-    """Errors over ``trials`` trials, run in blocks and summed in block order."""
-    return sum(block_errors(step, seed, path, index, rows) for index, rows in blocks(trials))
+    """Errors over ``trials`` trials, in blocks of :data:`BLOCK` summed in block order."""
+    return sum(
+        block_errors(step, seed, path, index, min(BLOCK, trials - start))
+        for index, start in enumerate(range(0, trials, BLOCK))
+    )

@@ -352,6 +352,17 @@ class TestImpossibilitySampler:
         expected = ((1 - gamma) / k + gamma * q) * pooled.size
         assert chisquare(counts, expected).pvalue > 1e-4
 
+    def test_sampler_golden(self):
+        # seed 3 on substream(3, PROBE_SAMPLER): anchors first, then the
+        # uniform symbols, the anchor coins and the anchor indices
+        cfg = ImpossibilityConfig(k=50, beta=0.1, gamma=0.5, n=8)
+        assert imposs_sampler(cfg, 3).symbols.tolist() == [3, 3, 9, 9, 49, 9, 49, 9]
+
+    def test_conditional_sampler_golden(self):
+        cfg = ImpossibilityConfig(k=50, beta=0.1, gamma=0.5, n=8)
+        d = imposs_conditional_sampler([7, 7, 11, 13, 40], cfg, 3)
+        assert d.symbols.tolist() == [37, 7, 49, 11, 11, 7, 13, 7]
+
     def test_conditional_wrong_anchor_count_rejected(self):
         cfg = ImpossibilityConfig(k=40, beta=0.125, gamma=0.5, n=10)
         with pytest.raises(ParameterError):

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bdlimits import ToyConfig, exact_type3_risk, projections, toy_poison, toy_sample_clean
+from bdlimits import ToyConfig, cli, exact_type3_risk, projections, toy_poison, toy_sample_clean
 from bdlimits.cli import main
 from bdlimits.harness import uniform_vs_point_mass
 
@@ -33,6 +33,24 @@ def assert_clean_failure(result, code: int) -> None:
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+def assert_config_hash(runner, tmp_path, args: list[str], digest: str) -> None:
+    """The ``--out`` record of ``args`` carries ``digest``, so results files
+    written by earlier versions still deduplicate."""
+    out = tmp_path / "results.jsonl"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["config_hash"] == digest
+
+
+def raise_memory_error(message: str):
+    """A stand-in for a computation whose allocation fails."""
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    return fail
 
 
 def payload_of(result) -> dict:
@@ -184,6 +202,16 @@ class TestRisk:
         expected = exact_type3_risk(uniform_vs_point_mass(3, 0.5, 0.5), 40)
         assert payload_of(result)["oracle_exact"] == expected
 
+    def test_config_hash_pinned(self, runner, tmp_path):
+        assert_config_hash(runner, tmp_path, ["risk"], "77bc81b1c37af499")
+
+    def test_memory_error_exits_3(self, runner, monkeypatch):
+        # a message-less MemoryError still gets a non-empty error line
+        monkeypatch.setattr(cli, "estimate_risk", raise_memory_error(""))
+        result = runner.invoke(main, ["risk", "--trials", "100"])
+        assert_clean_failure(result, 3)
+        assert result.stderr == "error: out of memory\n"
+
     def test_bad_pair_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "pair.json"
         path.write_text('{"p0": [0.9, 0.1]}')
@@ -245,6 +273,18 @@ class TestToy:
         # inf / inf would warn and then fail as a NaN direction does
         self.assert_direction_rejected(runner, "inf,0", "[inf, 0.0]")
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_2(self, runner, sigma):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["toy", "--n", "40", "--sigma", sigma])
+        assert_clean_failure(result, 2)
+        assert result.stderr == f"error: sigma must be finite and nonnegative, got {sigma}\n"
+        assert caught == []
+
+    def test_config_hash_pinned(self, runner, tmp_path):
+        assert_config_hash(runner, tmp_path, ["toy"], "2a9ce80950d6d23a")
+
     def test_gamma_zero_success_near_clean_error(self, runner):
         result = runner.invoke(
             main, ["toy", "--n", "400", "--gamma", "0", "--v", "1,0", "--seeds", "1"]
@@ -304,6 +344,16 @@ class TestProbe:
 
     def test_deterministic_output(self, runner):
         assert runner.invoke(main, self.ARGS).stdout == runner.invoke(main, self.ARGS).stdout
+
+    def test_config_hash_pinned(self, runner, tmp_path):
+        assert_config_hash(runner, tmp_path, self.ARGS, "40764c65042c0bf9")
+
+    def test_memory_error_exits_3(self, runner, monkeypatch):
+        message = "Unable to allocate 7.28 TiB for an array with shape (4096, 100000000000)"
+        monkeypatch.setattr(cli, "imposs_risk", raise_memory_error(message))
+        result = runner.invoke(main, self.ARGS)
+        assert_clean_failure(result, 3)
+        assert result.stderr == f"error: {message}\n"
 
     def test_default_golden(self, runner):
         # K = 1e5, n = 20, gamma = 1, beta = 0.01, seed 0: 4966 errors in 10^4 trials

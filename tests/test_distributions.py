@@ -341,9 +341,3 @@ class TestSymbolDataset:
     def test_rejects_out_of_alphabet(self):
         with pytest.raises(ParameterError):
             SymbolDataset(np.array([0, 3]), 3)
-
-    def test_json_round_trip(self):
-        d = SymbolDataset(np.array([0, 2, 1]), 3)
-        restored = SymbolDataset.from_jsonable(d.to_jsonable())
-        assert np.array_equal(restored.symbols, d.symbols)
-        assert restored.alphabet_size == 3

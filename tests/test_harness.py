@@ -40,8 +40,8 @@ from bdlimits import (
     wilson_interval,
 )
 from bdlimits import harness
-from bdlimits.harness import append_result, block_errors, config_hash, risk_step
-from bdlimits.rng import BLOCK, Domain, substream
+from bdlimits.harness import append_result, config_hash, risk_step
+from bdlimits.rng import BLOCK, Domain, block_errors, substream
 
 
 def pair_of(p0, pb, gamma, beta=0.0):
