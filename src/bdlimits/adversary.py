@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from .detectors import KsResult, ks_pvalue, ks_statistic
+from .detectors import KsResult, ks_pvalue, ks_statistic, normal_cdf
 from .distributions import Categorical, DistributionPair, SymbolDataset
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
 from .harness import Detector, RiskEstimate, wilson_interval
@@ -96,13 +95,30 @@ class ToyConfig:
     def from_direction(
         cls, v: Sequence[float], sigma: float, gamma: float, n: int
     ) -> "ToyConfig":
-        arr = np.asarray(v, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError(f"direction v = {arr.tolist()} must be finite")
+        unit, _ = unit_direction(v)
+        return cls(k=unit.size, sigma=sigma, gamma=gamma, n=n, v=unit)
+
+
+def unit_direction(v: Sequence[float]) -> tuple[np.ndarray, float]:
+    """v / |v| and |v| for a finite nonzero vector.
+
+    ``np.linalg.norm`` squares the entries, so it reads 0 or inf when they
+    under- or overflow. Only then is v divided by max|v_i| first; any other
+    vector keeps the bits of v / np.linalg.norm(v).
+    """
+    arr = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"direction v = {arr.tolist()} must be finite")
+    scale = 1.0
+    with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
+    if norm == 0.0 or norm == math.inf:
+        scale = float(np.abs(arr).max())
+        if scale == 0.0:
             raise ParameterError("direction must be nonzero")
-        return cls(k=arr.size, sigma=sigma, gamma=gamma, n=n, v=arr / norm)
+        arr = arr / scale
+        norm = float(np.linalg.norm(arr))
+    return arr / norm, scale * norm
 
 
 #: Fresh samples per evaluation set in :func:`toy_attack_report`.
@@ -114,7 +130,11 @@ def _draw_clean(
 ) -> tuple[np.ndarray, np.ndarray]:
     y = rng.integers(0, 2, n) * 2 - 1
     w = rng.standard_normal((n, config.k))
-    return y, y[:, None] * np.ones(config.k) + config.sigma * w
+    with np.errstate(over="ignore"):
+        z = y[:, None] * np.ones(config.k) + config.sigma * w
+    if not np.isfinite(z).all():
+        raise ParameterError(f"sigma = {config.sigma} overflows the drawn features")
+    return y, z
 
 
 def toy_sample_clean(config: ToyConfig, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +177,7 @@ def toy_ks_defense(y: np.ndarray, z: np.ndarray, config: ToyConfig) -> KsResult:
     if config.sigma == 0.0:
         raise ParameterError("the KS defense requires a positive sigma")
     f = projections(y, z, config)
-    cdf = lambda x: ndtr((x - config.mu) / config.sigma)  # noqa: E731
+    cdf = lambda x: normal_cdf((x - config.mu) / config.sigma)  # noqa: E731
     stat = ks_statistic(f, cdf)
     return KsResult(statistic=stat, p_value=ks_pvalue(stat, f.size), n=f.size)
 

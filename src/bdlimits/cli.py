@@ -31,6 +31,7 @@ from .adversary import (
     toy_sample_clean,
     toy_train_classifier,
     projections,
+    unit_direction,
 )
 from .bounds import exact_type3_risk
 from .distributions import DistributionPair
@@ -275,10 +276,10 @@ def toy(
         v = np.array([float(part) for part in v_text.split(",")])
     except ValueError as exc:
         raise ParameterError(f"cannot parse --v: {exc}") from exc
-    config = ToyConfig.from_direction(v, sigma=sigma, gamma=gamma, n=n)
-    norm = float(np.linalg.norm(v))
+    unit, norm = unit_direction(v)
+    config = ToyConfig(k=unit.size, sigma=sigma, gamma=gamma, n=n, v=unit)
     if abs(norm - 1.0) > 1e-9:
-        click.echo(f"warning: |v| = {norm:.6f}, normalizing", err=True)
+        click.echo(f"warning: |v| = {norm:.6g}, normalizing", err=True)
     if seeds < 1:
         raise ParameterError("--seeds must be >= 1")
     records = [{"seed": s, **toy_attack_report(config, s).to_jsonable()} for s in range(seed, seed + seeds)]

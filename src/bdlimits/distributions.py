@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AlphabetMismatchError, ParameterError, ResourceCapError
 from .rng import Domain, count_errors, substream
@@ -75,8 +74,10 @@ class Categorical:
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Symbols at cumulative-mass levels u in [0, 1), by inverting the CDF."""
+        # searchsorted returns int64 already; clipping in place keeps a block
+        # draw at two arrays, the uniforms and the symbols
         idx = np.searchsorted(self._cdf, u, side="right")
-        return np.minimum(idx, self.alphabet_size - 1).astype(np.int64)
+        return np.minimum(idx, self.alphabet_size - 1, out=idx)
 
     @classmethod
     def uniform(cls, k: int) -> "Categorical":
@@ -289,6 +290,11 @@ def tv_to_type(p: Categorical, d: SymbolDataset) -> float:
     return float(type_distances(d.symbols[None, :], lambda row, sym: p.probs[sym])[0])
 
 
+def log_factorials(n: int) -> np.ndarray:
+    """The table log c! for c = 0..n, one ``math.lgamma`` per entry."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+
+
 def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     """Exact TV distance between the n-fold product distributions.
 
@@ -316,11 +322,12 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     # counts placed are >= 1, so a zero mass gives log -inf and never 0 * log 0
     with np.errstate(divide="ignore"):
         log0, log1 = np.log(p0.probs), np.log(p1.probs)
+    log_factorial = log_factorials(n)
     sums: list[float] = []
     # entries: (log weight, log p0 mass, log p1 mass, remaining count, next
     # symbol) per partial type, and the first child still to expand
     zero = np.zeros(1)
-    stack = [(zero + gammaln(n + 1), zero, zero, np.array([n]), np.array([0]), 0)]
+    stack = [(zero + log_factorial[n], zero, zero, np.array([n]), np.array([0]), 0)]
     while stack:
         lw, l0, l1, rem, first, start = stack.pop()
         # a partial type's children put c in 1..rem draws on a symbol
@@ -336,7 +343,7 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
         rem = rem[parent]
         sym = first[parent] + local // rem
         counts = np.where(sym == k - 1, rem, local % rem + 1)
-        lw = lw[parent] - gammaln(counts + 1)
+        lw = lw[parent] - log_factorial[counts]
         l0 = l0[parent] + counts * log0[sym]
         l1 = l1[parent] + counts * log1[sym]
         rem = rem - counts
@@ -349,7 +356,8 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
         more = live & (rem > 0)
         if more.any():
             stack.append((lw[more], l0[more], l1[more], rem[more], sym[more] + 1, 0))
-    return 0.5 * math.fsum(sums)
+    # the terms are nonnegative; rounding can lift their sum past 1 at large n
+    return min(0.5 * math.fsum(sums), 1.0)
 
 
 def type_exceedance_frequency(

@@ -282,6 +282,28 @@ class TestToy:
         assert result.stderr == f"error: sigma must be finite and nonnegative, got {sigma}\n"
         assert caught == []
 
+    def test_overflowing_sigma_exits_2(self, runner):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["toy", "--n", "40", "--v", "1,0", "--sigma", "1e308"])
+        assert_clean_failure(result, 2)
+        assert result.stderr == "error: sigma = 1e+308 overflows the drawn features\n"
+        assert caught == []
+
+    @pytest.mark.parametrize("v", ["1e-200,1e-200", "1e308,1e308"])
+    def test_tiny_and_huge_directions_normalize(self, runner, tmp_path, v):
+        # the squares of these entries under- or overflow
+        def run(direction: str):
+            out = tmp_path / f"{direction}.jsonl"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = runner.invoke(main, ["toy", "--n", "40", "--v", direction, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert caught == []
+            return result.stdout, json.loads(out.read_text())["config_hash"]
+
+        assert run(v) == run("1,1")
+
     def test_config_hash_pinned(self, runner, tmp_path):
         assert_config_hash(runner, tmp_path, ["toy"], "2a9ce80950d6d23a")
 

@@ -29,6 +29,7 @@ from bdlimits import (
     type1_trial_detector,
     type2_trial_detector,
 )
+from bdlimits.detectors import kolmogorov_sf, normal_cdf
 from bdlimits.rng import substream
 
 
@@ -105,6 +106,38 @@ class TestKsStatistic:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             ks_statistic([], lambda x: ndtr(x))
+
+
+class TestNormalCdf:
+    """The package's normal CDF against scipy's ``ndtr`` as a reference."""
+
+    def test_matches_ndtr(self):
+        x = np.concatenate([np.linspace(-30.0, 30.0, 60001), [-30.0, -8.0, 8.0, 30.0]])
+        got, ref = normal_cdf(x), ndtr(x)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+    def test_infinities_and_shape(self):
+        x = np.array([[-np.inf, 0.0], [np.inf, -8.0]])
+        got = normal_cdf(x)
+        assert got.shape == x.shape
+        assert got[0, 0] == 0.0 and got[0, 1] == 0.5 and got[1, 0] == 1.0
+        assert got[1, 1] == pytest.approx(ndtr(-8.0), rel=1e-13)
+
+
+class TestKolmogorovSf:
+    """The two fixed-length series against scipy's ``kolmogorov``."""
+
+    def test_matches_kolmogorov(self):
+        lam = np.concatenate(
+            [np.linspace(0.0, 20.0, 40001), [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.82, 1e-3, 40.0, 1e6]]
+        )
+        err = max(abs(kolmogorov_sf(float(x)) - kolmogorov(x)) for x in lam)
+        assert err <= 1e-14, err
+
+    def test_ends(self):
+        assert kolmogorov_sf(0.0) == 1.0
+        assert kolmogorov_sf(-1.0) == 1.0
+        assert kolmogorov_sf(40.0) == 0.0
 
 
 class TestKsPvalue:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from bdlimits import (
     AlphabetMismatchError,
@@ -17,6 +18,7 @@ from bdlimits import (
     ParameterError,
     ResourceCapError,
     SymbolDataset,
+    exact_type3_risk,
     mix,
     product_tv_exact,
     sample,
@@ -24,7 +26,8 @@ from bdlimits import (
     tv_to_type,
     type_exceedance_frequency,
 )
-from bdlimits.distributions import sparse_types
+from bdlimits.distributions import draw_symbols, log_factorials, sparse_types
+from bdlimits.harness import uniform_vs_point_mass
 from bdlimits.rng import substream
 
 
@@ -93,6 +96,20 @@ class TestCategorical:
         c = Categorical.uniform(3)
         with pytest.raises(ValueError):
             c.probs[0] = 0.9
+
+    def test_block_draw_holds_two_arrays(self):
+        # the uniforms and the symbols; clipping the symbols must not copy them
+        p, shape = Categorical.uniform(4), (4096, 20)
+        rng = np.random.default_rng(0)
+        draw_symbols(p, shape, rng)
+        tracemalloc.start()
+        try:
+            symbols = draw_symbols(p, shape, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert symbols.dtype == np.int64
+        assert peak <= 2 * 8 * 4096 * 20 + 16 * 1024, peak
 
     def test_json_round_trip(self):
         c = probs(0.25, 0.5, 0.25)
@@ -288,6 +305,21 @@ class TestProductTv:
         rng = substream(13, k, n)
         p0, p1 = (Categorical(rng.dirichlet(np.ones(k))) for _ in range(2))
         assert abs(product_tv_exact(p0, p1, n) - float(rational_tv(p0, p1, n))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "k, gamma, beta, n", [(2, 0.8, 0.2, 5000), (3, 0.9, 0.3, 1000), (2, 0.5, 0.5, 300000)]
+    )
+    def test_at_most_one_at_large_n(self, k, gamma, beta, n):
+        # unclamped, the summed terms exceed 1 by 5e-13 to 3e-10 here and the risk
+        # goes negative
+        pair = uniform_vs_point_mass(k, gamma, beta)
+        assert product_tv_exact(pair.p0, mix(pair), n) <= 1.0
+        assert exact_type3_risk(pair, n) >= 0.0
+
+    def test_log_factorials_match_gammaln(self):
+        table = log_factorials(20000)
+        assert table.shape == (20001,)
+        np.testing.assert_allclose(table, gammaln(np.arange(20001) + 1.0), rtol=1e-15, atol=0.0)
 
     def test_memory_bounded(self):
         # 1.6e6 types; a (types x K) count matrix alone would take 380 MB
