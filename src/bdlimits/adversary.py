@@ -21,7 +21,7 @@ exp(-N^2 / (M - N)) / 2 with M anchors and N training samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from .detectors import KsResult, ks_pvalue, ks_statistic, normal_cdf
 from .distributions import Categorical, DistributionPair, SymbolDataset
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
-from .harness import Detector, RiskEstimate, wilson_interval
+from .harness import Detector, RiskEstimate, per_row, wilson_interval
 from .rng import Domain, count_errors, substream
 
 
@@ -82,8 +82,6 @@ class ToyConfig:
         if self.n < 1:
             raise ParameterError("n must be >= 1")
         v = np.asarray(self.v, dtype=float)
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
-            raise ParameterError("v must be a unit vector; use from_direction")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "mu", float(v.sum()))
@@ -121,22 +119,6 @@ def unit_direction(v: Sequence[float]) -> tuple[np.ndarray, float]:
     return arr / norm, scale * norm
 
 
-#: Fresh samples per evaluation set in :func:`toy_attack_report`.
-_EVAL_SAMPLES = 2000
-
-
-def _draw_clean(
-    config: ToyConfig, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    y = rng.integers(0, 2, n) * 2 - 1
-    w = rng.standard_normal((n, config.k))
-    with np.errstate(over="ignore"):
-        z = y[:, None] * np.ones(config.k) + config.sigma * w
-    if not np.isfinite(z).all():
-        raise ParameterError(f"sigma = {config.sigma} overflows the drawn features")
-    return y, z
-
-
 def toy_sample_clean(config: ToyConfig, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n clean samples (y, z): y uniform on {-1, +1}, z = y*1 + sigma*w.
 
@@ -144,7 +126,14 @@ def toy_sample_clean(config: ToyConfig, n: int, seed: int) -> tuple[np.ndarray, 
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    return _draw_clean(config, n, substream(seed, Domain.TOY_CLEAN))
+    rng = substream(seed, Domain.TOY_CLEAN)
+    y = rng.integers(0, 2, n) * 2 - 1
+    w = rng.standard_normal((n, config.k))
+    with np.errstate(over="ignore"):
+        z = y[:, None] * np.ones(config.k) + config.sigma * w
+    if not np.isfinite(z).all():
+        raise ParameterError(f"sigma = {config.sigma} overflows the drawn features")
+    return y, z
 
 
 def toy_backdoor(
@@ -214,32 +203,32 @@ class ToyAttackReport:
     attack_success_rate: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "p_value": self.p_value,
-            "ks_statistic": self.ks_statistic,
-            "clean_accuracy": self.clean_accuracy,
-            "attack_success_rate": self.attack_success_rate,
-        }
+        return asdict(self)
 
 
 def toy_attack_report(config: ToyConfig, seed: int) -> ToyAttackReport:
     """Run the full pipeline: sample, poison, test, train, evaluate.
 
-    The attack success rate is the fraction of freshly backdoored samples
-    that the poisoned-data classifier assigns to their flipped target label;
-    clean accuracy is measured on fresh clean samples.
+    The fit sign(w . z + b) is linear and the features Gaussian, so with
+    s = sigma |w|, a = w . 1 and t = w . (1 + delta) the clean accuracy is
+    exactly Phi((a + b)/s)/2 + Phi((a - b)/s)/2, and the attack success rate
+    (backdoored samples given their flipped label) Phi(-(t + b)/s)/2 +
+    Phi((b - t)/s)/2. A quotient at s = 0 or past overflow is +-inf.
     """
     poisoned = toy_poison(*toy_sample_clean(config, config.n, seed), config, seed)
     ks = toy_ks_defense(*poisoned, config)
     clf = toy_train_classifier(*poisoned)
 
-    y, z = _draw_clean(config, _EVAL_SAMPLES, substream(seed, Domain.TOY_EVAL))
-    yb, zb = toy_backdoor(y, z, config)
+    w, b = clf.w, clf.b
+    s = config.sigma * float(np.linalg.norm(w))
+    a, t = float(w.sum()), float(w @ (1.0 + config.delta))
+    with np.errstate(divide="ignore", over="ignore"):
+        phi = normal_cdf(np.array([a + b, a - b, -(t + b), b - t]) / s)
     return ToyAttackReport(
         p_value=ks.p_value,
         ks_statistic=ks.statistic,
-        clean_accuracy=float(np.mean(clf.predict(z) == y)),
-        attack_success_rate=float(np.mean(clf.predict(zb) == yb)),
+        clean_accuracy=0.5 * float(phi[0] + phi[1]),
+        attack_success_rate=0.5 * float(phi[2] + phi[3]),
     )
 
 
@@ -324,11 +313,29 @@ def imposs_risk_floor(n: int, m: int) -> float:
     return 0.5 * math.exp(-(n * n) / (m - n))
 
 
-def _probe_risk(
-    score: Callable[..., np.ndarray], config: ImpossibilityConfig, trials: int, seed: int
+def imposs_risk(
+    detector: Detector, config: ImpossibilityConfig, trials: int, seed: int
 ) -> RiskEstimate:
-    """Risk of a block scorer over the probe's trials: fair labels J, J = 0
-    rows uniform i.i.d., J = 1 rows from the adversarial construction."""
+    """Monte-Carlo risk of a clean-distribution detector against the sampler.
+
+    J = 0 trials feed the detector genuine uniform i.i.d. data, J = 1 trials
+    feed it the adversarial construction. ``detector`` is a harness
+    detector, bound once to the clean view it may honestly hold: the pair
+    (uniform, uniform, gamma, beta) with mixture p1 = uniform, since the
+    adversarial data's marginal law is exactly uniform. Its scorer gets each
+    block of trials at once, keyed (seed, PROBE, block), with the block's
+    detector generator. A detector that uses its generator is a mixture of
+    fixed detectors, so the floor :func:`imposs_risk_floor` still holds.
+    """
+    if trials < 100:
+        raise ParameterError("at least 100 trials are required")
+    if config.m <= config.n:
+        raise ParameterError(
+            f"floor(beta*k) = {config.m} must exceed n = {config.n}; "
+            "increase k or beta, or decrease n"
+        )
+    uniform = Categorical.uniform(config.k)
+    score = detector(DistributionPair(uniform, uniform, config.gamma, config.beta), uniform)
 
     def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
         j = data.integers(0, 2, rows)
@@ -346,56 +353,13 @@ def _probe_risk(
     return wilson_interval(count_errors(step, trials, seed, (Domain.PROBE,)), trials)
 
 
-def _check_probe(config: ImpossibilityConfig, trials: int) -> None:
-    if trials < 100:
-        raise ParameterError("at least 100 trials are required")
-    if config.m <= config.n:
-        raise ParameterError(
-            f"floor(beta*k) = {config.m} must exceed n = {config.n}; "
-            "increase k or beta, or decrease n"
-        )
-
-
-def imposs_risk(
-    detector: Detector, config: ImpossibilityConfig, trials: int, seed: int
-) -> RiskEstimate:
-    """Monte-Carlo risk of a clean-distribution detector against the sampler.
-
-    J = 0 trials feed the detector genuine uniform i.i.d. data, J = 1 trials
-    feed it the adversarial construction. ``detector`` is a harness
-    detector, bound once to the clean view it may honestly hold: the pair
-    (uniform, uniform, gamma, beta) with mixture p1 = uniform, since the
-    adversarial data's marginal law is exactly uniform. Its scorer gets each
-    block of trials at once, keyed (seed, PROBE, block), with the block's
-    detector generator. A detector that uses its generator is a mixture of
-    fixed detectors, so the floor :func:`imposs_risk_floor` still holds.
-    """
-    _check_probe(config, trials)
-    uniform = Categorical.uniform(config.k)
-    score = detector(DistributionPair(uniform, uniform, config.gamma, config.beta), uniform)
-    return _probe_risk(score, config, trials, seed)
-
-
 def imposs_probe(
     detector: Callable[[SymbolDataset, Categorical], int],
     config: ImpossibilityConfig,
     trials: int,
     seed: int,
 ) -> RiskEstimate:
-    """:func:`imposs_risk` for a fixed detector ``detector(d, p0)``.
-
-    The same trials, with the detector called once per row on that row as a
-    :class:`SymbolDataset` and the uniform distribution as p0. No
-    :class:`DistributionPair` is built, so every config is accepted,
-    ``beta = 1`` included.
-    """
-    _check_probe(config, trials)
-    k = config.k
-    p0 = Categorical.uniform(k)
-
-    def score(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.fromiter(
-            (int(detector(SymbolDataset(row, k), p0)) for row in symbols), dtype=np.int64
-        )
-
-    return _probe_risk(score, config, trials, seed)
+    """:func:`imposs_risk` for a fixed detector ``detector(d, p0)``, lifted
+    by :func:`~bdlimits.harness.per_row` and called with the clean view's
+    uniform p0. It runs at ``beta = 1`` too, since it ignores beta."""
+    return imposs_risk(per_row(lambda d, pair, rng: detector(d, pair.p0)), config, trials, seed)

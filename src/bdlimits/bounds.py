@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .distributions import Categorical, DistributionPair, mix, product_tv_exact
+from .distributions import Categorical, DistributionPair, json_fields, mix, product_tv_exact
 from .errors import ParameterError
 
 def _is_number(value: object) -> bool:
@@ -56,6 +56,8 @@ class DatasetSpec:
     log10_size: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ParameterError(f"dataset name must be a string, got {self.name!r}")
         image_fields = (self.width, self.height, self.channels, self.color_depth)
         is_image = all(v is not None for v in image_fields)
         if not is_image and any(v is not None for v in image_fields):
@@ -78,8 +80,8 @@ class DatasetSpec:
                 value = _positive_int(getattr(self, field), f"dataset {self.name!r} {field}")
                 object.__setattr__(self, field, value)
         if self.cardinalities is not None:
-            if len(self.cardinalities) == 0:
-                raise ParameterError(f"dataset {self.name!r} lists no cardinalities")
+            if not isinstance(self.cardinalities, (list, tuple)) or not self.cardinalities:
+                raise ParameterError(f"dataset {self.name!r} cardinalities must be a nonempty list")
             cards = tuple(
                 _positive_int(c, f"dataset {self.name!r} cardinality") for c in self.cardinalities
             )
@@ -93,13 +95,14 @@ class DatasetSpec:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "DatasetSpec":
+        (name,) = json_fields(data, "catalog entry", name=lambda name: name)
         return cls(
-            name=data["name"],
+            name=name,
             width=data.get("width"),
             height=data.get("height"),
             channels=data.get("channels"),
             color_depth=data.get("color_depth"),
-            cardinalities=tuple(data["cardinalities"]) if "cardinalities" in data else None,
+            cardinalities=data.get("cardinalities"),
             log10_size=data.get("log10_size"),
         )
 

@@ -156,8 +156,8 @@ class DistributionPair:
             )
         if not 0.0 <= self.gamma <= 1.0:
             raise ParameterError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ParameterError(f"beta must be in [0, 1), got {self.beta}")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ParameterError(f"beta must be in [0, 1], got {self.beta}")
 
     @property
     def alphabet_size(self) -> int:
@@ -182,12 +182,24 @@ class DistributionPair:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "DistributionPair":
-        return cls(
-            Categorical.from_jsonable(data["p0"]),
-            Categorical.from_jsonable(data["pb"]),
-            float(data["gamma"]),
-            float(data["beta"]),
-        )
+        to_law = Categorical.from_jsonable
+        return cls(*json_fields(data, "pair file", p0=to_law, pb=to_law, gamma=float, beta=float))
+
+
+def json_fields(data: object, kind: str, **convert: Callable) -> list:
+    """The named fields of the JSON object ``data``, each through its converter;
+    any failure raises a ParameterError that names ``kind`` and the field."""
+    if not isinstance(data, dict):
+        raise ParameterError(f"{kind} must be a JSON object, got {type(data).__name__}")
+    values = []
+    for key, to_value in convert.items():
+        if key not in data:
+            raise ParameterError(f"{kind} has no {key!r} field")
+        try:
+            values.append(to_value(data[key]))
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{kind} field {key!r}: {exc}") from exc
+    return values
 
 
 def tv_distance(p: Categorical, q: Categorical) -> float:

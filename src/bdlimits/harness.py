@@ -134,10 +134,11 @@ class JointPrior:
 
     def __post_init__(self) -> None:
         cells = (self.p00, self.p01, self.p10, self.p11)
-        if any(c < 0.0 for c in cells):
-            raise ParameterError("prior cells must be nonnegative")
-        if abs(sum(cells) - 1.0) > 1e-12:
-            raise ParameterError("prior cells must sum to 1")
+        # written so that a NaN cell fails both checks
+        if not all(c >= 0.0 for c in cells):
+            raise ParameterError(f"prior cells must be nonnegative, got {cells}")
+        if not abs(sum(cells) - 1.0) <= 1e-12:
+            raise ParameterError(f"prior cells must sum to 1, got {cells}")
 
     def cells(self) -> tuple[tuple[int, int, float], ...]:
         return (
@@ -180,6 +181,10 @@ class TrainerStub:
     """
 
     smoothing: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.smoothing < math.inf:
+            raise ParameterError(f"smoothing must be finite and nonnegative, got {self.smoothing}")
 
     def __call__(self, d: SymbolDataset) -> Categorical:
         counts = np.bincount(d.symbols, minlength=d.alphabet_size).astype(float)

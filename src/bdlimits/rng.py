@@ -39,7 +39,7 @@ class Domain(enum.IntEnum):
     PROBE_SAMPLER = 6
     TOY_CLEAN = 7
     TOY_POISON = 8
-    TOY_EVAL = 9
+    TOY_EVAL = 9  # reserved: the toy evaluation is closed form and draws nothing
     CONCENTRATION = 11
 
 

@@ -258,10 +258,8 @@ class TestPerRowReference:
             z = y[:, None] * np.ones(config.k) + config.sigma * rng.standard_normal((n, config.k))
             return y, z
 
-        def accuracy(coef, rows):
-            zs = np.array([z_i for _, z_i in rows])
-            ys = np.array([y_i for y_i, _ in rows])
-            return float(np.mean(np.where(zs @ coef[:-1] + float(coef[-1]) >= 0.0, 1, -1) == ys))
+        def phi(x):
+            return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
         poisoned = cls.poison_rows(*draw(config.n, substream(seed, Domain.TOY_CLEAN)), config, seed)
         f = cls.projection_rows(poisoned, config)
@@ -270,13 +268,18 @@ class TestPerRowReference:
         labels = np.array([y_i for y_i, _ in poisoned], dtype=float)
         design = np.hstack([np.array([z_i for _, z_i in poisoned]), np.ones((config.n, 1))])
         coef, *_ = np.linalg.lstsq(design, labels, rcond=None)
-        y, z = draw(2000, substream(seed, Domain.TOY_EVAL))
-        fresh = list(zip(y.tolist(), z))
+        # the closed form one scalar at a time: s = sigma |w|, a = w . 1 and
+        # t = w . (1 + delta), one erfc per term. The sums run in another
+        # order than numpy's, so the two rates are compared to rounding.
+        w, b = coef[:-1].tolist(), float(coef[-1])
+        s = config.sigma * math.sqrt(math.fsum(w_i * w_i for w_i in w))
+        a = math.fsum(w)
+        t = math.fsum(w_i * (1.0 + d_i) for w_i, d_i in zip(w, config.delta.tolist()))
         return ToyAttackReport(
             p_value=ks_pvalue(stat, f.size),
             ks_statistic=stat,
-            clean_accuracy=accuracy(coef, fresh),
-            attack_success_rate=accuracy(coef, [cls.backdoor_row(y_i, z_i, config) for y_i, z_i in fresh]),
+            clean_accuracy=pytest.approx(0.5 * phi((a + b) / s) + 0.5 * phi((a - b) / s), rel=1e-13),
+            attack_success_rate=pytest.approx(0.5 * phi(-(t + b) / s) + 0.5 * phi((b - t) / s), rel=1e-13),
         )
 
     @staticmethod
@@ -304,6 +307,30 @@ class TestPerRowReference:
         config = PER_ROW_CONFIGS[k]
         for seed in range(10):
             assert toy_attack_report(config, seed) == self.reference_report(config, seed)
+
+
+class TestClosedFormEvaluation:
+    """The report's closed-form rates against ``predict`` on fresh samples
+    from a generator of this test's own."""
+
+    SAMPLES = 200_000
+
+    @pytest.mark.parametrize("k", sorted(PER_ROW_CONFIGS))
+    def test_rates_match_sampled_predictions(self, k):
+        config = PER_ROW_CONFIGS[k]
+        for seed in range(5):
+            clf = toy_train_classifier(*toy_poison(*toy_sample_clean(config, config.n, seed), config, seed))
+            report = toy_attack_report(config, seed)
+            rng = np.random.default_rng([k, seed])
+            y = rng.integers(0, 2, self.SAMPLES) * 2 - 1
+            z = y[:, None] + config.sigma * rng.standard_normal((self.SAMPLES, k))
+            yb, zb = toy_backdoor(y, z, config)
+            for exact, hits in (
+                (report.clean_accuracy, clf.predict(z) == y),
+                (report.attack_success_rate, clf.predict(zb) == yb),
+            ):
+                se = math.sqrt(exact * (1.0 - exact) / self.SAMPLES)
+                assert abs(np.mean(hits) - exact) <= 6.0 * se + 1.0 / self.SAMPLES
 
 
 class TestImpossibilitySampler:
@@ -400,8 +427,8 @@ class TestImpossProbe:
         assert a == b
 
     def test_beta_one_fixed_detector_accepted(self):
-        # ImpossibilityConfig takes beta = 1 (m = k anchors); a fixed detector
-        # needs no DistributionPair, which would reject it
+        # ImpossibilityConfig takes beta = 1 (m = k anchors), and so does the
+        # clean view's DistributionPair; a fixed detector ignores beta
         cfg = ImpossibilityConfig(k=200, beta=1.0, gamma=1.0, n=10)
         assert cfg.m == 200
         estimate = imposs_probe(lambda d, p0: 1, cfg, trials=300, seed=2)
@@ -486,7 +513,31 @@ class TestImpossRisk:
         with pytest.raises(ParameterError):
             imposs_risk(type2_trial_detector(), ok, trials=99, seed=0)
 
+    def test_beta_one_block_matches_fixed_detector(self):
+        # the clean view takes beta = 1, so a detector that ignores beta runs
+        cfg = ImpossibilityConfig(k=200, beta=1.0, gamma=1.0, n=10)
+        block = imposs_risk(_collision_block, cfg, trials=5000, seed=4)
+        assert block == imposs_probe(_collision_row, cfg, trials=5000, seed=4)
+
     def test_beta_one_rejected_by_the_clean_view(self):
         cfg = ImpossibilityConfig(k=200, beta=1.0, gamma=1.0, n=10)
         with pytest.raises(ParameterError, match="beta"):
             imposs_risk(type2_trial_detector(), cfg, trials=200, seed=0)
+
+
+class TestProbeGoldens:
+    """Error counts of the fixed-detector probe, pinned across refactors."""
+
+    def test_type2_huge_alphabet(self):
+        cfg = ImpossibilityConfig(k=10**5, beta=0.01, gamma=1.0, n=20)
+        fixed = lambda d, p0: int(type2_tv(d, p0, 1.0, 0.01))  # noqa: E731
+        assert imposs_probe(fixed, cfg, trials=500, seed=7).p_hat * 500 == 251
+
+    def test_collision_beta_one(self):
+        cfg = ImpossibilityConfig(k=200, beta=1.0, gamma=1.0, n=10)
+        assert imposs_probe(_collision_row, cfg, trials=5000, seed=4).p_hat == 0.4114
+
+    def test_collision_across_block_boundary(self):
+        cfg = ImpossibilityConfig(k=200, beta=0.1, gamma=0.3, n=10)
+        estimate = imposs_probe(_collision_row, cfg, trials=4596, seed=11)
+        assert estimate.p_hat == 1955 / 4596

@@ -119,6 +119,23 @@ class TestBoundsTable:
         assert_clean_failure(result, 2)
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[{"log10_size": 4.0}]', "catalog entry has no 'name' field"),
+            ("[4.0]", "catalog entry must be a JSON object, got float"),
+            ('[{"name": 5, "log10_size": 4.0}]', "dataset name must be a string, got 5"),
+            ('[{"name": "a", "cardinalities": 5}]', "dataset 'a' cardinalities must be a nonempty list"),
+        ],
+        ids=["missing-name", "number", "numeric-name", "numeric-cardinalities"],
+    )
+    def test_catalog_error_names_the_field(self, runner, tmp_path, text, message):
+        path = tmp_path / "catalog.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["bounds-table", "--catalog", str(path)])
+        assert_clean_failure(result, 2)
+        assert result.stderr == f"error: {message}\n"
+
     def test_edited_catalog_is_not_a_duplicate(self, runner, tmp_path):
         catalog = tmp_path / "catalog.json"
         out = tmp_path / "results.jsonl"
@@ -225,6 +242,40 @@ class TestRisk:
         assert_clean_failure(result, 2)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"p0": [0.9, 0.1], "gamma": 1.0, "beta": 0.3}', "pair file has no 'pb' field"),
+            ("[[0.9, 0.1], [0.1, 0.9], 1.0, 0.3]", "pair file must be a JSON object, got list"),
+            (
+                '{"p0": [0.9, 0.1], "pb": [0.1, 0.9], "gamma": null, "beta": 0.3}',
+                "pair file field 'gamma': float() argument must be a string or a real number, not 'NoneType'",
+            ),
+            (
+                '{"p0": [0.9, 0.2], "pb": [0.1, 0.9], "gamma": 1.0, "beta": 0.3}',
+                "pair file field 'p0': probabilities sum to 1.1, outside tolerance 1e-12",
+            ),
+        ],
+        ids=["missing-pb", "list", "null-gamma", "bad-p0"],
+    )
+    def test_pair_file_error_names_the_field(self, runner, tmp_path, text, message):
+        path = tmp_path / "pair.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["risk", "--pair", str(path), "--trials", "100"])
+        assert_clean_failure(result, 2)
+        assert result.stderr == f"error: {message}\n"
+
+    def test_beta_one_runs_a_detector_that_ignores_beta(self, runner):
+        result = runner.invoke(main, ["risk", "--beta", "1", "--detector", "np", "--trials", "200"])
+        assert result.exit_code == 0, result.output
+        assert payload_of(result)["beta"] == 1.0
+
+    def test_beta_one_rejected_by_the_type_distance_threshold(self, runner):
+        result = runner.invoke(main, ["risk", "--beta", "1", "--detector", "type2-tv", "--trials", "200"])
+        assert_clean_failure(result, 2)
+        assert result.stderr == "error: beta must be in [0, 1), got 1.0\n"
+
+
 class TestToy:
     def test_single_seed_record(self, runner):
         result = runner.invoke(main, ["toy", "--n", "80", "--seeds", "1"])
@@ -303,6 +354,24 @@ class TestToy:
             return result.stdout, json.loads(out.read_text())["config_hash"]
 
         assert run(v) == run("1,1")
+
+    @pytest.mark.parametrize(
+        "args, rates",
+        [
+            # sigma |w| is 5e-324, and (w . 1 + b) / (sigma |w|) overflows
+            (["--sigma", "5e-324"], (1.0, 1.0)),
+            # |w| = 0.447, so sigma |w| underflows to exactly 0
+            (["--v", "0.3,-0.2,0.5,0.1,0.4", "--gamma", "0", "--sigma", "5e-324"], (1.0, 0.0)),
+        ],
+        ids=["overflow", "zero-scale"],
+    )
+    def test_closed_form_takes_infinite_limits(self, runner, args, rates):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["toy", *args])
+        assert result.exit_code == 0, result.output
+        record = payload_of(result)["records"][0]
+        assert (record["clean_accuracy"], record["attack_success_rate"]) == rates
 
     def test_config_hash_pinned(self, runner, tmp_path):
         assert_config_hash(runner, tmp_path, ["toy"], "2a9ce80950d6d23a")

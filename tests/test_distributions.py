@@ -167,6 +167,15 @@ class TestMix:
         with pytest.raises(ParameterError):
             DistributionPair(probs(0.7, 0.3), probs(0.1, 0.9), gamma=1.5, beta=0.5)
 
+    def test_beta_one_admits_every_pair(self):
+        pair = DistributionPair(probs(0.7, 0.3), probs(0.7, 0.3), gamma=0.5, beta=1.0)
+        assert pair.is_admissible()
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0 + 1e-12, math.nan])
+    def test_beta_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(ParameterError, match=r"beta must be in \[0, 1\]"):
+            DistributionPair(probs(0.7, 0.3), probs(0.1, 0.9), gamma=0.5, beta=beta)
+
     def test_mixture_scaling_identity(self):
         rng = substream(42, 0)
         for _ in range(200):

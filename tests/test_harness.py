@@ -235,6 +235,20 @@ class TestGeneralizedRisk:
         with pytest.raises(ParameterError):
             JointPrior(0.5, 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            (math.nan, 0.0, 0.5, 0.5),
+            (0.5, math.nan, 0.5, 0.0),
+            (math.inf, 0.0, 0.5, 0.5),
+            (math.inf, -math.inf, 0.5, 0.5),
+        ],
+        ids=["nan", "nan-on-empty-cell", "inf", "inf-minus-inf"],
+    )
+    def test_non_finite_prior_rejected(self, cells):
+        with pytest.raises(ParameterError, match="prior cells"):
+            JointPrior(*cells)
+
     def test_flavor_targets(self):
         assert Flavor.MBD.target(1, 0) == 1
         assert Flavor.MBD.target(0, 1) == 0
@@ -252,6 +266,15 @@ class TestTrainerStub:
         d = sample(Categorical.uniform(4), 20, seed=13)
         trainer = TrainerStub()
         assert trainer(d) == trainer(d)
+
+    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
+    def test_smoothing_outside_range_rejected(self, smoothing):
+        with pytest.raises(ParameterError, match="smoothing"):
+            TrainerStub(smoothing=smoothing)
+
+    def test_zero_smoothing_is_plain_frequency(self):
+        theta = TrainerStub(smoothing=0.0).batch(np.array([[0, 1]]), 2)
+        assert theta(np.array([0, 0]), np.array([0, 1])).tolist() == [0.5, 0.5]
 
 
 class TestType0Demo:
