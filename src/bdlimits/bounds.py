@@ -20,11 +20,8 @@ from importlib import resources
 
 import numpy as np
 
-from .distributions import Categorical, DistributionPair, json_fields, mix, product_tv_exact
+from .distributions import Categorical, DistributionPair, is_number, json_fields, mix, product_tv_exact
 from .errors import ParameterError
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _positive_int(value: object, what: str) -> int:
@@ -32,7 +29,7 @@ def _positive_int(value: object, what: str) -> int:
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer()
     )
-    if not _is_number(value) or not integral or value < 1:  # type: ignore[operator]
+    if not is_number(value) or not integral or value < 1:  # type: ignore[operator]
         raise ParameterError(f"{what} must be an integer >= 1, got {value!r}")
     return int(value)  # type: ignore[arg-type]
 
@@ -88,7 +85,7 @@ class DatasetSpec:
             object.__setattr__(self, "cardinalities", cards)
         if self.log10_size is not None:
             size = self.log10_size
-            if not _is_number(size) or not 0.0 <= size < math.inf:
+            if not is_number(size) or not 0.0 <= size < math.inf:
                 raise ParameterError(
                     f"dataset {self.name!r} log10_size must be a finite number >= 0, got {size!r}"
                 )

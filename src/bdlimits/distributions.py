@@ -8,6 +8,13 @@ their counts (:func:`sparse_types`), so no K-vector is built per sample.
 Total variation distance is computed in its canonical finite-alphabet form,
 half the L1 distance, which equals the supremum over event sets.
 
+Sampling inverts the cumulative mass at uniforms in [0, 1). Small
+alphabets count, level by level, the CDF levels at or below each uniform;
+large ones binary-search the CDF. Types of a block whose symbols are all
+below its row length are read off the block's histogram; others are found
+by sorting each row. Each pair of kernels gives the same symbols and the
+same triples, so the choice never moves a seeded value.
+
 Everything here is a pure function of its inputs (sampling is pure given
 the seed) and all values are immutable after construction, so they can be
 shared freely across concurrent tasks.
@@ -16,6 +23,7 @@ shared freely across concurrent tasks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -33,6 +41,18 @@ ENUMERATION_CAP = 10**7
 
 #: Children the exact oracle's type enumeration builds per step; bounds its memory.
 _TYPE_CHUNK = 1 << 14
+
+#: Alphabets up to this size invert the CDF by counting levels, one pass over
+#: the uniforms per level; larger ones binary-search. Counting beats the
+#: search, whose branches mispredict on unsorted keys, up to K of about 96
+#: on 4e3 uniforms and about 256 on 8e4.
+_COUNT_LEVELS_MAX_K = 64
+
+#: Labeled blocks up to this size compare each uniform with its row's level,
+#: one (rows, 1) column per level. A column broadcast along the rows costs
+#: several scalar levels, so larger alphabets gather each law's rows and
+#: invert them with :meth:`Categorical.quantile`; the crossover is K of 6 to 10.
+_ROW_LEVELS_MAX_K = 6
 
 
 @dataclass(frozen=True)
@@ -73,7 +93,19 @@ class Categorical:
         return cdf
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        """Symbols at cumulative-mass levels u in [0, 1), by inverting the CDF."""
+        """Symbols at cumulative-mass levels u in [0, 1), by inverting the CDF.
+
+        Consumes ``u``, a C-contiguous float64 array: the caller must not
+        use it afterwards. The symbol at u is min(searchsorted(cdf, u,
+        "right"), K - 1), which is the number of inner levels ``cdf[:-1]``
+        at or below u, zero masses and u on a level included. Alphabets of
+        up to ``_COUNT_LEVELS_MAX_K`` symbols count those levels in one
+        byte per uniform and write the symbols over u's memory; larger ones
+        binary-search. Either way a block draw holds no more than two
+        8-byte arrays, the uniforms and the symbols.
+        """
+        if self.alphabet_size <= _COUNT_LEVELS_MAX_K:
+            return _count_levels(u, self._cdf[:-1])
         # searchsorted returns int64 already; clipping in place keeps a block
         # draw at two arrays, the uniforms and the symbols
         idx = np.searchsorted(self._cdf, u, side="right")
@@ -99,6 +131,8 @@ class Categorical:
 
     @classmethod
     def from_jsonable(cls, data: Sequence[float]) -> "Categorical":
+        if not isinstance(data, (list, tuple)) or not all(map(is_number, data)):
+            raise ParameterError(f"must be an array of numbers, got {data!r}")
         return cls(np.asarray(data, dtype=float))
 
     def __eq__(self, other: object) -> bool:
@@ -120,7 +154,8 @@ class SymbolDataset:
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.symbols, dtype=np.int64)
+        # a view, so freezing it leaves a caller's int64 array writeable
+        arr = np.asarray(self.symbols, dtype=np.int64).view()
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("dataset must contain at least one symbol")
         if self.alphabet_size < 1:
@@ -183,7 +218,18 @@ class DistributionPair:
     @classmethod
     def from_jsonable(cls, data: dict) -> "DistributionPair":
         to_law = Categorical.from_jsonable
-        return cls(*json_fields(data, "pair file", p0=to_law, pb=to_law, gamma=float, beta=float))
+        return cls(*json_fields(data, "pair file", p0=to_law, pb=to_law, gamma=_number, beta=_number))
+
+
+def is_number(value: object) -> bool:
+    """Whether ``value`` is a real number; booleans are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value: object) -> float:
+    if not is_number(value):
+        raise ParameterError(f"must be a number, got {value!r}")
+    return float(value)  # type: ignore[arg-type]
 
 
 def json_fields(data: object, kind: str, **convert: Callable) -> list:
@@ -227,6 +273,45 @@ def draw_symbols(
     return p.quantile(rng.random(n))
 
 
+def labeled_quantile(
+    laws: Sequence[Categorical], labels: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Row r of the (rows, n) uniforms u inverted through ``laws[labels[r]]``.
+
+    The laws share one alphabet. Up to ``_ROW_LEVELS_MAX_K`` symbols each
+    uniform is compared with its row's level, one (rows, 1) column per
+    level, and the symbols are written over u, which the call consumes; no
+    mask and no rows x K table is built. Larger alphabets gather each law's
+    rows and invert them with :meth:`Categorical.quantile`. Both give the
+    same symbols.
+    """
+    if laws[0].alphabet_size <= _ROW_LEVELS_MAX_K:
+        levels = np.array([law._cdf[:-1] for law in laws]).T
+        return _count_levels(u, (level[labels, None] for level in levels))
+    symbols = np.empty(u.shape, dtype=np.int64)
+    for label, law in enumerate(laws):
+        labeled = labels == label
+        symbols[labeled] = law.quantile(u[labeled])
+    return symbols
+
+
+def _count_levels(u: np.ndarray, levels) -> np.ndarray:
+    """How many of ``levels`` lie at or below each u, written over u as int64.
+
+    Each level is a scalar or an array that broadcasts against u. Counts
+    are kept in uint8, which holds the at most ``_COUNT_LEVELS_MAX_K - 1``
+    levels, and widened into u's memory at the end.
+    """
+    count = np.zeros(u.shape, dtype=np.uint8)
+    hit = np.empty(u.shape, dtype=bool)
+    for level in levels:
+        np.greater_equal(u, level, out=hit)
+        np.add(count, hit.view(np.uint8), out=count)
+    symbols = u.view(np.int64)
+    symbols[...] = count
+    return symbols
+
+
 def sample(p: Categorical, n: int, seed: int) -> SymbolDataset:
     """Deterministic i.i.d. sample of size n from p under the given seed."""
     if n < 1:
@@ -244,10 +329,23 @@ def sparse_types(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """The types of the rows of a (rows, n) symbol block, as sparse triples.
 
     Returns (row, symbol, count) arrays listing each symbol a row observed
-    once, sorted by row and then by symbol. No dense rows x K histogram is
-    built, so memory stays O(rows * n) on any alphabet.
+    once, sorted by row and then by symbol. When k, the largest symbol in
+    the block plus 1, is at most n, the rows x k histogram is no larger than
+    the block: it is counted with one ``bincount`` and the triples are its
+    nonzero cells. Otherwise each row is sorted and its runs of equal
+    symbols counted. Both give the same triples with the same dtypes, and
+    no histogram over the whole alphabet is built, so memory stays
+    O(rows * n) on any alphabet.
     """
     rows, n = symbols.shape
+    # on a large alphabet the first symbol alone usually shows k > n, which
+    # spares the sort path a pass over the block
+    if symbols[0, 0] < n and (k := int(symbols.max()) + 1) <= n:
+        counts = np.bincount((np.arange(0, rows * k, k)[:, None] + symbols).ravel())
+        cells = np.flatnonzero(counts)
+        row = cells // k
+        sym = (cells - row * k).astype(symbols.dtype, copy=False)
+        return row, sym, counts[cells]
     ordered = np.sort(symbols, axis=1)
     first = np.empty(ordered.shape, dtype=bool)
     first[:, 0] = True

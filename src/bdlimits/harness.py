@@ -45,6 +45,7 @@ from .distributions import (
     Reference,
     SymbolDataset,
     draw_symbols,
+    labeled_quantile,
     mix,
     type_counts,
     type_distances,
@@ -274,12 +275,7 @@ def _draw_labeled(
     laws: Sequence[Categorical], labels: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """A (rows, n) block whose row r is an i.i.d. sample from laws[labels[r]]."""
-    u = rng.random((labels.size, n))
-    symbols = np.empty(u.shape, dtype=np.int64)
-    for label, law in enumerate(laws):
-        labeled = labels == label
-        symbols[labeled] = law.quantile(u[labeled])
-    return symbols
+    return labeled_quantile(laws, labels, rng.random((labels.size, n)))
 
 
 def risk_step(detector: Detector, pair: DistributionPair, n: int) -> BlockStep:

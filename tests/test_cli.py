@@ -249,14 +249,30 @@ class TestRisk:
             ("[[0.9, 0.1], [0.1, 0.9], 1.0, 0.3]", "pair file must be a JSON object, got list"),
             (
                 '{"p0": [0.9, 0.1], "pb": [0.1, 0.9], "gamma": null, "beta": 0.3}',
-                "pair file field 'gamma': float() argument must be a string or a real number, not 'NoneType'",
+                "pair file field 'gamma': must be a number, got None",
             ),
             (
                 '{"p0": [0.9, 0.2], "pb": [0.1, 0.9], "gamma": 1.0, "beta": 0.3}',
                 "pair file field 'p0': probabilities sum to 1.1, outside tolerance 1e-12",
             ),
+            (
+                '{"p0": [true, false], "pb": [0, 1], "gamma": "0.5", "beta": true}',
+                "pair file field 'p0': must be an array of numbers, got [True, False]",
+            ),
+            (
+                '{"p0": [1, 0], "pb": ["0", "1"], "gamma": 0.5, "beta": 1}',
+                "pair file field 'pb': must be an array of numbers, got ['0', '1']",
+            ),
+            (
+                '{"p0": [1, 0], "pb": [0, 1], "gamma": "0.5", "beta": 1}',
+                "pair file field 'gamma': must be a number, got '0.5'",
+            ),
+            (
+                '{"p0": [1, 0], "pb": [0, 1], "gamma": 0.5, "beta": true}',
+                "pair file field 'beta': must be a number, got True",
+            ),
         ],
-        ids=["missing-pb", "list", "null-gamma", "bad-p0"],
+        ids=["missing-pb", "list", "null-gamma", "bad-p0", "bool-p0", "string-pb", "string-gamma", "bool-beta"],
     )
     def test_pair_file_error_names_the_field(self, runner, tmp_path, text, message):
         path = tmp_path / "pair.json"

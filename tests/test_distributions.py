@@ -382,3 +382,11 @@ class TestSymbolDataset:
     def test_rejects_out_of_alphabet(self):
         with pytest.raises(ParameterError):
             SymbolDataset(np.array([0, 3]), 3)
+
+    def test_freezes_a_view_not_the_callers_array(self):
+        a = np.array([0, 1, 1], dtype=np.int64)
+        d = SymbolDataset(a, 2)
+        assert a.flags.writeable
+        assert not d.symbols.flags.writeable
+        with pytest.raises(ValueError):
+            d.symbols[0] = 1
