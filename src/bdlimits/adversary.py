@@ -324,8 +324,9 @@ def imposs_risk(
     (uniform, uniform, gamma, beta) with mixture p1 = uniform, since the
     adversarial data's marginal law is exactly uniform. Its scorer gets each
     block of trials at once, keyed (seed, PROBE, block), with the block's
-    detector generator. A detector that uses its generator is a mixture of
-    fixed detectors, so the floor :func:`imposs_risk_floor` still holds.
+    generator. Its draws after the data are independent of the data, however
+    many outputs the data used, so a detector that uses it is a mixture of
+    fixed detectors and the floor :func:`imposs_risk_floor` still holds.
     """
     if trials < 100:
         raise ParameterError("at least 100 trials are required")
@@ -337,18 +338,18 @@ def imposs_risk(
     uniform = Categorical.uniform(config.k)
     score = detector(DistributionPair(uniform, uniform, config.gamma, config.beta), uniform)
 
-    def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
-        j = data.integers(0, 2, rows)
+    def step(rows: int, rng: np.random.Generator) -> int:
+        j = rng.integers(0, 2, rows)
 
         def anchor(row: np.ndarray, v: np.ndarray) -> np.ndarray:
             # The anchors are i.i.d. uniform, so drawing one per distinct
             # (row, anchor index) that a row references has the law of
             # drawing all m per row, without a dense rows x m table.
             cells, which = np.unique(row * config.m + v, return_inverse=True)
-            return data.integers(0, config.k, cells.size)[which]
+            return rng.integers(0, config.k, cells.size)[which]
 
-        symbols = _draw_anchored(rows, config, data, config.gamma * j[:, None], anchor)
-        return int(np.count_nonzero(score(symbols, detector_rng) != j))
+        symbols = _draw_anchored(rows, config, rng, config.gamma * j[:, None], anchor)
+        return int(np.count_nonzero(score(symbols, rng) != j))
 
     return wilson_interval(count_errors(step, trials, seed, (Domain.PROBE,)), trials)
 

@@ -272,17 +272,17 @@ def toy(
     out: str | None,
 ) -> None:
     """Run the projection-evading attack on the Gaussian classification task."""
+    if seeds < 1:
+        raise ParameterError("--seeds must be >= 1")
     try:
         v = np.array([float(part) for part in v_text.split(",")])
     except ValueError as exc:
         raise ParameterError(f"cannot parse --v: {exc}") from exc
     unit, norm = unit_direction(v)
     config = ToyConfig(k=unit.size, sigma=sigma, gamma=gamma, n=n, v=unit)
+    records = [{"seed": s, **toy_attack_report(config, s).to_jsonable()} for s in range(seed, seed + seeds)]
     if abs(norm - 1.0) > 1e-9:
         click.echo(f"warning: |v| = {norm:.6g}, normalizing", err=True)
-    if seeds < 1:
-        raise ParameterError("--seeds must be >= 1")
-    records = [{"seed": s, **toy_attack_report(config, s).to_jsonable()} for s in range(seed, seed + seeds)]
     if svg_path:
         _toy_svg(svg_path, config, seed)
     if csv_path:

@@ -483,8 +483,8 @@ def type_exceedance_frequency(
     if trials < 1 or n < 1:
         raise ParameterError("trials and n must be >= 1")
 
-    def step(rows: int, data: np.random.Generator, _: np.random.Generator) -> int:
-        distances = type_distances(draw_symbols(p, (rows, n), data), lambda row, sym: p.probs[sym])
+    def step(rows: int, rng: np.random.Generator) -> int:
+        distances = type_distances(draw_symbols(p, (rows, n), rng), lambda row, sym: p.probs[sym])
         return int(np.count_nonzero(distances >= threshold))
 
     return count_errors(step, trials, seed, (Domain.CONCENTRATION,)) / trials

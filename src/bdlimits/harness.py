@@ -6,11 +6,11 @@ clean product law (J = 0) or from the contaminated mixture law (J = 1).
 Estimates carry a 99% Wilson interval.
 
 Every estimator runs through one block kernel. Trials run in blocks of
-``BLOCK = 4096``: block b draws its labels and datasets from
-substream(seed, domain, [branch,] b) and any randomness the detector needs
-from substream(seed, domain, [branch,] b, 1). Results are therefore a pure
-function of (seed, domain, block index), bit-identical regardless of how
-blocks are scheduled; block error counts are summed in block-index order.
+``BLOCK = 4096``: block b draws its labels and datasets from its generator
+substream(seed, domain, [branch,] b), then hands the same generator to the
+detector. Results are therefore a pure function of (seed, domain, block
+index), bit-identical regardless of how blocks are scheduled; block error
+counts are summed in block-index order.
 
 A detector is one function ``detector(pair, p1)``, called once per estimate
 with the problem instance and its mixture p1, that returns a block scorer.
@@ -18,10 +18,10 @@ The scorer takes a whole block stacked by row and returns one verdict per
 row: ``score(symbols, rng)`` for a (rows, n) block of training sets, and
 ``score(theta, d_prime, x, rng)`` for trained parameters (a
 :data:`~bdlimits.distributions.Reference`), fresh clean samples and probe
-symbols. ``rng`` is the block's detector generator. The empirical type is a
-sufficient statistic for every built-in detector, so each scores a block in
-a few numpy calls; :func:`per_row` lifts a per-dataset callable
-``fn(d, pair, rng)`` into the same shape.
+symbols. ``rng`` is the block's generator, after the block's data. The
+empirical type is a sufficient statistic for every built-in detector, so
+each scores a block in a few numpy calls; :func:`per_row` lifts a
+per-dataset callable ``fn(d, pair, rng)`` into the same shape.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def per_row(fn: Callable[[SymbolDataset, DistributionPair, np.random.Generator],
     """Lift a per-dataset detector ``fn(d, pair, rng)`` into harness form.
 
     The scorer calls ``fn`` once per row of the block, in row order, with
-    that row as a :class:`SymbolDataset` and the block's detector generator.
+    that row as a :class:`SymbolDataset` and the block's generator.
     """
 
     def detector(pair: DistributionPair, p1: Categorical):
@@ -287,10 +287,10 @@ def risk_step(detector: Detector, pair: DistributionPair, n: int) -> BlockStep:
     p1 = mix(pair)
     score = detector(pair, p1)
 
-    def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
-        j = data.integers(0, 2, rows)
-        symbols = _draw_labeled((pair.p0, p1), j, n, data)
-        return int(np.count_nonzero(score(symbols, detector_rng) != j))
+    def step(rows: int, rng: np.random.Generator) -> int:
+        j = rng.integers(0, 2, rows)
+        symbols = _draw_labeled((pair.p0, p1), j, n, rng)
+        return int(np.count_nonzero(score(symbols, rng) != j))
 
     return step
 
@@ -331,16 +331,15 @@ def estimate_conditional_errors(
         raise ParameterError("n must be >= 1")
     p1 = mix(pair)
     score = detector(pair, p1)
-    estimates = []
-    for j, law in ((0, pair.p0), (1, p1)):
 
-        def step(rows, data, detector_rng, j=j, law=law) -> int:
-            symbols = draw_symbols(law, (rows, n), data)
-            return int(np.count_nonzero(score(symbols, detector_rng) != j))
+    def branch(j: int, law: Categorical) -> RiskEstimate:
+        def step(rows: int, rng: np.random.Generator) -> int:
+            symbols = draw_symbols(law, (rows, n), rng)
+            return int(np.count_nonzero(score(symbols, rng) != j))
 
-        errors = count_errors(step, trials, seed, (Domain.CONDITIONAL, j))
-        estimates.append(wilson_interval(errors, trials))
-    return estimates[0], estimates[1]
+        return wilson_interval(count_errors(step, trials, seed, (Domain.CONDITIONAL, j)), trials)
+
+    return branch(0, pair.p0), branch(1, p1)
 
 
 def _trained_risk(
@@ -372,14 +371,14 @@ def _trained_risk(
     score = detector(pair, p1)
     weights = np.array([cell[2] for cell in prior.cells()])
 
-    def step(rows: int, data: np.random.Generator, detector_rng: np.random.Generator) -> int:
-        cell = data.choice(4, size=rows, p=weights)
+    def step(rows: int, rng: np.random.Generator) -> int:
+        cell = rng.choice(4, size=rows, p=weights)
         j, i = cell // 2, cell % 2
-        train = _draw_labeled((pair.p0, p1), j, n, data)
-        d_prime = draw_symbols(pair.p0, (rows, m), data)
-        x = _draw_labeled((pair.p0, pair.pb), i, 1, data)[:, 0]
+        train = _draw_labeled((pair.p0, p1), j, n, rng)
+        d_prime = draw_symbols(pair.p0, (rows, m), rng)
+        x = _draw_labeled((pair.p0, pair.pb), i, 1, rng)[:, 0]
         theta = trainer.batch(train, pair.alphabet_size)
-        verdicts = score(theta, d_prime, x, detector_rng)
+        verdicts = score(theta, d_prime, x, rng)
         return int(np.count_nonzero(verdicts != target.target(j, i)))
 
     return wilson_interval(count_errors(step, trials, seed, (domain,)), trials)

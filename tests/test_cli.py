@@ -400,6 +400,13 @@ class TestToy:
         clean_error = 1.0 - record["clean_accuracy"]
         assert abs(record["attack_success_rate"] - clean_error) < 0.06
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_checked_before_the_direction_is_normalized(self, runner, seeds):
+        # the default --v has |v| = 1.00039, which would warn if normalized first
+        result = runner.invoke(main, ["toy", "--seeds", seeds])
+        assert_clean_failure(result, 2)
+        assert result.stderr == "error: --seeds must be >= 1\n"
+
     def test_deterministic_output(self, runner):
         args = ["toy", "--n", "60", "--seeds", "2", "--seed", "3"]
         assert runner.invoke(main, args).stdout == runner.invoke(main, args).stdout
@@ -483,6 +490,32 @@ class TestProbe:
         result = runner.invoke(main, ["probe", "--trials", "200", *args])
         assert_clean_failure(result, 2)
         assert result.stderr == message
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize(
+        "args",
+        [["risk", "--trials", "200"], ["toy", "--n", "40"], ["probe", "--trials", "200"]],
+        ids=["risk", "toy", "probe"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "-18446744073709551616"])
+    def test_negative_seed_exits_2(self, runner, tmp_path, args, seed):
+        out = tmp_path / "results.jsonl"
+        result = runner.invoke(main, [*args, "--seed", seed, "--out", str(out)])
+        assert_clean_failure(result, 2)
+        assert result.stderr == f"error: seed must be >= 0, got {seed}\n"
+        assert not out.exists()
+
+    def test_seeds_past_two_to_the_64_are_distinct_runs(self, runner):
+        # seeds that agree mod 2**64 draw their own streams, not one stream
+        # under three config hashes
+        def p_hat(seed: int) -> float:
+            args = ["risk", "--k", "3", "--n", "3", "--trials", "400", "--seed", str(seed)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            return payload_of(result)["risk"]["p_hat"]
+
+        assert [p_hat(s) for s in (5, 2**64 + 5, 2**65 + 5)] == [0.2875, 0.275, 0.265]
 
 
 class TestResultsFileOption:

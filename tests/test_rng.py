@@ -1,0 +1,101 @@
+"""The determinism contract: one stream per seed, one generator per block."""
+
+import numpy as np
+import pytest
+
+from bdlimits import rng
+from bdlimits.adversary import ImpossibilityConfig, imposs_risk
+from bdlimits.errors import ParameterError
+from bdlimits.harness import (
+    estimate_conditional_errors,
+    estimate_risk,
+    np_trial_detector,
+    per_row,
+    uniform_vs_point_mass,
+)
+from bdlimits.rng import BLOCK, Domain, substream
+
+TRIALS = 2 * BLOCK + 37
+
+
+class TestSubstream:
+    @pytest.mark.parametrize(
+        "seed, draws",
+        [
+            (0, [4405596889062565033, 8286994429040032660]),
+            (7, [8121172003146823487, 8533747789461002150]),
+            (2**63, [4184969631552079452, 4061677254615574254]),
+            (2**64 - 1, [384738346996440329, 5512365102267503546]),
+        ],
+    )
+    def test_seeds_below_two_to_the_64_pinned(self, seed, draws):
+        # an IntEnum and an np.int64 path element key the stream as plain ints
+        stream = substream(seed, Domain.RISK, np.int64(3))
+        assert stream.integers(0, 2**63, 2).tolist() == draws
+
+    @pytest.mark.parametrize("seed", [5, 2**64 - 1, 2**70])
+    def test_seed_not_reduced_mod_two_to_the_64(self, seed):
+        low = substream(seed, 1).random(4)
+        high = substream(seed + 2**64, 1).random(4)
+        assert not np.array_equal(low, high)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match=f"seed must be >= 0, got {seed}"):
+            substream(seed, 1)
+
+
+def record_substreams(monkeypatch) -> list[tuple[tuple, np.random.Generator]]:
+    """Record the key and the generator of every stream ``block_errors`` builds."""
+    built = []
+
+    def recording(seed, *path):
+        gen = substream(seed, *path)
+        built.append(((seed, *path), gen))
+        return gen
+
+    monkeypatch.setattr(rng, "substream", recording)
+    return built
+
+
+class TestOneGeneratorPerBlock:
+    PAIR = uniform_vs_point_mass(3, 0.5, 0.5)
+    PROBE = ImpossibilityConfig(k=200, beta=0.2, gamma=0.5, n=10)
+
+    def test_one_generator_per_block(self, monkeypatch):
+        built = record_substreams(monkeypatch)
+        estimate_risk(np_trial_detector(), self.PAIR, 4, TRIALS, seed=9)
+        assert [key for key, _ in built] == [(9, Domain.RISK, b) for b in range(3)]
+
+    @staticmethod
+    def recording_detector(draws: int, rows: list, generators: list):
+        """A per-row detector that records each row and its generator, then
+        draws ``draws`` uniforms from that generator for its verdict."""
+
+        def fn(d, pair, gen):
+            rows.append(d.symbols.tolist())
+            generators.append(gen)
+            return int(gen.random(draws).sum() > draws / 2)
+
+        return per_row(fn)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda det, pair, probe: estimate_risk(det, pair, 4, TRIALS, seed=3),
+            lambda det, pair, probe: estimate_conditional_errors(det, pair, 4, TRIALS, seed=3),
+            lambda det, pair, probe: imposs_risk(det, probe, TRIALS, seed=3),
+        ],
+        ids=["risk", "conditional", "imposs"],
+    )
+    def test_data_independent_of_detector_draws(self, monkeypatch, run):
+        seen = []
+        for draws in (0, 3):
+            built = record_substreams(monkeypatch)
+            rows, generators = [], []
+            run(self.recording_detector(draws, rows, generators), self.PAIR, self.PROBE)
+            # the detector draws from each block's one generator, after its data
+            assert {id(gen) for gen in generators} == {id(gen) for _, gen in built}
+            seen.append(rows)
+        assert seen[0] == seen[1]
+        assert len(seen[0]) % TRIALS == 0
