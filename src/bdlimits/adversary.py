@@ -322,10 +322,10 @@ def imposs_risk(
     feed it the adversarial construction. ``detector`` is a harness
     detector, bound once to the clean view it may honestly hold: the pair
     (uniform, uniform, gamma, beta) with mixture p1 = uniform, since the
-    adversarial data's marginal law is exactly uniform. Its scorer gets each
-    block of trials at once, keyed (seed, PROBE, block), with the block's
-    generator. Its draws after the data are independent of the data, however
-    many outputs the data used, so a detector that uses it is a mixture of
+    adversarial data's marginal law is exactly uniform. Blocks follow the
+    block rule of :mod:`~bdlimits.rng` on path (PROBE,), with the target J.
+    The scorer's draws after the data are independent of the data, however
+    many outputs the data used, so a detector that uses them is a mixture of
     fixed detectors and the floor :func:`imposs_risk_floor` still holds.
     """
     if trials < 100:
@@ -338,7 +338,7 @@ def imposs_risk(
     uniform = Categorical.uniform(config.k)
     score = detector(DistributionPair(uniform, uniform, config.gamma, config.beta), uniform)
 
-    def step(rows: int, rng: np.random.Generator) -> int:
+    def draw(rows: int, rng: np.random.Generator) -> tuple:
         j = rng.integers(0, 2, rows)
 
         def anchor(row: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -348,10 +348,9 @@ def imposs_risk(
             cells, which = np.unique(row * config.m + v, return_inverse=True)
             return rng.integers(0, config.k, cells.size)[which]
 
-        symbols = _draw_anchored(rows, config, rng, config.gamma * j[:, None], anchor)
-        return int(np.count_nonzero(score(symbols, rng) != j))
+        return j, _draw_anchored(rows, config, rng, config.gamma * j[:, None], anchor)
 
-    return wilson_interval(count_errors(step, trials, seed, (Domain.PROBE,)), trials)
+    return wilson_interval(count_errors(draw, score, trials, seed, (Domain.PROBE,)), trials)
 
 
 def imposs_probe(

@@ -77,7 +77,8 @@ class Categorical:
             raise ParameterError(
                 f"probabilities sum to {total!r}, outside tolerance {PROB_TOLERANCE}"
             )
-        arr = arr / total
+        # + 0.0 turns -0.0 into 0.0, which it equals, so equal laws hash equal
+        arr = arr / total + 0.0
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -193,6 +194,9 @@ class DistributionPair:
             raise ParameterError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.beta <= 1.0:
             raise ParameterError(f"beta must be in [0, 1], got {self.beta}")
+        # -0.0 and 0.0 are one configuration, so they get one config hash
+        object.__setattr__(self, "gamma", self.gamma + 0.0)
+        object.__setattr__(self, "beta", self.beta + 0.0)
 
     @property
     def alphabet_size(self) -> int:
@@ -273,18 +277,20 @@ def draw_symbols(
     return p.quantile(rng.random(n))
 
 
-def labeled_quantile(
-    laws: Sequence[Categorical], labels: np.ndarray, u: np.ndarray
+def draw_labeled(
+    laws: Sequence[Categorical], labels: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Row r of the (rows, n) uniforms u inverted through ``laws[labels[r]]``.
+    """A (rows, n) block whose row r is an i.i.d. sample from ``laws[labels[r]]``.
 
-    The laws share one alphabet. Up to ``_ROW_LEVELS_MAX_K`` symbols each
-    uniform is compared with its row's level, one (rows, 1) column per
-    level, and the symbols are written over u, which the call consumes; no
-    mask and no rows x K table is built. Larger alphabets gather each law's
-    rows and invert them with :meth:`Categorical.quantile`. Both give the
-    same symbols.
+    The labeled twin of :func:`draw_symbols`: the laws share one alphabet,
+    and the block inverts one (rows, n) array of uniforms u. Up to
+    ``_ROW_LEVELS_MAX_K`` symbols each uniform is compared with its row's
+    level, one (rows, 1) column per level, and the symbols are written over
+    u; no mask and no rows x K table is built. Larger alphabets gather each
+    law's rows and invert them with :meth:`Categorical.quantile`. Both give
+    the same symbols.
     """
+    u = rng.random((labels.size, n))
     if laws[0].alphabet_size <= _ROW_LEVELS_MAX_K:
         levels = np.array([law._cdf[:-1] for law in laws]).T
         return _count_levels(u, (level[labels, None] for level in levels))
@@ -476,15 +482,19 @@ def type_exceedance_frequency(
     """Fraction of seeded trials where TV(type of an n-sample, p) >= threshold.
 
     Empirical counterpart of the concentration bound
-    2K * exp(-8 N t^2 / K^2). Trials run in blocks, block b on
-    substream(seed, CONCENTRATION, b), with sparse types, so memory is
-    O(BLOCK * n) plus the probability vector on any alphabet.
+    2K * exp(-8 N t^2 / K^2). Blocks follow the block rule of
+    :mod:`~bdlimits.rng` on path (CONCENTRATION,), with the target False
+    and the verdict TV >= threshold, so their errors are the exceedances.
+    Types are sparse, so memory is O(BLOCK * n) plus the probability vector
+    on any alphabet.
     """
     if trials < 1 or n < 1:
         raise ParameterError("trials and n must be >= 1")
 
-    def step(rows: int, rng: np.random.Generator) -> int:
-        distances = type_distances(draw_symbols(p, (rows, n), rng), lambda row, sym: p.probs[sym])
-        return int(np.count_nonzero(distances >= threshold))
+    def draw(rows: int, rng: np.random.Generator) -> tuple:
+        return False, draw_symbols(p, (rows, n), rng)
 
-    return count_errors(step, trials, seed, (Domain.CONCENTRATION,)) / trials
+    def exceeds(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return type_distances(symbols, lambda row, sym: p.probs[sym]) >= threshold
+
+    return count_errors(draw, exceeds, trials, seed, (Domain.CONCENTRATION,)) / trials

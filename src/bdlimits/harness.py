@@ -5,12 +5,10 @@ the fair coin J that selected whether the training set was drawn from the
 clean product law (J = 0) or from the contaminated mixture law (J = 1).
 Estimates carry a 99% Wilson interval.
 
-Every estimator runs through one block kernel. Trials run in blocks of
-``BLOCK = 4096``: block b draws its labels and datasets from its generator
-substream(seed, domain, [branch,] b), then hands the same generator to the
-detector. Results are therefore a pure function of (seed, domain, block
-index), bit-identical regardless of how blocks are scheduled; block error
-counts are summed in block-index order.
+Every estimator supplies only a block draw, the targets and the data of a
+block of trials, to the one block kernel :func:`~bdlimits.rng.count_errors`;
+:mod:`~bdlimits.rng` states the rule by which blocks are seeded, scored and
+counted.
 
 A detector is one function ``detector(pair, p1)``, called once per estimate
 with the problem instance and its mixture p1, that returns a block scorer.
@@ -34,7 +32,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,14 +42,14 @@ from .distributions import (
     DistributionPair,
     Reference,
     SymbolDataset,
+    draw_labeled,
     draw_symbols,
-    labeled_quantile,
     mix,
     type_counts,
     type_distances,
 )
 from .errors import ConfigurationError, ParameterError
-from .rng import BlockStep, Domain, count_errors
+from .rng import Domain, count_errors
 
 #: bytes the results-file scan reads at a time, before it completes the last line
 _SCAN_BLOCK = 1 << 16
@@ -140,14 +138,6 @@ class JointPrior:
             raise ParameterError(f"prior cells must be nonnegative, got {cells}")
         if not abs(sum(cells) - 1.0) <= 1e-12:
             raise ParameterError(f"prior cells must sum to 1, got {cells}")
-
-    def cells(self) -> tuple[tuple[int, int, float], ...]:
-        return (
-            (0, 0, self.p00),
-            (0, 1, self.p01),
-            (1, 0, self.p10),
-            (1, 1, self.p11),
-        )
 
     def validate_for(self, flavor: Flavor) -> None:
         """Reject priors putting mass on cells the flavor declares irrelevant."""
@@ -271,30 +261,6 @@ DETECTORS: dict[str, Callable[[], Detector]] = {
 }
 
 
-def _draw_labeled(
-    laws: Sequence[Categorical], labels: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """A (rows, n) block whose row r is an i.i.d. sample from laws[labels[r]]."""
-    return labeled_quantile(laws, labels, rng.random((labels.size, n)))
-
-
-def risk_step(detector: Detector, pair: DistributionPair, n: int) -> BlockStep:
-    """The block step of :func:`estimate_risk`.
-
-    Each row draws a fair label J, then a dataset of size n from p0 (J = 0)
-    or the mixture (J = 1); an error is a verdict other than J.
-    """
-    p1 = mix(pair)
-    score = detector(pair, p1)
-
-    def step(rows: int, rng: np.random.Generator) -> int:
-        j = rng.integers(0, 2, rows)
-        symbols = _draw_labeled((pair.p0, p1), j, n, rng)
-        return int(np.count_nonzero(score(symbols, rng) != j))
-
-    return step
-
-
 def estimate_risk(
     detector: Detector,
     pair: DistributionPair,
@@ -302,12 +268,22 @@ def estimate_risk(
     trials: int,
     seed: int,
 ) -> RiskEstimate:
-    """Unbiased Monte-Carlo estimate of the detector's risk on the pair."""
+    """Unbiased Monte-Carlo estimate of the detector's risk on the pair.
+
+    Each row draws a fair label J, then a dataset of size n from p0 (J = 0)
+    or the mixture (J = 1); an error is a verdict other than J.
+    """
     if trials < 100:
         raise ParameterError("at least 100 trials are required")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    errors = count_errors(risk_step(detector, pair, n), trials, seed, (Domain.RISK,))
+    p1 = mix(pair)
+
+    def draw(rows: int, rng: np.random.Generator) -> tuple:
+        j = rng.integers(0, 2, rows)
+        return j, draw_labeled((pair.p0, p1), j, n, rng)
+
+    errors = count_errors(draw, detector(pair, p1), trials, seed, (Domain.RISK,))
     return wilson_interval(errors, trials)
 
 
@@ -333,11 +309,11 @@ def estimate_conditional_errors(
     score = detector(pair, p1)
 
     def branch(j: int, law: Categorical) -> RiskEstimate:
-        def step(rows: int, rng: np.random.Generator) -> int:
-            symbols = draw_symbols(law, (rows, n), rng)
-            return int(np.count_nonzero(score(symbols, rng) != j))
+        def draw(rows: int, rng: np.random.Generator) -> tuple:
+            return j, draw_symbols(law, (rows, n), rng)
 
-        return wilson_interval(count_errors(step, trials, seed, (Domain.CONDITIONAL, j)), trials)
+        errors = count_errors(draw, score, trials, seed, (Domain.CONDITIONAL, j))
+        return wilson_interval(errors, trials)
 
     return branch(0, pair.p0), branch(1, p1)
 
@@ -354,34 +330,24 @@ def _trained_risk(
     seed: int,
     domain: Domain,
 ) -> RiskEstimate:
-    """Risk of a detector scoring (trained params, clean data, probe sample).
-
-    Each row draws a cell (j, i) from the prior, a training set of size n
-    from p0 (j = 0) or the mixture (j = 1), m fresh clean samples, and a
-    probe symbol from p0 (i = 0) or pb (i = 1). The scorer sees the trained
-    parameters of every row, the clean samples and the probes; an error is
-    a verdict other than the flavor's target t(j, i).
-    """
+    """:func:`estimate_generalized_risk` on the blocks of ``domain``."""
     if trials < 100:
         raise ParameterError("at least 100 trials are required")
     if n < 1 or m < 1:
         raise ParameterError("n and m must be >= 1")
     prior.validate_for(target)
     p1 = mix(pair)
-    score = detector(pair, p1)
-    weights = np.array([cell[2] for cell in prior.cells()])
+    weights = np.array([prior.p00, prior.p01, prior.p10, prior.p11])
 
-    def step(rows: int, rng: np.random.Generator) -> int:
+    def draw(rows: int, rng: np.random.Generator) -> tuple:
         cell = rng.choice(4, size=rows, p=weights)
         j, i = cell // 2, cell % 2
-        train = _draw_labeled((pair.p0, p1), j, n, rng)
+        train = draw_labeled((pair.p0, p1), j, n, rng)
         d_prime = draw_symbols(pair.p0, (rows, m), rng)
-        x = _draw_labeled((pair.p0, pair.pb), i, 1, rng)[:, 0]
-        theta = trainer.batch(train, pair.alphabet_size)
-        verdicts = score(theta, d_prime, x, rng)
-        return int(np.count_nonzero(verdicts != target.target(j, i)))
+        x = draw_labeled((pair.p0, pair.pb), i, 1, rng)[:, 0]
+        return target.target(j, i), trainer.batch(train, pair.alphabet_size), d_prime, x
 
-    return wilson_interval(count_errors(step, trials, seed, (domain,)), trials)
+    return wilson_interval(count_errors(draw, detector(pair, p1), trials, seed, (domain,)), trials)
 
 
 def estimate_generalized_risk(

@@ -1,16 +1,16 @@
-"""Deterministic random streams.
+"""Deterministic random streams and the one Monte-Carlo block kernel.
 
 All randomness in the package flows through :func:`substream`, which maps a
-seed >= 0 plus a path of integers (domain tag, block index, ...) onto an
-independent Philox generator. Philox is counter-based, so a stream depends
-only on its key, never on how many draws a sibling stream consumed. Two
-consequences the rest of the package relies on:
+seed >= 0 plus a path of integers (domain tag, block index, ...) onto a
+Philox generator. Philox is counter-based, so a stream depends only on its
+key, never on how many draws a sibling stream consumed, and the same (seed,
+path) reproduces the same stream on any platform.
 
-* identical (seed, path) always reproduces the identical stream, on any
-  platform, and distinct seeds on one path give distinct streams;
-* Monte-Carlo trials run in fixed blocks of ``BLOCK = 4096`` trials, each
-  block on one generator keyed by (seed, domain, block index), so
-  aggregates are bit-identical no matter how blocks are scheduled.
+Every risk the package estimates counts the seeded trials whose verdict
+differs from a target, by one block rule (:func:`block_errors`), over fixed
+blocks of ``BLOCK = 4096`` trials, each on its own generator. Block counts
+are summed in block order (:func:`count_errors`), so aggregates are
+bit-identical no matter how blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -44,33 +44,42 @@ class Domain(enum.IntEnum):
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for (seed, *path), for any integer seed >= 0.
+    """The generator for (seed, *path), for any integer seed >= 0.
 
-    The same arguments always yield the same stream; distinct seeds on one
-    path, and distinct paths, yield statistically independent streams.
+    Its key is the 32-bit words of the seed and of each path entry in turn,
+    padded with zero words to four. Equal keys give the same stream and
+    distinct keys statistically independent ones. A seed below 2^32 is one
+    word, so on the package's paths, one length per domain, distinct (seed,
+    path) have distinct keys. A wider seed takes more words and can spell
+    another seed's key: substream(2**33 + 7, RISK, b) is substream(7,
+    CONDITIONAL, 1, b).
     """
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(tuple(map(int, (seed, *path))))))
 
 
-#: One block of trials: (rows, the block's generator) to the number of the
-#: block's trials that count; a step draws its data before its detector's.
-BlockStep = Callable[[int, np.random.Generator], int]
-
-
-def block_errors(step: BlockStep, seed: int, path: Sequence[int], index: int, rows: int) -> int:
+def block_errors(
+    draw: Callable, score: Callable, seed: int, path: Sequence[int], index: int, rows: int
+) -> int:
     """Errors among the ``rows`` trials of block ``index``.
 
-    A pure function of its arguments: the block draws its data, then its
-    detector's draws, from the one generator substream(seed, *path, index).
+    The block rule: one generator, substream(seed, *path, index), first
+    gives ``target, *inputs = draw(rows, rng)``, where the target is one
+    per row or one for the block, then goes to ``score(*inputs, rng)``,
+    which returns one verdict per row. An error is a verdict other than
+    the row's target. A pure function of its arguments.
     """
-    return int(step(rows, substream(seed, *path, index)))
+    rng = substream(seed, *path, index)
+    target, *inputs = draw(rows, rng)
+    return int(np.count_nonzero(score(*inputs, rng) != target))
 
 
-def count_errors(step: BlockStep, trials: int, seed: int, path: Sequence[int]) -> int:
+def count_errors(
+    draw: Callable, score: Callable, trials: int, seed: int, path: Sequence[int]
+) -> int:
     """Errors over ``trials`` trials, in blocks of :data:`BLOCK` summed in block order."""
     return sum(
-        block_errors(step, seed, path, index, min(BLOCK, trials - start))
+        block_errors(draw, score, seed, path, index, min(BLOCK, trials - start))
         for index, start in enumerate(range(0, trials, BLOCK))
     )

@@ -529,6 +529,20 @@ class TestResultsFileOption:
         assert len(records) == 2
         assert all({"command", "config_hash", "timestamp", "payload"} <= set(r) for r in records)
 
+    def test_signed_zero_is_one_record(self, runner, tmp_path):
+        # a law or a knob spelled -0.0 is the configuration spelled 0
+        out = tmp_path / "results.jsonl"
+        pair = tmp_path / "pair.json"
+        for pb, gamma in (("[1, -0.0]", "-0.0"), ("[1, 0]", "0")):
+            pair.write_text(f'{{"p0": [0.5, 0.5], "pb": {pb}, "gamma": 0.5, "beta": 0.5}}')
+            for args in (["--pair", str(pair)], ["--gamma", gamma]):
+                result = runner.invoke(main, ["risk", *args, "--trials", "200", "--out", str(out)])
+                assert result.exit_code == 0, result.output
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_signed_zero_keeps_the_zero_hash(self, runner, tmp_path):
+        assert_config_hash(runner, tmp_path, ["risk", "--gamma", "-0.0"], "25f2771f1f121ce7")
+
     @pytest.mark.parametrize(
         "line",
         [b"[1, 2]", b'"abc"', b'\xff{"config_hash": "x"}', b"[" * 100_000 + b'"\\n"'],

@@ -115,6 +115,17 @@ class TestCategorical:
         c = probs(0.25, 0.5, 0.25)
         assert Categorical.from_jsonable(c.to_jsonable()) == c
 
+    def test_signed_zero_is_one_law(self):
+        # -0.0 == 0.0, so the two spellings must hash and serialize alike
+        a, b = Categorical(np.array([1.0, -0.0])), Categorical(np.array([1.0, 0.0]))
+        assert a == b and hash(a) == hash(b)
+        pairs = {
+            DistributionPair(a, a, gamma=-0.0, beta=-0.0),
+            DistributionPair(b, b, gamma=0.0, beta=0.0),
+        }
+        assert len(pairs) == 1
+        assert pairs.pop().to_jsonable() == {"p0": [1.0, 0.0], "pb": [1.0, 0.0], "gamma": 0.0, "beta": 0.0}
+
 
 class TestTvDistance:
     def test_identity_is_zero(self):

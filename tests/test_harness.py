@@ -36,11 +36,13 @@ from bdlimits import (
     tv_distance,
     type0_demo_risk,
     type0_tv_detector,
+    type1_trial_detector,
     type2_trial_detector,
     wilson_interval,
 )
 from bdlimits import harness
-from bdlimits.harness import append_result, config_hash, risk_step
+from bdlimits.distributions import draw_labeled
+from bdlimits.harness import append_result, config_hash
 from bdlimits.rng import BLOCK, Domain, block_errors, substream
 
 
@@ -102,13 +104,19 @@ class TestEstimateRisk:
     def test_trial_order_independent(self):
         # blocks draw from streams keyed by block index, so evaluating them
         # in any order gives the same counts, and the estimate is their sum
-        step = risk_step(np_trial_detector(), ORACLE_PAIR, 2)
+        p1 = mix(ORACLE_PAIR)
+        score = np_trial_detector()(ORACLE_PAIR, p1)
+
+        def draw(rows, rng):
+            j = rng.integers(0, 2, rows)
+            return j, draw_labeled((ORACLE_PAIR.p0, p1), j, 2, rng)
+
         sizes = [BLOCK, BLOCK, 37]
         forward = [
-            block_errors(step, 4, (Domain.RISK,), b, rows) for b, rows in enumerate(sizes)
+            block_errors(draw, score, 4, (Domain.RISK,), b, rows) for b, rows in enumerate(sizes)
         ]
         backward = [
-            block_errors(step, 4, (Domain.RISK,), b, sizes[b]) for b in reversed(range(3))
+            block_errors(draw, score, 4, (Domain.RISK,), b, sizes[b]) for b in reversed(range(3))
         ]
         assert forward == list(reversed(backward))
         trials = 2 * BLOCK + 37
@@ -333,6 +341,41 @@ class TestEstimatorEntryPoints:
         )
         expected = 0.5 - 0.5 * tv_distance(pair.p0, pair.pb)
         assert est.ci_low - 0.01 <= expected <= est.ci_high + 0.01
+
+
+K3 = next(inst for inst in harness.benchmark_instances() if inst.label == "k3")
+
+
+class TestEstimatorGoldens:
+    """Error counts of each estimator on the k3 instance at seed 7 over
+    5,000 trials (one full block and one partial), pinned across refactors."""
+
+    @pytest.mark.parametrize(
+        "estimate, errors",
+        [
+            (lambda: estimate_risk(np_trial_detector(), K3.pair, K3.n, 5000, 7), 51),
+            (lambda: estimate_risk(type1_trial_detector(K3.m), K3.pair, K3.n, 5000, 7), 390),
+            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[0], 57),
+            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[1], 36),
+            (
+                lambda: estimate_generalized_risk(
+                    bayes_probe_detector(K3.pair), K3.pair, K3.n, K3.m, JointPrior.sbd_default(),
+                    Flavor.SBD, TrainerStub(), 5000, 7,
+                ),
+                644,
+            ),
+            (
+                lambda: type0_demo_risk(
+                    type0_tv_detector(K3.pair.gamma, K3.pair.beta), K3.pair, K3.n, K3.m,
+                    TrainerStub(), 5000, 7,
+                ),
+                318,
+            ),
+        ],
+        ids=["risk-np", "risk-type1", "false-backdoor", "missed-backdoor", "sbd", "type0"],
+    )
+    def test_golden(self, estimate, errors):
+        assert estimate() == wilson_interval(errors, 5000)
 
 
 @pytest.fixture

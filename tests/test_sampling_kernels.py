@@ -19,10 +19,10 @@ from bdlimits import Categorical
 from bdlimits.distributions import (
     _COUNT_LEVELS_MAX_K,
     _ROW_LEVELS_MAX_K,
+    draw_labeled,
     draw_symbols,
     sparse_types,
 )
-from bdlimits.harness import _draw_labeled
 from bdlimits.rng import substream
 
 #: alphabet sizes on both sides of each kernel's threshold
@@ -95,7 +95,7 @@ class TestLevelCounting:
         rows, n = data.draw(st.integers(1, 40)), data.draw(st.sampled_from([1, 3, 20]))
         seed = data.draw(st.integers(0, 2**32))
         labels = substream(seed, 1).integers(0, 2, rows)
-        symbols = _draw_labeled(pair, labels, n, substream(seed, 0))
+        symbols = draw_labeled(pair, labels, n, substream(seed, 0))
         u = substream(seed, 0).random((rows, n))
         assert symbols.shape == (rows, n) and symbols.dtype == np.int64
         for r in range(rows):
@@ -174,8 +174,8 @@ def test_seeded_streams_are_pinned(k):
     rng = substream(13, k)
     drawn = draw_symbols(law, (300, 20), rng)
     labels = rng.integers(0, 2, 300)
-    labeled = _draw_labeled((law, other), labels, 20, rng)
-    probe = _draw_labeled((law, other), labels, 1, rng)
+    labeled = draw_labeled((law, other), labels, 20, rng)
+    probe = draw_labeled((law, other), labels, 1, rng)
     wide = draw_symbols(law, (40, 80), rng)
     got = (
         digest(drawn, wide),
@@ -201,8 +201,8 @@ def test_labeled_draw_memory(n):
     pair = (pinned_law(k), pinned_law(k, flip=True))
     labels = substream(2, 1).integers(0, 2, rows)
     rng = substream(2, 0)
-    _draw_labeled(pair, labels, n, rng)
-    symbols, peak = peak_bytes(lambda: _draw_labeled(pair, labels, n, rng))
+    draw_labeled(pair, labels, n, rng)
+    symbols, peak = peak_bytes(lambda: draw_labeled(pair, labels, n, rng))
     assert symbols.shape == (rows, n)
     assert peak <= 2 * 8 * rows * n + 8 * rows * k + 16 * 1024, peak
 
