@@ -81,6 +81,8 @@ class ToyConfig:
             raise ParameterError("gamma must be in [0, 1]")
         if self.n < 1:
             raise ParameterError("n must be >= 1")
+        # -0.0 and 0.0 are one configuration, so they get one config hash
+        object.__setattr__(self, "gamma", self.gamma + 0.0)
         v = np.asarray(self.v, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)

@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .distributions import Categorical, DistributionPair, is_number, json_fields, mix, product_tv_exact
+from .distributions import Categorical, DistributionPair, is_number, json_fields, product_tv_exact
 from .errors import ParameterError
 
 
@@ -226,11 +226,15 @@ def type3_risk_floor(gamma: float, n: int, tv: float) -> float:
 
 
 def exact_type3_risk(pair: DistributionPair, n: int) -> float:
-    """Exact optimal risk 1/2 - TV(P0^N, P1^N)/2, summed over the types of N draws.
+    """Exact optimal risk 1/2 - TV(P0^N, P1^N)/2, summed over class types.
 
-    Raises :class:`ResourceCapError` when the C(N+K-1, K-1) types exceed 1e7.
+    Both laws weigh a sample of N draws by its counts in the pair's symbol
+    classes (:attr:`DistributionPair.classes`), so the sum runs over the
+    C(N+L-1, L-1) types of the L classes: at most two for a uniform clean
+    law against a point-mass backdoor, at any K. Raises
+    :class:`ResourceCapError` when those types exceed 1e7.
     """
-    return 0.5 - 0.5 * product_tv_exact(pair.p0, mix(pair), n)
+    return 0.5 - 0.5 * product_tv_exact(*pair.classes, n)
 
 
 def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> DistributionPair:

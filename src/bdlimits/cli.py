@@ -131,7 +131,7 @@ def bounds_table(alpha: float, beta: float, catalog_path: str | None, fmt: str, 
 )
 @click.option("--trials", default=10000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--oracle", is_flag=True, help="Also print the exact optimal risk, summed over the types of n draws.")
+@click.option("--oracle", is_flag=True, help="Also print the exact optimal risk, summed over the types of n draws on the pair's symbol classes.")
 @click.option("--out", default=None, type=click.Path())
 def risk(
     detector_name: str,
@@ -289,7 +289,7 @@ def toy(
         _toy_csv(csv_path, config, list(range(seed, seed + seeds)))
     payload: dict = {
         "n": n,
-        "gamma": gamma,
+        "gamma": config.gamma,
         "sigma": sigma,
         "v": [float(x) for x in config.v],
         "mu": config.mu,

@@ -207,6 +207,27 @@ class DistributionPair:
         """The contaminated distribution gamma*pb + (1-gamma)*p0, built once per pair."""
         return Categorical(self.gamma * self.pb.probs + (1.0 - self.gamma) * self.p0.probs)
 
+    @cached_property
+    def classes(self) -> tuple[Categorical, Categorical]:
+        """p0 and the mixture on the pair's symbol classes, built once per pair.
+
+        Symbols with identical (p0(x), mixture(x)) masses form a class. Both
+        laws weigh a sample by its class counts alone, so the class counts
+        are sufficient and the exact oracle sums over their types. A class
+        of m symbols gets m times the shared mass, one rounding where a
+        running sum of m masses would drift, and a class that both laws give
+        zero mass is dropped. A pair with no repeated and no massless symbol
+        keeps its two laws, in symbol order.
+        """
+        # one complex number per symbol, (p0, mixture) exactly; np.unique on
+        # them is some 15x faster than on the rows of a (K, 2) array at K = 1e6
+        shared, size = np.unique(self.p0.probs + 1j * self.mixture.probs, return_counts=True)
+        reached = shared != 0
+        if reached.sum() == self.alphabet_size:
+            return self.p0, self.mixture
+        shared, size = shared[reached], size[reached]
+        return Categorical(shared.real * size), Categorical(shared.imag * size)
+
     def is_admissible(self) -> bool:
         """Whether TV(p0, pb) >= 1 - beta."""
         return tv_distance(self.p0, self.pb) >= 1.0 - self.beta
@@ -420,8 +441,12 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     with a positive count, from running vectors per partial type (log
     weight, log p0 mass, log p1 mass, remaining count, next symbol). They
     are expanded depth first in chunks of ``_TYPE_CHUNK`` children, so at
-    most min(n, K) chunks are held at once. Raises
-    :class:`ResourceCapError` above ``ENUMERATION_CAP`` types.
+    most min(n, K) chunks are held at once. The count on symbol K-1 is
+    forced, so a child whose next symbol is K-1 takes the remaining draws
+    there in the step that builds it rather than being pushed. The sum runs
+    over the symbols given; :func:`~bdlimits.bounds.exact_type3_risk`
+    passes the pair's symbol classes. Raises :class:`ResourceCapError`
+    above ``ENUMERATION_CAP`` types.
     """
     if p0.alphabet_size != p1.alphabet_size:
         raise AlphabetMismatchError(
@@ -455,14 +480,23 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
             stack.append((lw, l0, l1, rem, first, stop))
         child = np.arange(start, stop)
         parent = np.searchsorted(ends, child, side="right")
-        local = child - ends[parent] + size[parent]
+        local = child - (ends - size)[parent]
         rem = rem[parent]
-        sym = first[parent] + local // rem
-        counts = np.where(sym == k - 1, rem, local % rem + 1)
+        offset, extra = np.divmod(local, rem)
+        sym = first[parent] + offset
+        counts = np.where(sym == k - 1, rem, extra + 1)
         lw = lw[parent] - log_factorial[counts]
         l0 = l0[parent] + counts * log0[sym]
         l1 = l1[parent] + counts * log1[sym]
         rem = rem - counts
+        # a child whose next symbol is K-1 is finished here, not pushed
+        fill = (sym == k - 2) & (rem > 0)
+        if fill.any():
+            forced = rem[fill]
+            lw[fill] -= log_factorial[forced]
+            l0[fill] += forced * log0[-1]
+            l1[fill] += forced * log1[-1]
+            rem[fill] = 0
         # |e^a - e^b| = e^hi (1 - e^(lo - hi)); massless under both laws adds 0
         hi, lo = np.maximum(l0, l1), np.minimum(l0, l1)
         live = hi > -np.inf

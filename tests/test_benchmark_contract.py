@@ -1,11 +1,14 @@
-"""The package names the benchmark's traced run reaches for still resolve.
+"""The benchmark's traced run and its correctness gates hold on the package.
 
 ``perfbench/layers.py`` wraps a fixed list of package functions by name, the
 dataset validation hook and the four CLI callbacks, and reads the ``trials``
 argument of each per-trial loop. A rename or a new signature there breaks
-``--trace 1`` without failing any other test.
+``--trace 1`` without failing any other test. ``perfbench/workloads.py``
+gates each ``exact-grid`` result against its own type-sum reference, so an
+oracle that fails the gate fails here too.
 """
 
+import contextlib
 import importlib
 import inspect
 import sys
@@ -13,24 +16,38 @@ from pathlib import Path
 
 import pytest
 
-from bdlimits import cli, distributions
+from bdlimits import cli, distributions, exact_type3_risk
+from bdlimits.harness import benchmark_instances
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def layers():
-    """``perfbench/layers.py``, imported without writing bytecode beside it."""
+@contextlib.contextmanager
+def perfbench_module(name: str, *imports: str):
+    """``perfbench/<name>.py``, imported without writing bytecode beside it;
+    the perfbench modules it ``imports`` are dropped again with it."""
     saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True
     try:
-        yield importlib.import_module("layers")
+        yield importlib.import_module(name)
     finally:
         sys.path[:] = saved_path
         sys.dont_write_bytecode = saved_flag
-        for name in ("layers", "tracer"):
-            sys.modules.pop(name, None)
+        for module in (name, *imports):
+            sys.modules.pop(module, None)
+
+
+@pytest.fixture(scope="module")
+def layers():
+    with perfbench_module("layers", "tracer") as module:
+        yield module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with perfbench_module("workloads") as module:
+        yield module
 
 
 def resolve(module: str, attr: str):
@@ -56,3 +73,13 @@ def test_loops_take_trials(layers):
     for label in layers.LOOPS:
         module, attr = label.split(".")
         assert "trials" in inspect.signature(resolve(module, attr)).parameters, label
+
+
+def test_exact_grid_gate(workloads):
+    grid = workloads.ExactGrid
+    instances = {inst.label: inst for inst in benchmark_instances()}
+    for label, ns in grid.GRID.items():
+        pair = instances[label].pair
+        for n in ns:
+            reference = workloads.type_sum_risk(pair, n)
+            assert abs(exact_type3_risk(pair, n) - reference) <= grid.TOLERANCE, (label, n)

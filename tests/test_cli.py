@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import warnings
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -203,12 +204,31 @@ class TestRisk:
         assert result.exit_code == 0
         assert payload_of(result)["risk"]["p_hat"] < 0.2
 
-    def test_oracle_cap_exits_3(self, runner):
+    def test_oracle_cap_exits_3(self, runner, tmp_path):
+        # 100 distinct masses are 100 classes: C(104, 99) = 9.2e7 types of 5 draws
+        path = tmp_path / "pair.json"
+        p0 = [i / 5050 for i in range(1, 101)]
+        path.write_text(json.dumps({"p0": p0, "pb": [0.01] * 100, "gamma": 0.5, "beta": 0.5}))
         result = runner.invoke(
             main,
-            ["risk", "--k", "100", "--n", "5", "--trials", "100", "--oracle"],
+            ["risk", "--pair", str(path), "--n", "5", "--trials", "100", "--oracle"],
         )
-        assert result.exit_code == 3
+        assert_clean_failure(result, 3)
+
+    def test_oracle_sums_over_symbol_classes(self, runner):
+        # the default pair has two classes at any --k: symbol 0 and the rest
+        result = runner.invoke(
+            main, ["risk", "--k", "100000", "--n", "20", "--trials", "100", "--oracle"]
+        )
+        assert result.exit_code == 0, result.output
+        a, b = Fraction(1, 100000), Fraction(1, 2) + Fraction(1, 200000)
+        tv = sum(
+            math.comb(20, c) * abs(a**c * (1 - a) ** (20 - c) - b**c * (1 - b) ** (20 - c))
+            for c in range(21)
+        ) / 2
+        expected = float(Fraction(1, 2) - tv / 2)
+        assert expected == 1.0021267355147374e-05
+        assert abs(payload_of(result)["oracle_exact"] - expected) <= 1e-13
 
     def test_oracle_beyond_outcome_enumeration(self, runner):
         # 3**40 outcomes, but only C(42, 2) = 861 types
@@ -300,6 +320,12 @@ class TestToy:
         jsonschema.validate(payload, schema("toy_record"))
         assert len(payload["records"]) == 1
         assert "summary" not in payload
+
+    def test_signed_zero_gamma_is_one_config(self, runner):
+        # -0.0 is the configuration spelled 0, with the hash it has always had
+        outputs = [runner.invoke(main, ["toy", "--gamma", gamma]).stdout for gamma in ("-0.0", "0")]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["config_hash"] == "d05f84d3956b7d8b"
 
     def test_ensemble_summary(self, runner):
         result = runner.invoke(main, ["toy", "--n", "80", "--seeds", "5"])

@@ -213,6 +213,43 @@ class TestMix:
             assert np.array_equal(first.probs, expected.probs)
 
 
+class TestSymbolClasses:
+    # (p0, pb, gamma, classes): repeated masses, a zero mass under one law,
+    # symbols both laws give zero mass, and gamma 0 and 1
+    PAIRS = [
+        ([0.2, 0.2, 0.2, 0.0, 0.4, 0.0], [0.1, 0.1, 0.1, 0.5, 0.2, 0.0], 0.5, 3),
+        ([0.5, 0.0, 0.25, 0.25, 0.0], [0.0, 0.5, 0.25, 0.25, 0.0], 1.0, 3),
+        ([0.3, 0.3, 0.4, 0.0], [0.6, 0.1, 0.3, 0.0], 0.0, 2),
+        ([0.2] * 5, [1.0, 0.0, 0.0, 0.0, 0.0], 0.5, 2),
+    ]
+
+    @pytest.mark.parametrize("p0, pb, gamma, classes", PAIRS)
+    def test_classes_merge_repeats_and_drop_massless(self, p0, pb, gamma, classes):
+        pair = DistributionPair(probs(*p0), probs(*pb), gamma, beta=0.5)
+        c0, c1 = pair.classes
+        assert c0.alphabet_size == c1.alphabet_size == classes
+        assert pair.classes is pair.classes
+        # each class mass is its size times the shared mass, in any order
+        rows = np.column_stack([pair.p0.probs, pair.mixture.probs])
+        shared, size = np.unique(rows[rows.any(axis=1)], axis=0, return_counts=True)
+        expected = (Categorical(shared[:, law] * size).probs for law in (0, 1))
+        assert sorted(zip(c0.probs, c1.probs)) == sorted(zip(*expected))
+
+    @pytest.mark.parametrize("p0, pb, gamma, classes", PAIRS)
+    def test_class_risk_equals_full_alphabet_risk(self, p0, pb, gamma, classes):
+        pair = DistributionPair(probs(*p0), probs(*pb), gamma, beta=0.5)
+        for n in (1, 2, 5, 8):
+            risk = exact_type3_risk(pair, n)
+            full = 0.5 - 0.5 * product_tv_exact(pair.p0, mix(pair), n)
+            rational = 0.5 - float(rational_tv(pair.p0, mix(pair), n)) / 2
+            assert abs(risk - full) <= 1e-12, n
+            assert abs(risk - rational) <= 1e-12, n
+
+    def test_distinct_masses_left_unreduced(self):
+        pair = DistributionPair(probs(0.5, 0.3, 0.2), probs(0.1, 0.2, 0.7), 0.5, beta=0.5)
+        assert pair.classes[0] is pair.p0 and pair.classes[1] is pair.mixture
+
+
 class TestSample:
     def test_point_mass_is_constant(self):
         d = sample(Categorical.point_mass(0, 3), 5, seed=123)
