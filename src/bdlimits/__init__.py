@@ -24,9 +24,6 @@ from .bounds import (
 )
 from .detectors import (
     KsResult,
-    Verdict,
-    adapt_type2_from_type1,
-    adapt_type3_from_type2,
     ks_pvalue,
     ks_statistic,
     np_type3,
@@ -79,11 +76,9 @@ from .adversary import (
     LinearClassifier,
     ToyAttackReport,
     ToyConfig,
-    imposs_conditional_sampler,
     imposs_probe,
     imposs_risk,
     imposs_risk_floor,
-    imposs_sampler,
     projections,
     toy_attack_report,
     toy_backdoor,

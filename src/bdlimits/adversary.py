@@ -16,6 +16,8 @@ distribution alone: it draws a dataset whose marginal law is exactly
 the clean uniform distribution, yet which, conditioned on a hidden anchor
 set, is an i.i.d. contaminated sample. Its guaranteed risk floor is
 exp(-N^2 / (M - N)) / 2 with M anchors and N training samples.
+:func:`imposs_risk` draws these datasets a block at a time and scores them
+with any harness detector bound to the clean view.
 """
 
 from __future__ import annotations
@@ -266,46 +268,22 @@ class ImpossibilityConfig:
 
 
 def _draw_anchored(
-    rows: int, config: ImpossibilityConfig, rng: np.random.Generator, rate, anchor: Callable
+    rows: int, config: ImpossibilityConfig, rng: np.random.Generator, rate
 ) -> np.ndarray:
     """(rows, n) uniform symbols, each replaced at ``rate`` (a scalar or a
-    per-row column) by ``anchor(row, v)``, the row's anchor at a uniform
-    index v < m. Draws symbols, coins, indices, then what ``anchor`` draws."""
+    per-row column) by the row's anchor at a uniform index v < m.
+
+    Draws symbols, coins and indices, then one uniform symbol per distinct
+    (row, v) that a row references. A row's m anchors are i.i.d. uniform,
+    so this has the law of drawing all m per row, without a dense rows x m
+    table.
+    """
     x = rng.integers(0, config.k, (rows, config.n))
     g = rng.random((rows, config.n)) < rate
     v = rng.integers(0, config.m, (rows, config.n))
-    x[g] = anchor(np.nonzero(g)[0], v[g])
+    cells, which = np.unique(np.nonzero(g)[0] * config.m + v[g], return_inverse=True)
+    x[g] = rng.integers(0, config.k, cells.size)[which]
     return x
-
-
-def imposs_conditional_sampler(
-    anchors: Sequence[int], config: ImpossibilityConfig, seed: int
-) -> SymbolDataset:
-    """Sample conditioned on a fixed anchor vector.
-
-    Given the anchors, symbols are i.i.d. from the mixture
-    (1 - gamma) * uniform + gamma * (uniform on the anchor multiset).
-    """
-    anchors = np.asarray(anchors, dtype=np.int64)
-    if anchors.size != config.m:
-        raise ParameterError(f"expected {config.m} anchors, got {anchors.size}")
-    rng = substream(seed, Domain.PROBE_SAMPLER)
-    x = _draw_anchored(1, config, rng, config.gamma, lambda row, v: anchors[v])
-    return SymbolDataset(x[0], config.k)
-
-
-def imposs_sampler(config: ImpossibilityConfig, seed: int) -> SymbolDataset:
-    """Draw one adversarial dataset.
-
-    Each symbol is marginally uniform on the alphabet, so no statistic of
-    the dataset distinguishes it from clean data in expectation; yet
-    conditioned on the hidden anchors it is an i.i.d. contaminated sample
-    whose backdoor distribution is far from uniform.
-    """
-    rng = substream(seed, Domain.PROBE_SAMPLER)
-    anchors = rng.integers(0, config.k, config.m)
-    x = _draw_anchored(1, config, rng, config.gamma, lambda row, v: anchors[v])
-    return SymbolDataset(x[0], config.k)
 
 
 def imposs_risk_floor(n: int, m: int) -> float:
@@ -342,15 +320,7 @@ def imposs_risk(
 
     def draw(rows: int, rng: np.random.Generator) -> tuple:
         j = rng.integers(0, 2, rows)
-
-        def anchor(row: np.ndarray, v: np.ndarray) -> np.ndarray:
-            # The anchors are i.i.d. uniform, so drawing one per distinct
-            # (row, anchor index) that a row references has the law of
-            # drawing all m per row, without a dense rows x m table.
-            cells, which = np.unique(row * config.m + v, return_inverse=True)
-            return rng.integers(0, config.k, cells.size)[which]
-
-        return j, _draw_anchored(rows, config, rng, config.gamma * j[:, None], anchor)
+        return j, _draw_anchored(rows, config, rng, config.gamma * j[:, None])
 
     return wilson_interval(count_errors(draw, score, trials, seed, (Domain.PROBE,)), trials)
 

@@ -20,8 +20,15 @@ from importlib import resources
 
 import numpy as np
 
-from .distributions import Categorical, DistributionPair, is_number, json_fields, product_tv_exact
-from .errors import ParameterError
+from .distributions import (
+    ENUMERATION_CAP,
+    Categorical,
+    DistributionPair,
+    is_number,
+    json_fields,
+    product_tv_exact,
+)
+from .errors import ParameterError, ResourceCapError
 
 
 def _positive_int(value: object, what: str) -> int:
@@ -232,9 +239,17 @@ def exact_type3_risk(pair: DistributionPair, n: int) -> float:
     classes (:attr:`DistributionPair.classes`), so the sum runs over the
     C(N+L-1, L-1) types of the L classes: at most two for a uniform clean
     law against a point-mass backdoor, at any K. Raises
-    :class:`ResourceCapError` when those types exceed 1e7.
+    :class:`ResourceCapError`, naming L and K, when those types exceed 1e7.
     """
-    return 0.5 - 0.5 * product_tv_exact(*pair.classes, n)
+    p0, p1 = pair.classes
+    classes = p0.alphabet_size
+    types = math.comb(n + classes - 1, classes - 1) if n >= 1 else 0
+    if types > ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"{types} types of {n} draws on L = {classes} symbol classes of the "
+            f"K = {pair.alphabet_size} symbols exceed the enumeration cap {ENUMERATION_CAP}"
+        )
+    return 0.5 - 0.5 * product_tv_exact(p0, p1, n)
 
 
 def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> DistributionPair:

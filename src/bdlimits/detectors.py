@@ -4,21 +4,21 @@ Detectors are ordered by oracle access. A Type-1 detector sees the raw
 training set plus a fresh clean sample; a Type-2 detector sees the clean
 distribution itself; a Type-3 detector additionally sees the backdoor
 distribution, turning the task into a binary likelihood-ratio test between
-the clean product law and the contaminated product law. Adapters reduce a
-weaker-oracle detector to a stronger-oracle interface without changing its
-risk. The adapters share one call shape, (dataset, oracle, rng): the oracle
-of a Type-2 detector is p0, that of a Type-3 detector the pair, and
-:func:`bdlimits.harness.per_row` runs a Type-3 detector in the Monte-Carlo
-harness.
+the clean product law and the contaminated product law. The reductions
+between them are harness detectors (:mod:`bdlimits.harness`): a Type-2
+detector is a Type-3 one that reads only ``pair.p0``, and
+``type1_trial_detector(m)`` runs the Type-1 test as a Type-2 detector by
+drawing its m clean samples from p0. The block kernels here score a whole
+block of datasets; :func:`np_type3`, :func:`type2_tv` and :func:`type1_tv`
+are their one-dataset cases.
 
-Verdict polarity: 1 flags the training set as drawn from the contaminated
-mixture, 0 as clean. Ties in the likelihood ratio and the threshold tests
-resolve to 1.
+Polarity, for every detector in the package: a verdict of 1 flags the
+training set as drawn from the contaminated mixture, 0 as clean. Ties in
+the likelihood ratio and the threshold tests resolve to 1.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,20 +29,12 @@ from .distributions import (
     Categorical,
     DistributionPair,
     SymbolDataset,
-    draw_symbols,
     mix,
     tv_to_type,
     type_counts,
     type_distances,
 )
 from .errors import AlphabetMismatchError, ImpossibleSampleError, ParameterError
-
-
-class Verdict(enum.IntEnum):
-    """Binary detector output; BACKDOORED means "contaminated mixture"."""
-
-    CLEAN = 0
-    BACKDOORED = 1
 
 
 @dataclass(frozen=True)
@@ -91,16 +83,16 @@ def np_verdicts(symbols: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     return (llr >= 0.0).astype(np.int64)
 
 
-def np_type3(d: SymbolDataset, pair: DistributionPair) -> Verdict:
+def np_type3(d: SymbolDataset, pair: DistributionPair) -> int:
     """Likelihood-ratio (Neyman-Pearson) detector with full knowledge.
 
-    Returns BACKDOORED iff the log likelihood ratio of the contaminated
+    Returns 1 iff the log likelihood ratio of the contaminated
     mixture against the clean distribution is >= 0 over the dataset.
     Symbols impossible under one hypothesis short-circuit the verdict;
     symbols impossible under both raise :class:`ImpossibleSampleError`.
     """
     ratio = np_log_ratio(pair.p0, mix(pair))
-    return Verdict(int(np_verdicts(d.symbols[None, :], ratio)[0]))
+    return int(np_verdicts(d.symbols[None, :], ratio)[0])
 
 
 def tv_threshold(gamma: float, beta: float) -> float:
@@ -114,15 +106,14 @@ def tv_threshold(gamma: float, beta: float) -> float:
 
 def type2_tv(
     d: SymbolDataset, p0: Categorical, gamma: float, beta: float
-) -> Verdict:
+) -> int:
     """Threshold the TV distance between the dataset's type and p0.
 
-    Flags BACKDOORED when TV(p0, S_N) >= gamma * (1 - beta) / 2, with
+    Flags (1) when TV(p0, S_N) >= gamma * (1 - beta) / 2, with
     equality counting as a flag.
     """
     threshold = tv_threshold(gamma, beta)
-    distance = tv_to_type(p0, d)
-    return Verdict.BACKDOORED if distance >= threshold else Verdict.CLEAN
+    return int(tv_to_type(p0, d) >= threshold)
 
 
 def type1_distances(symbols: np.ndarray, clean: np.ndarray, k: int) -> np.ndarray:
@@ -134,7 +125,7 @@ def type1_distances(symbols: np.ndarray, clean: np.ndarray, k: int) -> np.ndarra
 
 def type1_tv(
     d: SymbolDataset, d_clean: SymbolDataset, gamma: float, beta: float
-) -> Verdict:
+) -> int:
     """Type-1 analogue of :func:`type2_tv`: compare two empirical types.
 
     The clean reference distribution is replaced by the type of an
@@ -143,10 +134,8 @@ def type1_tv(
     threshold = tv_threshold(gamma, beta)
     if d.alphabet_size != d_clean.alphabet_size:
         raise AlphabetMismatchError("datasets disagree on alphabet size")
-    distance = float(
-        type1_distances(d.symbols[None, :], d_clean.symbols[None, :], d.alphabet_size)[0]
-    )
-    return Verdict.BACKDOORED if distance >= threshold else Verdict.CLEAN
+    distance = type1_distances(d.symbols[None, :], d_clean.symbols[None, :], d.alphabet_size)[0]
+    return int(distance >= threshold)
 
 
 def ks_statistic(values: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -244,34 +233,3 @@ def ood_risk_exact(
     flagged = labels == 1
     return 0.5 * float(p0.probs[flagged].sum()) + 0.5 * float(pb.probs[~flagged].sum())
 
-
-def adapt_type2_from_type1(
-    g1: Callable[[SymbolDataset, SymbolDataset], int], m: int
-) -> Callable[[SymbolDataset, Categorical, np.random.Generator], Verdict]:
-    """Lift a Type-1 detector to the Type-2 interface by sampling p0 itself.
-
-    The adapted detector ``g2(d, p0, rng)`` draws a clean dataset of size m
-    from p0 with ``rng`` and returns ``g1(d, d_clean)``.
-    """
-    if m < 1:
-        raise ParameterError("internal clean sample size must be >= 1")
-
-    def g2(d: SymbolDataset, p0: Categorical, rng: np.random.Generator) -> Verdict:
-        d_clean = SymbolDataset(draw_symbols(p0, m, rng), p0.alphabet_size)
-        return Verdict(int(g1(d, d_clean)))
-
-    return g2
-
-
-def adapt_type3_from_type2(
-    g2: Callable[[SymbolDataset, Categorical, np.random.Generator], int],
-) -> Callable[[SymbolDataset, DistributionPair, np.random.Generator], Verdict]:
-    """Lift a Type-2 detector to the Type-3 interface ``g3(d, pair, rng)``.
-
-    The backdoor distribution is ignored; g2 sees only pair.p0.
-    """
-
-    def g3(d: SymbolDataset, pair: DistributionPair, rng: np.random.Generator) -> Verdict:
-        return Verdict(int(g2(d, pair.p0, rng)))
-
-    return g3

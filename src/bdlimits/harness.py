@@ -20,6 +20,12 @@ symbols. ``rng`` is the block's generator, after the block's data. The
 empirical type is a sufficient statistic for every built-in detector, so
 each scores a block in a few numpy calls; :func:`per_row` lifts a
 per-dataset callable ``fn(d, pair, rng)`` into the same shape.
+
+The paper's reductions between oracle types are detectors of this one
+shape: a Type-2 detector is a Type-3 one that reads only ``pair.p0``
+(:func:`type2_trial_detector`), and :func:`type1_trial_detector` runs the
+Type-1 test as a Type-2 detector, drawing its clean samples from p0 with
+the block's generator.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import chain
 from typing import Callable
@@ -79,12 +85,7 @@ class RiskEstimate:
         return self.ci_high - self.ci_low
 
     def to_jsonable(self) -> dict:
-        return {
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def wilson_interval(errors: int, trials: int) -> RiskEstimate:

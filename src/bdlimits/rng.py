@@ -28,7 +28,11 @@ BLOCK = 4096
 
 
 class Domain(enum.IntEnum):
-    """Namespace tags keeping unrelated substreams disjoint."""
+    """Namespace tags keeping unrelated substreams disjoint.
+
+    A tag's value is part of its streams' keys, so a retired tag leaves a
+    gap in the values rather than moving the others.
+    """
 
     SAMPLE = 0
     RISK = 1
@@ -36,10 +40,8 @@ class Domain(enum.IntEnum):
     GENERALIZED = 3
     TYPE0 = 4
     PROBE = 5
-    PROBE_SAMPLER = 6
     TOY_CLEAN = 7
     TOY_POISON = 8
-    TOY_EVAL = 9  # reserved: the toy evaluation is closed form and draws nothing
     CONCENTRATION = 11
 
 

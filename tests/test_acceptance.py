@@ -17,11 +17,10 @@ from bdlimits import (
     Categorical,
     DistributionPair,
     ImpossibilityConfig,
+    SymbolDataset,
     ToyConfig,
     TrainerStub,
     achievability_alpha_bound,
-    adapt_type2_from_type1,
-    adapt_type3_from_type2,
     benchmark_instances,
     estimate_risk,
     exact_type3_risk,
@@ -47,6 +46,7 @@ from bdlimits import (
     type_exceedance_frequency,
 )
 from bdlimits.cli import main as cli_main
+from bdlimits.distributions import draw_symbols
 from bdlimits.rng import substream
 
 
@@ -241,17 +241,20 @@ def test_criterion_9_reduction_ordering():
             r2 = estimate_risk(type2_trial_detector(), pair, n, trials, seed=13)
             r3 = estimate_risk(np_trial_detector(), pair, n, trials, seed=14)
 
-            # adapters track their source detector
-            g1 = lambda d, dc: int(type1_tv(d, dc, pair.gamma, pair.beta))
-            adapted2 = adapt_type3_from_type2(adapt_type2_from_type1(g1, m))
+            # the reductions track their source detector: the Type-1 test run
+            # per row on m clean samples drawn from p0 (Type-1 as Type-2), and
+            # the Type-2 test reading only pair.p0 (Type-2 as Type-3)
+            adapted2 = lambda d, pair, rng: type1_tv(
+                d, SymbolDataset(draw_symbols(pair.p0, m, rng), pair.alphabet_size),
+                pair.gamma, pair.beta,
+            )
             r2_adapted = estimate_risk(per_row(adapted2), pair, n, trials, seed=12)
             assert abs(r2_adapted.p_hat - r1.p_hat) <= 3 * max(
                 r2_adapted.ci_width, r1.ci_width
             )
             assert r2_adapted.p_hat == r1.p_hat
 
-            g2 = lambda d, p0, rng: int(type2_tv(d, p0, pair.gamma, pair.beta))
-            g3 = adapt_type3_from_type2(g2)
+            g3 = lambda d, pair, rng: type2_tv(d, pair.p0, pair.gamma, pair.beta)
             r3_adapted = estimate_risk(per_row(g3), pair, n, trials, seed=13)
             assert r3_adapted.p_hat == r2.p_hat
 

@@ -14,11 +14,9 @@ from bdlimits import (
     ParameterError,
     ToyAttackReport,
     ToyConfig,
-    imposs_conditional_sampler,
     imposs_probe,
     imposs_risk,
     imposs_risk_floor,
-    imposs_sampler,
     ks_pvalue,
     ks_statistic,
     projections,
@@ -33,6 +31,7 @@ from bdlimits import (
     type2_trial_detector,
     type2_tv,
 )
+from bdlimits.adversary import _draw_anchored
 from bdlimits.detectors import normal_cdf
 from bdlimits.distributions import sparse_types
 from bdlimits.rng import BLOCK, Domain, substream
@@ -334,67 +333,51 @@ class TestClosedFormEvaluation:
 
 
 class TestImpossibilitySampler:
+    """The anchored construction, drawn by ``_draw_anchored`` as the probe draws it."""
+
     def test_anchor_count_validation(self):
         with pytest.raises(ParameterError):
             ImpossibilityConfig(k=10, beta=0.05, gamma=1.0, n=5)
 
     def test_gamma_zero_uniform(self):
         cfg = ImpossibilityConfig(k=10, beta=0.5, gamma=0.0, n=2000)
-        d = imposs_sampler(cfg, seed=1)
-        counts = np.bincount(d.symbols, minlength=10)
+        x = _draw_anchored(1, cfg, substream(1), cfg.gamma)
+        counts = np.bincount(x[0], minlength=10)
         assert chisquare(counts).pvalue > 1e-4
 
     def test_gamma_one_single_anchor_constant(self):
         cfg = ImpossibilityConfig(k=50, beta=0.02, gamma=1.0, n=40)
         assert cfg.m == 1
-        d = imposs_sampler(cfg, seed=2)
-        assert len(set(d.symbols.tolist())) == 1
+        x = _draw_anchored(200, cfg, substream(2), cfg.gamma)
+        assert (x == x[:, :1]).all()
+        assert len(np.unique(x[:, 0])) > 1  # each row draws its own anchor
 
     def test_deterministic(self):
         cfg = ImpossibilityConfig(k=100, beta=0.1, gamma=0.8, n=25)
-        assert np.array_equal(imposs_sampler(cfg, 3).symbols, imposs_sampler(cfg, 3).symbols)
+        x = _draw_anchored(50, cfg, substream(3), cfg.gamma)
+        assert np.array_equal(x, _draw_anchored(50, cfg, substream(3), cfg.gamma))
 
     def test_marginal_uniformity(self):
-        # first symbol across independent runs is uniform on the alphabet
+        # the first symbol of independent rows is uniform on the alphabet
         cfg = ImpossibilityConfig(k=100, beta=0.1, gamma=1.0, n=5)
-        firsts = np.array(
-            [imposs_sampler(cfg, seed).symbols[0] for seed in range(100000)]
-        )
+        firsts = _draw_anchored(100000, cfg, substream(4), cfg.gamma)[:, 0]
         counts = np.bincount(firsts, minlength=100)
         assert chisquare(counts).pvalue > 0.01
 
     def test_conditional_mixture_law(self):
-        # fixing the anchors, symbols are i.i.d. (1-gamma) U + gamma Q_anchors
-        k, gamma = 40, 0.6
-        cfg = ImpossibilityConfig(k=k, beta=0.125, gamma=gamma, n=50)
-        anchors = np.array([3, 3, 7, 11, 11])
-        assert anchors.size == cfg.m
-        pooled = np.concatenate(
-            [
-                imposs_conditional_sampler(anchors, cfg, seed).symbols
-                for seed in range(2000)
-            ]
-        )
-        counts = np.bincount(pooled, minlength=k)
-        q = np.bincount(anchors, minlength=k) / anchors.size
-        expected = ((1 - gamma) / k + gamma * q) * pooled.size
-        assert chisquare(counts, expected).pvalue > 1e-4
-
-    def test_sampler_golden(self):
-        # seed 3 on substream(3, PROBE_SAMPLER): anchors first, then the
-        # uniform symbols, the anchor coins and the anchor indices
-        cfg = ImpossibilityConfig(k=50, beta=0.1, gamma=0.5, n=8)
-        assert imposs_sampler(cfg, 3).symbols.tolist() == [3, 3, 9, 9, 49, 9, 49, 9]
-
-    def test_conditional_sampler_golden(self):
-        cfg = ImpossibilityConfig(k=50, beta=0.1, gamma=0.5, n=8)
-        d = imposs_conditional_sampler([7, 7, 11, 13, 40], cfg, 3)
-        assert d.symbols.tolist() == [37, 7, 49, 11, 11, 7, 13, 7]
-
-    def test_conditional_wrong_anchor_count_rejected(self):
-        cfg = ImpossibilityConfig(k=40, beta=0.125, gamma=0.5, n=10)
-        with pytest.raises(ParameterError):
-            imposs_conditional_sampler(np.array([1, 2]), cfg, seed=0)
+        # Given the anchors, symbols are i.i.d. (1-gamma) U + gamma Q_anchors.
+        # Averaged over uniform anchors, that law's second moment is the pair
+        # law P(x0=a, x1=b) = (1 - gamma^2/m)/K^2 + [a=b] gamma^2/(m K):
+        # two anchored positions share an anchor with probability 1/m.
+        k, gamma = 3, 0.8
+        cfg = ImpossibilityConfig(k=k, beta=1.0, gamma=gamma, n=2)
+        assert cfg.m == 3
+        rows = 100000
+        x = _draw_anchored(rows, cfg, substream(5), cfg.gamma)
+        counts = np.bincount(x[:, 0] * k + x[:, 1], minlength=k * k)
+        share = gamma**2 / cfg.m
+        law = np.full((k, k), (1 - share) / k**2) + np.eye(k) * share / k
+        assert chisquare(counts, law.ravel() * rows).pvalue > 1e-4
 
 
 class TestImpossProbe:

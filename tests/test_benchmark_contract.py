@@ -5,7 +5,9 @@ dataset validation hook and the four CLI callbacks, and reads the ``trials``
 argument of each per-trial loop. A rename or a new signature there breaks
 ``--trace 1`` without failing any other test. ``perfbench/workloads.py``
 gates each ``exact-grid`` result against its own type-sum reference, so an
-oracle that fails the gate fails here too.
+oracle that fails the gate fails here too, and every workload's gates run
+here on one whole cycle, so a changed return type or call shape fails here
+and not only in the benchmark run.
 """
 
 import contextlib
@@ -83,3 +85,14 @@ def test_exact_grid_gate(workloads):
         for n in ns:
             reference = workloads.type_sum_risk(pair, n)
             assert abs(exact_type3_risk(pair, n) - reference) <= grid.TOLERANCE, (label, n)
+
+
+def test_one_cycle_of_each_workload(workloads, tmp_path):
+    for name, workload_cls in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload = workload_cls(1, workdir)
+        workload.begin_cycle()
+        for op in workload.ops():
+            assert workload.check(op, workload.run(op)), (name, op)
+        assert workload.end_cycle(), name

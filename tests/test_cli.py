@@ -185,6 +185,17 @@ class TestRisk:
         width = payload["risk"]["ci_high"] - payload["risk"]["ci_low"]
         assert payload["oracle_gap"] < width
 
+    def test_default_stdout_pinned(self, runner):
+        # the bytes, key order included, that results files and scripts read
+        result = runner.invoke(main, ["risk", "--oracle"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == (
+            '{"command": "risk", "config_hash": "e94346d57bd43e86", "payload": {"detector": "np", '
+            '"k": 2, "n": 2, "gamma": 0.5, "beta": 0.5, "trials": 10000, "seed": 0, "risk": '
+            '{"p_hat": 0.3416, "ci_low": 0.32949285385055843, "ci_high": 0.3539172003050017, '
+            '"trials": 10000}, "oracle_exact": 0.34375, "oracle_gap": 0.0021499999999999853}}\n'
+        )
+
     def test_minimum_trials_enforced(self, runner):
         result = runner.invoke(main, ["risk", "--trials", "99"])
         assert result.exit_code == 2
@@ -214,6 +225,22 @@ class TestRisk:
             ["risk", "--pair", str(path), "--n", "5", "--trials", "100", "--oracle"],
         )
         assert_clean_failure(result, 3)
+
+    def test_oracle_cap_message_names_classes(self, runner, tmp_path):
+        # 200 symbols, 50 masses twice and 100 once: 150 classes, C(153, 149) types
+        masses = [1.0 + i for i in range(50)] * 2 + [100.0 + i for i in range(100)]
+        p0 = [mass / sum(masses) for mass in masses]
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"p0": p0, "pb": [1 / 200] * 200, "gamma": 0.5, "beta": 0.5}))
+        result = runner.invoke(
+            main,
+            ["risk", "--pair", str(path), "--n", "4", "--trials", "100", "--oracle"],
+        )
+        assert_clean_failure(result, 3)
+        assert result.stderr == (
+            f"error: {math.comb(153, 149)} types of 4 draws on L = 150 symbol classes "
+            "of the K = 200 symbols exceed the enumeration cap 10000000\n"
+        )
 
     def test_oracle_sums_over_symbol_classes(self, runner):
         # the default pair has two classes at any --k: symbol 0 and the rest

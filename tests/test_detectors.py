@@ -1,4 +1,4 @@
-"""Tests for the detector hierarchy, the KS primitive, and the adapters."""
+"""Tests for the detector hierarchy, the KS primitive, and the reductions."""
 
 import itertools
 import math
@@ -13,12 +13,10 @@ from bdlimits import (
     ImpossibleSampleError,
     ParameterError,
     SymbolDataset,
-    Verdict,
-    adapt_type2_from_type1,
-    adapt_type3_from_type2,
     estimate_risk,
     ks_pvalue,
     ks_statistic,
+    mix,
     np_type3,
     ood_risk_exact,
     per_row,
@@ -30,6 +28,7 @@ from bdlimits import (
     type2_trial_detector,
 )
 from bdlimits.detectors import kolmogorov_sf, normal_cdf
+from bdlimits.distributions import draw_symbols
 from bdlimits.rng import substream
 
 
@@ -41,23 +40,23 @@ class TestNpType3:
     def test_disjoint_support_backdoor_side(self):
         pair = pair_of([1.0, 0.0], [0.0, 1.0], gamma=1.0)
         d = SymbolDataset(np.array([1, 1]), 2)
-        assert np_type3(d, pair) == Verdict.BACKDOORED
+        assert np_type3(d, pair) == 1
 
     def test_disjoint_support_clean_side(self):
         pair = pair_of([1.0, 0.0], [0.0, 1.0], gamma=1.0)
         d = SymbolDataset(np.array([0, 0]), 2)
-        assert np_type3(d, pair) == Verdict.CLEAN
+        assert np_type3(d, pair) == 0
 
     def test_hand_computed_llr(self):
         # p1 = (0.375, 0.625); llr of (1, 0) is log 2.5 + log 0.5 = log 1.25 > 0
         pair = pair_of([0.75, 0.25], [0.0, 1.0], gamma=0.5)
         d = SymbolDataset(np.array([1, 0]), 2)
-        assert np_type3(d, pair) == Verdict.BACKDOORED
+        assert np_type3(d, pair) == 1
 
     def test_tie_resolves_to_backdoored(self):
         pair = pair_of([0.5, 0.5], [0.5, 0.5], gamma=1.0)
         d = SymbolDataset(np.array([0, 1]), 2)
-        assert np_type3(d, pair) == Verdict.BACKDOORED
+        assert np_type3(d, pair) == 1
 
     def test_impossible_symbol_raises(self):
         pair = pair_of([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], gamma=1.0)
@@ -69,17 +68,27 @@ class TestNpType3:
 class TestType2Tv:
     def test_type_equal_to_p0_is_clean(self):
         d = SymbolDataset(np.array([0, 1]), 2)
-        assert type2_tv(d, Categorical.uniform(2), gamma=1.0, beta=0.0) == Verdict.CLEAN
+        assert type2_tv(d, Categorical.uniform(2), gamma=1.0, beta=0.0) == 0
 
     def test_concentrated_dataset_flagged(self):
         # type (1,0,0,0) vs uniform on 4: TV = 0.75 >= 0.5
         d = SymbolDataset(np.array([0, 0, 0, 0]), 4)
-        assert type2_tv(d, Categorical.uniform(4), gamma=1.0, beta=0.0) == Verdict.BACKDOORED
+        assert type2_tv(d, Categorical.uniform(4), gamma=1.0, beta=0.0) == 1
 
     def test_exact_threshold_flagged(self):
         # type (1,0): TV to (0.5,0.5) = 0.5, threshold gamma(1-beta)/2 = 0.5
         d = SymbolDataset(np.array([0]), 2)
-        assert type2_tv(d, Categorical.uniform(2), gamma=1.0, beta=0.0) == Verdict.BACKDOORED
+        assert type2_tv(d, Categorical.uniform(2), gamma=1.0, beta=0.0) == 1
+
+    def test_verdicts_are_plain_ints(self):
+        pair = pair_of([0.75, 0.25], [0.0, 1.0], gamma=0.5)
+        d = SymbolDataset(np.array([1, 0]), 2)
+        for verdict in (
+            np_type3(d, pair),
+            type2_tv(d, pair.p0, pair.gamma, pair.beta),
+            type1_tv(d, SymbolDataset(np.array([0, 0, 1]), 2), pair.gamma, pair.beta),
+        ):
+            assert type(verdict) is int and verdict in (0, 1)
 
     def test_parameter_validation(self):
         d = SymbolDataset(np.array([0]), 2)
@@ -195,49 +204,45 @@ class TestOodRisk:
 
 
 class TestAdapters:
+    """The reductions are harness detectors: a Type-2 detector is a Type-3
+    one reading only ``pair.p0``, and ``type1_trial_detector(m)`` is the
+    Type-1 test drawing its m clean samples from p0 with the block's
+    generator. Each matches its per-row pipeline over the one-dataset test."""
+
     def pair(self):
         return pair_of([0.85, 0.15], [0.1, 0.9], gamma=0.9, beta=0.3)
 
-    def test_type1_ignoring_clean_data_unchanged(self):
-        pair = self.pair()
-
-        def g1(d, d_clean):
-            return int(len(d) % 2)
-
-        adapted = adapt_type2_from_type1(g1, m=8)
-        for n in (3, 4, 7):
-            d = sample(pair.p0, n, seed=n)
-            assert int(adapted(d, pair.p0, substream(3, n))) == g1(d, None)
-
     def test_adapted_deterministic_given_seed(self):
         pair = self.pair()
-        g1 = lambda d, dc: int(type1_tv(d, dc, pair.gamma, pair.beta))
-        adapted = adapt_type2_from_type1(g1, m=16)
-        d = sample(pair.p0, 10, seed=1)
-        assert adapted(d, pair.p0, substream(5, 0)) == adapted(d, pair.p0, substream(5, 0))
+        score = type1_trial_detector(16)(pair, mix(pair))
+        symbols = sample(pair.p0, 10, seed=1).symbols[None, :].repeat(50, axis=0)
+        first = score(symbols, substream(5, 0))
+        assert np.array_equal(first, score(symbols, substream(5, 0)))
+        assert 0 < first.sum() < first.size  # the clean draws differ by row
 
     def test_adapted_risk_matches_source_risk(self):
         pair = self.pair()
         m, trials = 32, 10**4
-        g1 = lambda d, dc: int(type1_tv(d, dc, pair.gamma, pair.beta))
-        adapted = per_row(adapt_type3_from_type2(adapt_type2_from_type1(g1, m)))
-        r_adapted = estimate_risk(adapted, pair, 8, trials, seed=77)
+        # the Type-1 test run per row, on m clean samples drawn from p0 with the block's rng
+        g2 = lambda d, pair, rng: type1_tv(
+            d, SymbolDataset(draw_symbols(pair.p0, m, rng), pair.alphabet_size),
+            pair.gamma, pair.beta,
+        )
+        r_adapted = estimate_risk(per_row(g2), pair, 8, trials, seed=77)
         r_source = estimate_risk(type1_trial_detector(m), pair, 8, trials, seed=78)
         width = max(r_adapted.ci_width, r_source.ci_width)
         assert abs(r_adapted.p_hat - r_source.p_hat) <= width
 
     def test_type3_from_type2_identical_verdicts(self):
         pair = self.pair()
-        g2 = lambda d, p0, rng: int(type2_tv(d, p0, pair.gamma, pair.beta))
-        g3 = adapt_type3_from_type2(g2)
-        rng = substream(9, 4)
-        for _ in range(50):
-            d = SymbolDataset(rng.integers(0, 2, 12), 2)
-            assert int(g3(d, pair, rng)) == g2(d, pair.p0, rng)
+        score = type2_trial_detector()(pair, mix(pair))
+        symbols = substream(9, 4).integers(0, 2, (50, 12))
+        verdicts = [type2_tv(SymbolDataset(row, 2), pair.p0, pair.gamma, pair.beta) for row in symbols]
+        assert score(symbols, None).tolist() == verdicts
 
     def test_type3_from_type2_risk_equality_same_seed(self):
         pair = self.pair()
-        g2 = lambda d, p0, rng: int(type2_tv(d, p0, pair.gamma, pair.beta))
         r2 = estimate_risk(type2_trial_detector(), pair, 10, 500, seed=6)
-        r3 = estimate_risk(per_row(adapt_type3_from_type2(g2)), pair, 10, 500, seed=6)
+        g3 = lambda d, pair, rng: type2_tv(d, pair.p0, pair.gamma, pair.beta)
+        r3 = estimate_risk(per_row(g3), pair, 10, 500, seed=6)
         assert r3.p_hat == r2.p_hat
