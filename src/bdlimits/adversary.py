@@ -240,8 +240,11 @@ def toy_attack_report(config: ToyConfig, seed: int) -> ToyAttackReport:
 class ImpossibilityConfig:
     """Parameters of the marginally-clean adversarial sampler.
 
-    ``m`` anchors are drawn uniformly; the construction needs at least one,
-    and the risk floor is informative when m exceeds the dataset size n.
+    ``m`` anchors are drawn uniformly, m = floor(beta K): the largest integer
+    with m / K <= beta, so that beta = 0.29 at K = 100 gives 29 anchors
+    although 0.29 * 100 = 28.999999999999996 in floats. The construction
+    needs at least one anchor, and the risk floor is informative when m
+    exceeds the dataset size n.
     """
 
     k: int
@@ -260,6 +263,8 @@ class ImpossibilityConfig:
         if self.n < 1:
             raise ParameterError("n must be >= 1")
         m = math.floor(self.beta * self.k)
+        if (m + 1) / self.k <= self.beta:
+            m += 1
         if m < 1:
             raise ParameterError(
                 f"floor(beta * k) = {m}; the construction needs at least one anchor"

@@ -42,6 +42,13 @@ ENUMERATION_CAP = 10**7
 #: Children the exact oracle's type enumeration builds per step; bounds its memory.
 _TYPE_CHUNK = 1 << 14
 
+#: The exact oracle's stand-in for log 0. A type that a law gives positive
+#: mass has a log mass above -745 n under it, so a term stays exact as with
+#: -inf: 1 - e^(lo - hi) is 1 when only the other law reaches the type, and
+#: e^hi is 0 when neither does. But 0 draws on a massless symbol add
+#: 0 * this = -0.0, not NaN, and n times it stays finite.
+_NO_MASS_LOG = -1e200
+
 #: Alphabets up to this size invert the CDF by counting levels, one pass over
 #: the uniforms per level; larger ones binary-search. Counting beats the
 #: search, whose branches mispredict on unsorted keys, up to K of about 96
@@ -437,16 +444,23 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
 
     The type c (count vector) of an outcome is sufficient, so the distance
     is (1/2) sum_c multinomial(n; c) |p0^c - p1^c| over the C(n+K-1, K-1)
-    types. A type is built symbol by symbol, jumping to the next symbol
-    with a positive count, from running vectors per partial type (log
-    weight, log p0 mass, log p1 mass, remaining count, next symbol). They
-    are expanded depth first in chunks of ``_TYPE_CHUNK`` children, so at
-    most min(n, K) chunks are held at once. The count on symbol K-1 is
-    forced, so a child whose next symbol is K-1 takes the remaining draws
-    there in the step that builds it rather than being pushed. The sum runs
-    over the symbols given; :func:`~bdlimits.bounds.exact_type3_risk`
-    passes the pair's symbol classes. Raises :class:`ResourceCapError`
-    above ``ENUMERATION_CAP`` types.
+    types. A partial type is held as running vectors (log weight, log p0
+    mass, log p1 mass, remaining draws r, first open symbol f), and a popped
+    chunk of them is expanded in two fans:
+
+    - the close fan puts all r draws on the last two symbols, c = 1..r and
+      then 0 on symbol K-2 and r - c on K-1. All its children are complete
+      types, so the fan is summed at once;
+    - the open fan puts c = 1..r draws on one symbol s in f..K-3, jumping
+      over the symbols a type leaves at zero count. A child with c = r is
+      complete and summed in place; the others are pushed with f = s + 1.
+
+    A step builds at most ``_TYPE_CHUNK`` children of the popped chunk, its
+    close fans' before its open fans', and pushed chunks are expanded depth
+    first, so at most min(n, K) chunks are held at once. The sum runs over
+    the symbols given; :func:`~bdlimits.bounds.exact_type3_risk` passes the
+    pair's symbol classes, so a two-class pair is one close fan of n + 1
+    types. Raises :class:`ResourceCapError` above ``ENUMERATION_CAP`` types.
     """
     if p0.alphabet_size != p1.alphabet_size:
         raise AlphabetMismatchError(
@@ -460,54 +474,71 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
         raise ResourceCapError(
             f"{types} types of {n} draws on {k} symbols exceed the enumeration cap {ENUMERATION_CAP}"
         )
-    # counts placed are >= 1, so a zero mass gives log -inf and never 0 * log 0
+    if k == 1:
+        # both laws are the point mass on the one symbol
+        return 0.0
     with np.errstate(divide="ignore"):
-        log0, log1 = np.log(p0.probs), np.log(p1.probs)
+        log0 = np.maximum(np.log(p0.probs), _NO_MASS_LOG)
+        log1 = np.maximum(np.log(p1.probs), _NO_MASS_LOG)
+    (near0, last0), (near1, last1) = log0[k - 2 :], log1[k - 2 :]
     log_factorial = log_factorials(n)
     sums: list[float] = []
-    # entries: (log weight, log p0 mass, log p1 mass, remaining count, next
-    # symbol) per partial type, and the first child still to expand
     zero = np.zeros(1)
+    # entries: a chunk of partial types and the first child still to build
     stack = [(zero + log_factorial[n], zero, zero, np.array([n]), np.array([0]), 0)]
     while stack:
         lw, l0, l1, rem, first, start = stack.pop()
-        # a partial type's children put c in 1..rem draws on a symbol
-        # j in first..K-2, and one child puts all rem draws on symbol K-1
-        size = (k - 1 - first) * rem + 1
-        ends = np.cumsum(size)
-        stop = min(start + _TYPE_CHUNK, int(ends[-1]))
-        if stop < ends[-1]:
+        close_ends = (rem + 1).cumsum()
+        closed = total = int(close_ends[-1])
+        if k > 2:  # two symbols have no open fan
+            fan = (k - 2 - first) * rem
+            open_ends = fan.cumsum() + closed
+            total = int(open_ends[-1])
+        stop = min(start + _TYPE_CHUNK, total)
+        if stop < total:
             stack.append((lw, l0, l1, rem, first, stop))
-        child = np.arange(start, stop)
-        parent = np.searchsorted(ends, child, side="right")
-        local = child - (ends - size)[parent]
-        rem = rem[parent]
-        offset, extra = np.divmod(local, rem)
-        sym = first[parent] + offset
-        counts = np.where(sym == k - 1, rem, extra + 1)
-        lw = lw[parent] - log_factorial[counts]
-        l0 = l0[parent] + counts * log0[sym]
-        l1 = l1[parent] + counts * log1[sym]
-        rem = rem - counts
-        # a child whose next symbol is K-1 is finished here, not pushed
-        fill = (sym == k - 2) & (rem > 0)
-        if fill.any():
-            forced = rem[fill]
-            lw[fill] -= log_factorial[forced]
-            l0[fill] += forced * log0[-1]
-            l1[fill] += forced * log1[-1]
-            rem[fill] = 0
-        # |e^a - e^b| = e^hi (1 - e^(lo - hi)); massless under both laws adds 0
-        hi, lo = np.maximum(l0, l1), np.minimum(l0, l1)
-        live = hi > -np.inf
-        done = live & (rem == 0)
-        terms = np.exp(lw[done] + hi[done]) * -np.expm1(lo[done] - hi[done])
-        sums.append(float(terms.sum()))
-        more = live & (rem > 0)
-        if more.any():
-            stack.append((lw[more], l0[more], l1[more], rem[more], sym[more] + 1, 0))
+        if start < closed:
+            child = np.arange(start, min(stop, closed))
+            parent = close_ends.searchsorted(child, side="right")
+            r = rem[parent]
+            # child j of a close fan puts c = (j + 1) mod (r + 1) draws on symbol
+            # K-2, 1..r and then 0; two-class risks are pinned to this order
+            c = (child + 1 - close_ends[parent]) % (r + 1)
+            r -= c  # the draws on symbol K-1
+            sums.append(
+                _type_terms(
+                    lw[parent] - log_factorial[c] - log_factorial[r],
+                    l0[parent] + c * near0 + r * last0,
+                    l1[parent] + c * near1 + r * last1,
+                )
+            )
+        if stop > closed:
+            child = np.arange(max(start, closed), stop)
+            parent = open_ends.searchsorted(child, side="right")
+            r = rem[parent]
+            # the fan of a partial type runs over (s - f, c - 1) in row-major order
+            sym, c = np.divmod(child - (open_ends - fan)[parent], r)
+            sym += first[parent]
+            c += 1
+            lw_c = lw[parent] - log_factorial[c]
+            l0_c = l0[parent] + c * log0[sym]
+            l1_c = l1[parent] + c * log1[sym]
+            r -= c
+            done = r == 0
+            sums.append(_type_terms(lw_c[done], l0_c[done], l1_c[done]))
+            # a partial type massless under both laws has only zero terms below it
+            more = ~done & (np.maximum(l0_c, l1_c) > _NO_MASS_LOG)
+            if more.any():
+                stack.append((lw_c[more], l0_c[more], l1_c[more], r[more], sym[more] + 1, 0))
     # the terms are nonnegative; rounding can lift their sum past 1 at large n
     return min(0.5 * math.fsum(sums), 1.0)
+
+
+def _type_terms(lw: np.ndarray, l0: np.ndarray, l1: np.ndarray) -> float:
+    """Sum of e^lw |e^l0 - e^l1| over complete types, as e^(lw+hi) (1 - e^(lo-hi))."""
+    hi, lo = np.maximum(l0, l1), np.minimum(l0, l1)
+    # negating the sum rather than each term gives the same bits, one pass fewer
+    return -float((np.exp(lw + hi) * np.expm1(lo - hi)).sum())
 
 
 def type_exceedance_frequency(

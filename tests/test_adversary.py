@@ -339,6 +339,19 @@ class TestImpossibilitySampler:
         with pytest.raises(ParameterError):
             ImpossibilityConfig(k=10, beta=0.05, gamma=1.0, n=5)
 
+    @pytest.mark.parametrize("k", [100, 10**5])
+    @pytest.mark.parametrize("beta", [0.29, 0.57, 0.58])
+    def test_anchor_count_at_decimal_boundaries(self, k, beta):
+        # beta * k falls just short of the integer: 0.29 * 100 = 28.999999999999996
+        cfg = ImpossibilityConfig(k=k, beta=beta, gamma=1.0, n=5)
+        assert cfg.m == round(beta * k)
+        assert cfg.m / k <= beta < (cfg.m + 1) / k
+
+    @pytest.mark.parametrize("k, m", [(10**5, 1000), (10**6, 10**4)])
+    def test_anchor_count_of_the_default_probes(self, k, m):
+        # the README's probe at K = 1e5 and the benchmark's probes at K = 1e5 and 1e6
+        assert ImpossibilityConfig(k=k, beta=0.01, gamma=1.0, n=20).m == m
+
     def test_gamma_zero_uniform(self):
         cfg = ImpossibilityConfig(k=10, beta=0.5, gamma=0.0, n=2000)
         x = _draw_anchored(1, cfg, substream(1), cfg.gamma)

@@ -504,6 +504,12 @@ class TestProbe:
         assert payload["floor_satisfied"] is True
         assert "PASS" in result.stderr
 
+    def test_anchor_count_at_decimal_boundary(self, runner):
+        args = ["probe", "--k", "100", "--beta", "0.29", "--n", "5", "--trials", "200"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert payload_of(result)["m"] == 29
+
     def test_regime_error_exits_2(self, runner):
         result = runner.invoke(main, ["probe", "--k", "100", "--beta", "0.1", "--n", "25"])
         assert result.exit_code == 2

@@ -26,6 +26,7 @@ from bdlimits import (
     tv_to_type,
     type_exceedance_frequency,
 )
+from bdlimits import distributions
 from bdlimits.distributions import draw_symbols, log_factorials, sparse_types
 from bdlimits.harness import uniform_vs_point_mass
 from bdlimits.rng import substream
@@ -362,6 +363,54 @@ class TestProductTv:
         rng = substream(13, k, n)
         p0, p1 = (Categorical(rng.dirichlet(np.ones(k))) for _ in range(2))
         assert abs(product_tv_exact(p0, p1, n) - float(rational_tv(p0, p1, n))) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_fans_split_across_chunk_edges(self, monkeypatch):
+        # chunks this small cut close and open fans, and one partial type's fan,
+        # mid-way; the zero masses, as (law, symbol), sit on the last two symbols
+        # and on different symbols under the two laws
+        zeros = [
+            (),
+            ((0, -2),),
+            ((1, -1),),
+            ((0, -2), (1, -2)),
+            ((0, 0), (1, -1)),
+            ((0, -1), (1, -2)),
+        ]
+        rng = substream(14, 5)
+        for k in range(1, 6):
+            for where in zeros if k > 1 else [()]:
+                laws = rng.dirichlet(np.ones(k), size=2)
+                for law, symbol in where:
+                    laws[law, symbol] = 0.0
+                p0, p1 = (Categorical(law / law.sum()) for law in laws)
+                for n in range(1, 6):
+                    expected = float(rational_tv(p0, p1, n))
+                    for chunk in (1, 2, 3, 7):
+                        monkeypatch.setattr(distributions, "_TYPE_CHUNK", chunk)
+                        assert abs(product_tv_exact(p0, p1, n) - expected) <= 1e-12
+
+    def test_many_chunks_match_outer_product(self):
+        # C(1001, 2) = 500,500 types of two draws on 1000 symbols, in 31 chunks
+        rng = substream(15, 1000)
+        p0, p1 = (Categorical(rng.dirichlet(np.ones(1000))) for _ in range(2))
+        joint0, joint1 = np.outer(p0.probs, p0.probs), np.outer(p1.probs, p1.probs)
+        expected = 0.5 * float(np.abs(joint0 - joint1).sum())
+        assert abs(product_tv_exact(p0, p1, 2) - expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "k, gamma, beta, n, risk",
+        [
+            (2, 0.5, 0.5, 2, 0.34375),
+            (3, 0.5, 0.5, 40, 0.015496230356438045),
+            (100000, 0.5, 0.5, 20, 1.002126735416553e-05),
+            (2, 0.8, 0.2, 5000, 0.0),
+        ],
+    )
+    def test_two_class_risks_pinned(self, k, gamma, beta, n, risk):
+        # a two-class pair sums its n + 1 types in one close fan, in a fixed order
+        # (c = 1..n, then 0, draws on the first class), so these stay bit for bit
+        assert exact_type3_risk(uniform_vs_point_mass(k, gamma, beta), n) == risk
 
     @pytest.mark.parametrize(
         "k, gamma, beta, n", [(2, 0.8, 0.2, 5000), (3, 0.9, 0.3, 1000), (2, 0.5, 0.5, 300000)]
