@@ -69,6 +69,11 @@ class Categorical:
     The constructor rejects negative entries and vectors whose mass deviates
     from 1 by more than ``PROB_TOLERANCE``; deviations below the tolerance
     are renormalized away.
+
+    ``probs`` is read-only. A constant vector, such as :meth:`uniform`'s, is
+    kept as its one value broadcast over the alphabet, a zero-stride view
+    of O(1) memory, so callers must not assume ``probs`` is contiguous or
+    writeable.
     """
 
     probs: np.ndarray
@@ -77,16 +82,24 @@ class Categorical:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("probability vector must be 1-D with K >= 1")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        # NaN propagates through min and max and fails both comparisons
+        lo, hi = arr.min(), arr.max()
+        if not (lo >= 0.0 and hi < np.inf):
             raise ParameterError("probabilities must be finite and nonnegative")
+        # pairwise over the K entries, a broadcast view included, so a
+        # constant law sums to the same bits as its dense spelling
         total = float(arr.sum())
         if abs(total - 1.0) > PROB_TOLERANCE:
             raise ParameterError(
                 f"probabilities sum to {total!r}, outside tolerance {PROB_TOLERANCE}"
             )
         # + 0.0 turns -0.0 into 0.0, which it equals, so equal laws hash equal
-        arr = arr / total + 0.0
-        arr.setflags(write=False)
+        if lo == hi:
+            arr = np.broadcast_to(lo / total + 0.0, arr.shape)
+        else:
+            arr = arr / total
+            arr += 0.0
+            arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
     @property
@@ -123,7 +136,7 @@ class Categorical:
     def uniform(cls, k: int) -> "Categorical":
         if k < 1:
             raise ParameterError("alphabet size must be >= 1")
-        return cls(np.full(k, 1.0 / k))
+        return cls(np.broadcast_to(1.0 / k, (k,)))
 
     @classmethod
     def point_mass(cls, symbol: int, k: int) -> "Categorical":

@@ -510,6 +510,12 @@ class TestProbe:
         assert result.exit_code == 0, result.output
         assert payload_of(result)["m"] == 29
 
+    def test_huge_alphabet(self, runner):
+        # the uniform law takes O(1) memory, so K = 1e8 runs in a small process
+        result = runner.invoke(main, ["probe", "--k", "100000000", "--trials", "200"])
+        assert result.exit_code == 0, result.output
+        assert '"k": 100000000' in result.stdout
+
     def test_regime_error_exits_2(self, runner):
         result = runner.invoke(main, ["probe", "--k", "100", "--beta", "0.1", "--n", "25"])
         assert result.exit_code == 2

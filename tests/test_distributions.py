@@ -93,10 +93,70 @@ class TestCategorical:
         c = Categorical(np.array([0.5, 0.5 + 1e-14]))
         assert c.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([np.nan, 1.0], "probabilities must be finite and nonnegative"),
+            ([np.nan, np.nan], "probabilities must be finite and nonnegative"),
+            ([np.inf, 0.0], "probabilities must be finite and nonnegative"),
+            ([-np.inf, 1.0], "probabilities must be finite and nonnegative"),
+            ([1.2, -0.2], "probabilities must be finite and nonnegative"),
+            ([-0.5, -0.5], "probabilities must be finite and nonnegative"),
+            ([], "probability vector must be 1-D with K >= 1"),
+            ([[0.5, 0.5]], "probability vector must be 1-D with K >= 1"),
+        ],
+        ids=["nan", "all-nan", "inf", "minus-inf", "negative", "constant-negative", "empty", "2-d"],
+    )
+    def test_rejection_message(self, values, message):
+        with pytest.raises(ParameterError) as info:
+            Categorical(np.array(values, dtype=float))
+        assert str(info.value) == message
+
+    def test_overflowing_sum_is_reported(self):
+        # every entry is finite; only their sum is not
+        with np.errstate(over="ignore"):
+            with pytest.raises(ParameterError, match="probabilities sum to inf,"):
+                Categorical(np.array([1e308, 1e308]))
+
+    @pytest.mark.parametrize("values", [[0.25] * 4, [0.1, 0.2, 0.3, 0.4]], ids=["constant", "varied"])
+    def test_caller_array_stays_apart(self, values):
+        arr = np.array(values)
+        law = Categorical(arr)
+        assert arr.flags.writeable
+        arr[:] = [1.0, 0.0, 0.0, 0.0]
+        assert law.probs.tolist() == values
+
     def test_immutable(self):
-        c = Categorical.uniform(3)
-        with pytest.raises(ValueError):
-            c.probs[0] = 0.9
+        for c in (Categorical.uniform(3), probs(0.2, 0.3, 0.5)):
+            assert not c.probs.flags.writeable
+            with pytest.raises(ValueError):
+                c.probs[0] = 0.9
+
+    def test_uniform_matches_dense_construction(self):
+        # the dense spelling np.full(k, 1/k), normalized, bit for bit, and its CDF
+        ks = [*range(1, 2000), *(3**e for e in range(7, 13)), 10**5, 10**6, 999_983, 2**20]
+        for k in ks:
+            dense = np.full(k, 1.0 / k)
+            dense = dense / dense.sum() + 0.0
+            cdf = np.cumsum(dense)
+            cdf[-1] = 1.0
+            law = Categorical.uniform(k)
+            assert law.probs.tobytes() == dense.tobytes(), k
+            assert law._cdf.tobytes() == cdf.tobytes(), k
+
+    def test_constant_law_is_uniform(self):
+        law = Categorical.from_jsonable([0.25] * 4)
+        assert law == Categorical.uniform(4) and hash(law) == hash(Categorical.uniform(4))
+
+    def test_uniform_holds_no_dense_vector(self):
+        # a dense 1e8-vector would be 800 MB
+        tracemalloc.start()
+        try:
+            Categorical.uniform(10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_block_draw_holds_two_arrays(self):
         # the uniforms and the symbols; clipping the symbols must not copy them

@@ -211,6 +211,13 @@ def test_huge_alphabet_probe_risk_memory():
     assert result["est"].ci_low <= 0.5 <= result["est"].ci_high
 
 
+def test_huge_alphabet_probe_law_memory():
+    # the uniform law is one value broadcast over K; dense it would be 800 MB
+    config = ImpossibilityConfig(k=10**8, beta=0.01, gamma=1.0, n=20)
+    peak = peak_mb(lambda: imposs_risk(type2_trial_detector(), config, trials=5000, seed=0))
+    assert peak < 16, peak
+
+
 def test_type_exceedance_memory():
     # a dense trials x K count matrix would be 8 GB here
     p = Categorical.uniform(10**5)
