@@ -82,8 +82,9 @@ class Categorical:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("probability vector must be 1-D with K >= 1")
-        # NaN propagates through min and max and fails both comparisons
-        lo, hi = arr.min(), arr.max()
+        # NaN propagates through min and max and fails both comparisons; only
+        # a constant vector has a zero stride, and its one value is both
+        lo, hi = (arr[0], arr[0]) if arr.strides == (0,) else (arr.min(), arr.max())
         if not (lo >= 0.0 and hi < np.inf):
             raise ParameterError("probabilities must be finite and nonnegative")
         # pairwise over the K entries, a broadcast view included, so a
@@ -148,7 +149,7 @@ class Categorical:
 
     def to_jsonable(self) -> list[float]:
         """JSON form: a plain array of probabilities."""
-        return [float(p) for p in self.probs]
+        return self.probs.tolist()
 
     @classmethod
     def from_jsonable(cls, data: Sequence[float]) -> "Categorical":
@@ -159,12 +160,17 @@ class Categorical:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Categorical):
             return NotImplemented
-        return self.probs.shape == other.probs.shape and bool(
-            np.array_equal(self.probs, other.probs)
-        )
+        if self.probs.shape != other.probs.shape:
+            return False
+        # two broadcast laws compare by their one value; a dense law may
+        # round to a constant vector, so a mixed pair compares entrywise
+        if self.probs.strides == other.probs.strides == (0,):
+            return bool(self.probs[0] == other.probs[0])
+        return bool(np.array_equal(self.probs, other.probs))
 
     def __hash__(self) -> int:
-        return hash(self.probs.tobytes())
+        # O(1), and equal laws agree on all three
+        return hash((self.probs.size, float(self.probs[0]), float(self.probs[-1])))
 
 
 @dataclass(frozen=True)

@@ -493,24 +493,26 @@ def append_result(path: str, record: dict) -> bool:
     A record without a ``config_hash``, or with None, is appended without
     the check; any other non-string hash raises ParameterError.
 
-    The file is read once, in blocks of 64 KiB that each end on a line
-    boundary, so the scan holds at most one block plus one line. Lines end
-    at ``b"\\n"`` only. Each block is searched for the hash's UTF-8 bytes
-    and for a backslash, and only the lines around a hit are parsed: a line
-    without a backslash holds no escapes, so its ``config_hash`` can equal
-    the hash only by spelling it literally. The check and the write happen
-    under one exclusive ``fcntl.flock`` on the file, so concurrent writers
-    are serialized; the lock is POSIX advisory and binds only writers that
-    take it. A partial last line (a writer killed mid-record) is closed with
-    a newline before the record is written, so the record stays on its own
-    line.
+    The file is read once, from its end, in blocks of 64 KiB that each
+    start on a line boundary, so a recent duplicate is found in the last
+    block. A block that holds no whole line is read again at twice the
+    size, so the scan holds at most one block plus one line, or, around a
+    line longer than a block, a few times that line. Lines end at
+    ``b"\\n"`` only. Each block is searched, from its last line back, for
+    the hash's UTF-8 bytes and for a backslash, and only the lines around a
+    hit are parsed: a line without a backslash holds no escapes, so its
+    ``config_hash`` can equal the hash only by spelling it literally. The
+    check and the write happen under one exclusive ``fcntl.flock`` on the
+    file, so concurrent writers are serialized; the lock is POSIX advisory
+    and binds only writers that take it. A partial last line (a writer
+    killed mid-record) is closed with a newline before the record is
+    written, so the record stays on its own line.
     """
     digest = record.get("config_hash")
     if digest is not None and not isinstance(digest, str):
         raise ParameterError(f"config_hash must be a string, not {type(digest).__name__}")
     with open(path, "a+b") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh is closed
-        fh.seek(0)
         if digest is not None and _holds_digest(fh, digest):
             return False
         end = fh.seek(0, os.SEEK_END)
@@ -524,7 +526,8 @@ def append_result(path: str, record: dict) -> bool:
 
 def _holds_digest(fh, digest: str) -> bool:
     """Whether a line of the binary file ``fh`` is a JSON object with this
-    config hash. Each block is searched whole for the hash and for a
+    config hash. The file is read from its end in blocks that start on a
+    line boundary; each block is searched whole for the hash and for a
     backslash, and only the lines around a hit are parsed, each once."""
     # surrogatepass: a lone surrogate is never valid UTF-8, so it can only
     # appear escaped, and the backslash search finds that line
@@ -532,11 +535,24 @@ def _holds_digest(fh, digest: str) -> bool:
     # No line holds b"\n", so a hash with one appears only escaped, on a
     # backslash line; the backslash search skips lines the hash search parsed
     literal = b"\n" not in needle
-    while block := fh.read(_SCAN_BLOCK):
-        block += fh.readline()  # end the block on a line boundary
-        lines = _lines_holding(block, b"\\")
+    fd = fh.fileno()
+    end = os.fstat(fd).st_size
+    size = _SCAN_BLOCK
+    while end:
+        start = max(end - size, 0)
+        block = os.pread(fd, end - start, start)
+        # the partial first line is left to the next, earlier read; a block
+        # ends with b"\n" or at the end of the file, so a newline before its
+        # last byte is the first one that ends a whole line
+        first = block.find(b"\n", 0, len(block) - 1) + 1 if start else 0
+        if start and not first:
+            size *= 2  # no whole line: read again at twice the size
+            continue
+        lines = _lines_holding(block, b"\\", first)
         if literal:
-            lines = chain(_lines_holding(block, needle), (raw for raw in lines if needle not in raw))
+            lines = chain(
+                _lines_holding(block, needle, first), (raw for raw in lines if needle not in raw)
+            )
         for raw in lines:
             try:
                 existing = json.loads(raw.decode("utf-8"))
@@ -544,16 +560,21 @@ def _holds_digest(fh, digest: str) -> bool:
                 continue
             if isinstance(existing, dict) and existing.get("config_hash") == digest:
                 return True
+        end, size = start + first, _SCAN_BLOCK
     return False
 
 
-def _lines_holding(block: bytes, mark: bytes):
-    """Yield each ``b"\\n"``-separated line of ``block`` that holds ``mark``,
-    once, without the newline."""
-    pos = block.find(mark)
+def _lines_holding(block: bytes, mark: bytes, first: int):
+    """Yield each ``b"\\n"``-separated line of ``block[first:]`` that holds
+    ``mark``, once, without the newline, from the last line back. ``mark``
+    holds no newline, and ``first`` is 0 or just past a newline."""
+    pos = block.rfind(mark, first)
     while pos >= 0:
         end = block.find(b"\n", pos)
         if end < 0:
             end = len(block)  # a partial last line
-        yield block[block.rfind(b"\n", 0, pos) + 1 : end]
-        pos = block.find(mark, end + 1)  # past the newline, so a hit always moves on
+        head = block.rfind(b"\n", 0, pos) + 1
+        yield block[head:end]
+        if head == first:
+            return
+        pos = block.rfind(mark, first, head - 1)  # before the newline, so a hit always moves on

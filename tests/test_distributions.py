@@ -1,6 +1,7 @@
 """Tests for categorical distributions, sampling, and TV distance."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -186,6 +187,55 @@ class TestCategorical:
         }
         assert len(pairs) == 1
         assert pairs.pop().to_jsonable() == {"p0": [1.0, 0.0], "pb": [1.0, 0.0], "gamma": 0.0, "beta": 0.0}
+
+
+class TestBroadcastLaw:
+    """A constant law is one value broadcast over its alphabet: checks,
+    equality, hashing and JSON take O(1) memory."""
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, -0.25], ids=["nan", "inf", "minus-inf", "negative"]
+    )
+    def test_rejection_message(self, value):
+        values = np.broadcast_to(value, (4,))
+        assert values.strides == (0,)
+        with pytest.raises(ParameterError) as info:
+            Categorical(values)
+        assert str(info.value) == "probabilities must be finite and nonnegative"
+
+    def test_bad_total_reported(self):
+        with pytest.raises(ParameterError, match="probabilities sum to 2.0,"):
+            Categorical(np.broadcast_to(0.5, (4,)))
+
+    def test_equality_and_hash_hold_no_dense_vector(self):
+        # a dense 1e8-vector would be 800 MB
+        a, b = Categorical.uniform(10**8), Categorical.uniform(10**8)
+        tracemalloc.start()
+        try:
+            assert a == b and hash(a) == hash(b)
+            assert a != Categorical.uniform(10**8 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+    def test_dense_and_broadcast_laws_compare_entrywise(self):
+        uniform = Categorical.uniform(4)
+        assert uniform == Categorical(np.array([0.25] * 4))
+        assert uniform != probs(0.1, 0.2, 0.3, 0.4)
+        assert probs(0.1, 0.2, 0.3, 0.4) != uniform
+        assert uniform != probs(0.25, 0.5, 0.25)
+
+    @pytest.mark.parametrize(
+        "law",
+        [Categorical.uniform(7), probs(0.1, 0.2, 0.3, 0.4), Categorical(np.array([1.0, -0.0]))],
+        ids=["broadcast", "dense", "signed-zero"],
+    )
+    def test_to_jsonable_is_python_floats(self, law):
+        expected = [float(p) for p in law.probs]
+        assert law.to_jsonable() == expected
+        assert all(type(p) is float for p in law.to_jsonable())
+        assert json.dumps(law.to_jsonable()) == json.dumps(expected)
 
 
 class TestTvDistance:

@@ -489,6 +489,56 @@ class TestResultsFile:
         assert append_result(str(path), {"config_hash": digest}) is False
         assert path.read_text() == prefix + line + prefix
 
+    def test_recent_duplicate_found_in_the_last_block(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.jsonl"
+        lines = [
+            json.dumps({"config_hash": f"{i:016x}", "payload": {"n": i}}) + "\n" for i in range(6000)
+        ]
+        path.write_text("".join(lines))
+        size = path.stat().st_size
+        assert size > 4 * harness._SCAN_BLOCK
+        reads = []  # the length of every block read
+        real_pread = os.pread
+
+        def pread(*args):
+            block = real_pread(*args)
+            reads.append(len(block))
+            return block
+
+        monkeypatch.setattr(harness.os, "pread", pread)
+        assert append_result(str(path), {"config_hash": f"{5999:016x}"}) is False
+        assert 0 < sum(reads) <= harness._SCAN_BLOCK
+        # a miss reads every byte once, plus the partial first line of each
+        # block, which the next, earlier read takes again
+        reads.clear()
+        assert append_result(str(path), {"config_hash": "0123456789abcdef"}) is True
+        longest = max(map(len, lines))
+        assert size <= sum(reads) <= size + len(reads) * longest
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_oldest_duplicate_found_at_any_block_size(self, tmp_path, block):
+        path = tmp_path / "results.jsonl"
+        content = "".join(
+            json.dumps({"config_hash": f"{i:016x}", "payload": {"n": i}}) + "\n" for i in range(300)
+        )
+        path.write_text(content)
+        with mock.patch.object(harness, "_SCAN_BLOCK", block), _deadline(10):
+            assert append_result(str(path), {"config_hash": f"{0:016x}"}) is False
+        assert path.read_text() == content
+
+    @pytest.mark.parametrize("newline", ["", "\n"])
+    def test_last_line_longer_than_a_block_found(self, tmp_path, newline):
+        digest = "0123456789abcdef"
+        prefix = "".join(json.dumps({"config_hash": f"{i:016x}"}) + "\n" for i in range(100))
+        pad = "x" * (3 * harness._SCAN_BLOCK)
+        line = json.dumps({"a": pad, "config_hash": digest, "z": pad}) + newline
+        assert len(line) > harness._SCAN_BLOCK
+        path = tmp_path / "results.jsonl"
+        path.write_text(prefix + line)
+        with _deadline(10):
+            assert append_result(str(path), {"config_hash": digest}) is False
+        assert path.read_text() == prefix + line
+
     @pytest.mark.parametrize("block", [1, 7, harness._SCAN_BLOCK])
     @pytest.mark.parametrize("stored", [False, True])
     @pytest.mark.parametrize("digest", ["\nab", "ab\n", "\n", "", "\\", "a\\b"])
