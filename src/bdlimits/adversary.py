@@ -17,7 +17,7 @@ the clean uniform distribution, yet which, conditioned on a hidden anchor
 set, is an i.i.d. contaminated sample. Its guaranteed risk floor is
 exp(-N^2 / (M - N)) / 2 with M anchors and N training samples.
 :func:`imposs_risk` draws these datasets a block at a time and scores them
-with any harness detector bound to the clean view.
+with any harness detector ``detector(pair)`` bound to the clean view.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ def imposs_risk(
     J = 0 trials feed the detector genuine uniform i.i.d. data, J = 1 trials
     feed it the adversarial construction. ``detector`` is a harness
     detector, bound once to the clean view it may honestly hold: the pair
-    (uniform, uniform, gamma, beta) with mixture p1 = uniform, since the
+    (uniform, uniform, gamma, beta), whose mixture is uniform too, since the
     adversarial data's marginal law is exactly uniform. Blocks follow the
     block rule of :mod:`~bdlimits.rng` on path (PROBE,), with the target J.
     The scorer's draws after the data are independent of the data, however
@@ -321,7 +321,7 @@ def imposs_risk(
             "increase k or beta, or decrease n"
         )
     uniform = Categorical.uniform(config.k)
-    score = detector(DistributionPair(uniform, uniform, config.gamma, config.beta), uniform)
+    score = detector(DistributionPair(uniform, uniform, config.gamma, config.beta))
 
     def draw(rows: int, rng: np.random.Generator) -> tuple:
         j = rng.integers(0, 2, rows)

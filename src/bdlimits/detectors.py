@@ -91,6 +91,10 @@ def np_type3(d: SymbolDataset, pair: DistributionPair) -> int:
     Symbols impossible under one hypothesis short-circuit the verdict;
     symbols impossible under both raise :class:`ImpossibleSampleError`.
     """
+    if d.alphabet_size != pair.alphabet_size:
+        raise AlphabetMismatchError(
+            f"alphabet sizes differ: {d.alphabet_size} vs {pair.alphabet_size}"
+        )
     ratio = np_log_ratio(pair.p0, mix(pair))
     return int(np_verdicts(d.symbols[None, :], ratio)[0])
 
@@ -221,7 +225,7 @@ def ood_risk_exact(
     """
     k = p0.alphabet_size
     if pb.alphabet_size != k:
-        raise ParameterError("p0 and pb must share an alphabet")
+        raise AlphabetMismatchError(f"alphabet sizes differ: {k} vs {pb.alphabet_size}")
     if callable(f):
         labels = np.asarray([int(f(x)) for x in range(k)])
     else:

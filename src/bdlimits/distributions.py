@@ -230,7 +230,13 @@ class DistributionPair:
 
     @cached_property
     def mixture(self) -> Categorical:
-        """The contaminated distribution gamma*pb + (1-gamma)*p0, built once per pair."""
+        """The contaminated distribution gamma*pb + (1-gamma)*p0, built once per pair.
+
+        A law mixed with itself is that law: when pb equals p0 the mixture
+        is p0 itself, exact and with no K-vector of its own.
+        """
+        if self.pb == self.p0:
+            return self.p0
         return Categorical(self.gamma * self.pb.probs + (1.0 - self.gamma) * self.p0.probs)
 
     @cached_property

@@ -10,8 +10,9 @@ block of trials, to the one block kernel :func:`~bdlimits.rng.count_errors`;
 :mod:`~bdlimits.rng` states the rule by which blocks are seeded, scored and
 counted.
 
-A detector is one function ``detector(pair, p1)``, called once per estimate
-with the problem instance and its mixture p1, that returns a block scorer.
+A detector is one function ``detector(pair)``, called once per estimate
+with the problem instance, that returns a block scorer; one that needs the
+contaminated law reads ``pair.mixture``.
 The scorer takes a whole block stacked by row and returns one verdict per
 row: ``score(symbols, rng)`` for a (rows, n) block of training sets, and
 ``score(theta, d_prime, x, rng)`` for trained parameters (a
@@ -63,8 +64,8 @@ _SCAN_BLOCK = 1 << 16
 #: two-sided 99% normal quantile used by the Wilson interval
 _Z99 = 2.5758293035489004
 
-#: A detector as seen by the harness: (pair, p1) to a block scorer.
-Detector = Callable[[DistributionPair, Categorical], Callable[..., np.ndarray]]
+#: A detector as seen by the harness: a pair to a block scorer.
+Detector = Callable[[DistributionPair], Callable[..., np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -198,11 +199,11 @@ class TrainerStub:
 def np_trial_detector() -> Detector:
     """Full-knowledge likelihood-ratio detector in harness form.
 
-    Sums log(p1 / p0), built once per estimate, over each row.
+    Sums log(mixture / p0), built once per estimate, over each row.
     """
 
-    def detector(pair: DistributionPair, p1: Categorical):
-        ratio = np_log_ratio(pair.p0, p1)
+    def detector(pair: DistributionPair):
+        ratio = np_log_ratio(pair.p0, pair.mixture)
         return lambda symbols, rng: np_verdicts(symbols, ratio)
 
     return detector
@@ -211,7 +212,7 @@ def np_trial_detector() -> Detector:
 def type2_trial_detector() -> Detector:
     """Type-distance detector in harness form, thresholded from the pair's knobs."""
 
-    def detector(pair: DistributionPair, p1: Categorical):
+    def detector(pair: DistributionPair):
         threshold = tv_threshold(pair.gamma, pair.beta)
         p0 = pair.p0.probs
         return lambda symbols, rng: type_distances(symbols, lambda row, sym: p0[sym]) >= threshold
@@ -224,7 +225,7 @@ def type1_trial_detector(m: int) -> Detector:
     if m < 1:
         raise ParameterError("m must be >= 1")
 
-    def detector(pair: DistributionPair, p1: Categorical):
+    def detector(pair: DistributionPair):
         threshold = tv_threshold(pair.gamma, pair.beta)
 
         def score(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -243,7 +244,7 @@ def per_row(fn: Callable[[SymbolDataset, DistributionPair, np.random.Generator],
     that row as a :class:`SymbolDataset` and the block's generator.
     """
 
-    def detector(pair: DistributionPair, p1: Categorical):
+    def detector(pair: DistributionPair):
         k = pair.alphabet_size
 
         def score(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -284,7 +285,7 @@ def estimate_risk(
         j = rng.integers(0, 2, rows)
         return j, draw_labeled((pair.p0, p1), j, n, rng)
 
-    errors = count_errors(draw, detector(pair, p1), trials, seed, (Domain.RISK,))
+    errors = count_errors(draw, detector(pair), trials, seed, (Domain.RISK,))
     return wilson_interval(errors, trials)
 
 
@@ -307,7 +308,7 @@ def estimate_conditional_errors(
     if n < 1:
         raise ParameterError("n must be >= 1")
     p1 = mix(pair)
-    score = detector(pair, p1)
+    score = detector(pair)
 
     def branch(j: int, law: Categorical) -> RiskEstimate:
         def draw(rows: int, rng: np.random.Generator) -> tuple:
@@ -348,7 +349,7 @@ def _trained_risk(
         x = draw_labeled((pair.p0, pair.pb), i, 1, rng)[:, 0]
         return target.target(j, i), trainer.batch(train, pair.alphabet_size), d_prime, x
 
-    return wilson_interval(count_errors(draw, detector(pair, p1), trials, seed, (domain,)), trials)
+    return wilson_interval(count_errors(draw, detector(pair), trials, seed, (domain,)), trials)
 
 
 def estimate_generalized_risk(
@@ -385,7 +386,7 @@ def type0_tv_detector(gamma: float, beta: float) -> Detector:
     type of the fresh clean data, thresholded like the type-distance test."""
     threshold = tv_threshold(gamma, beta) - _TYPE0_TIE
 
-    def detector(pair: DistributionPair, p1: Categorical):
+    def detector(pair: DistributionPair):
         return lambda theta, d_prime, x, rng: type_distances(d_prime, theta) >= threshold
 
     return detector
@@ -471,7 +472,7 @@ def bayes_probe_detector(pair: DistributionPair) -> Detector:
     """Score only the probe sample: flag it when pb is at least as likely as p0."""
     flags = pair.pb.probs >= pair.p0.probs
 
-    def detector(bound_pair: DistributionPair, p1: Categorical):
+    def detector(bound_pair: DistributionPair):
         return lambda theta, d_prime, x, rng: flags[x]
 
     return detector

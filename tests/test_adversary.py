@@ -432,7 +432,7 @@ class TestImpossProbe:
         assert 0.0 < estimate.p_hat < 1.0
 
 
-def _collision_block(pair, p1):
+def _collision_block(pair):
     """Flag a row that holds some symbol twice; anchors make repeats likely."""
 
     def score(symbols, rng):
@@ -483,15 +483,15 @@ class TestImpossRisk:
         cfg = ImpossibilityConfig(k=300, beta=0.2, gamma=0.7, n=12)
         seen = []
 
-        def detector(pair, p1):
-            seen.append((pair, p1))
+        def detector(pair):
+            seen.append(pair)
             return lambda symbols, rng: np.ones(symbols.shape[0], dtype=np.int64)
 
         imposs_risk(detector, cfg, trials=BLOCK + 1, seed=0)
         assert len(seen) == 1
-        pair, p1 = seen[0]
-        uniform = Categorical.uniform(300)
-        assert pair.p0 == pair.pb == p1 == uniform
+        pair = seen[0]
+        assert pair.p0 == pair.pb == Categorical.uniform(300)
+        assert pair.mixture is pair.p0
         assert (pair.gamma, pair.beta) == (0.7, 0.2)
 
     def test_randomized_detector_respects_floor(self):

@@ -3,6 +3,7 @@
 import decimal
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,13 @@ class TestRiskFloor:
         p = Categorical.uniform(2)
         pair = DistributionPair(p, p, gamma=1.0, beta=0.5)
         assert exact_type3_risk(pair, 3) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3])
+    def test_exact_risk_identical_laws_is_exactly_half(self, gamma):
+        # the mixture of a law with itself is that law, so no rounding
+        # separates the two hypotheses
+        p = Categorical(np.array([0.1, 0.2, 0.3, 0.4]))
+        assert exact_type3_risk(DistributionPair(p, p, gamma, 0.5), 5) == 0.5
 
     def test_exact_risk_disjoint_supports(self):
         pair = DistributionPair(

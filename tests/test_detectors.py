@@ -8,6 +8,7 @@ import pytest
 from scipy.special import kolmogorov, ndtr, ndtri
 
 from bdlimits import (
+    AlphabetMismatchError,
     Categorical,
     DistributionPair,
     ImpossibleSampleError,
@@ -16,7 +17,6 @@ from bdlimits import (
     estimate_risk,
     ks_pvalue,
     ks_statistic,
-    mix,
     np_type3,
     ood_risk_exact,
     per_row,
@@ -57,6 +57,13 @@ class TestNpType3:
         pair = pair_of([0.5, 0.5], [0.5, 0.5], gamma=1.0)
         d = SymbolDataset(np.array([0, 1]), 2)
         assert np_type3(d, pair) == 1
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_alphabet_mismatch_raises(self, k):
+        pair = pair_of([0.5, 0.3, 0.2], [0.1, 0.1, 0.8], gamma=0.5)
+        d = SymbolDataset(np.array([0, k - 1]), k)
+        with pytest.raises(AlphabetMismatchError):
+            np_type3(d, pair)
 
     def test_impossible_symbol_raises(self):
         pair = pair_of([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], gamma=1.0)
@@ -202,6 +209,10 @@ class TestOodRisk:
             )
             assert best == pytest.approx(0.5 - 0.5 * tv_distance(p0, pb), abs=1e-12)
 
+    def test_alphabet_mismatch_raises(self):
+        with pytest.raises(AlphabetMismatchError):
+            ood_risk_exact([0, 1], Categorical.uniform(2), Categorical.point_mass(0, 3))
+
 
 class TestAdapters:
     """The reductions are harness detectors: a Type-2 detector is a Type-3
@@ -214,7 +225,7 @@ class TestAdapters:
 
     def test_adapted_deterministic_given_seed(self):
         pair = self.pair()
-        score = type1_trial_detector(16)(pair, mix(pair))
+        score = type1_trial_detector(16)(pair)
         symbols = sample(pair.p0, 10, seed=1).symbols[None, :].repeat(50, axis=0)
         first = score(symbols, substream(5, 0))
         assert np.array_equal(first, score(symbols, substream(5, 0)))
@@ -235,7 +246,7 @@ class TestAdapters:
 
     def test_type3_from_type2_identical_verdicts(self):
         pair = self.pair()
-        score = type2_trial_detector()(pair, mix(pair))
+        score = type2_trial_detector()(pair)
         symbols = substream(9, 4).integers(0, 2, (50, 12))
         verdicts = [type2_tv(SymbolDataset(row, 2), pair.p0, pair.gamma, pair.beta) for row in symbols]
         assert score(symbols, None).tolist() == verdicts

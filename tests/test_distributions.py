@@ -323,6 +323,25 @@ class TestMix:
             expected = Categorical(gamma * pb.probs + (1.0 - gamma) * p0.probs)
             assert np.array_equal(first.probs, expected.probs)
 
+    @pytest.mark.parametrize(
+        "law", [probs(0.1, 0.2, 0.3, 0.4), Categorical.uniform(4)], ids=["dense", "broadcast"]
+    )
+    def test_law_mixed_with_itself_is_that_law(self, law):
+        for gamma in (0.0, 0.3, 1.0):
+            assert DistributionPair(law, law, gamma, beta=0.5).mixture is law
+
+    def test_clean_view_mixture_holds_no_k_vector(self):
+        # a computed mixture would pass through a dense 1e7-vector, 80 MB
+        pair = DistributionPair(Categorical.uniform(10**7), Categorical.uniform(10**7), 0.7, 0.2)
+        tracemalloc.start()
+        try:
+            mixture = pair.mixture
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mixture.probs.strides == (0,)
+        assert peak < 64 * 1024, peak
+
 
 class TestSymbolClasses:
     # (p0, pb, gamma, classes): repeated masses, a zero mass under one law,

@@ -1,6 +1,7 @@
 """Tests for Monte-Carlo risk estimation and experiment plumbing."""
 
 import contextlib
+import inspect
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from bdlimits import (
     estimate_risk,
     mix,
     np_trial_detector,
+    per_row,
     sample,
     tv_distance,
     type0_demo_risk,
@@ -75,6 +77,23 @@ class TestWilsonInterval:
             wilson_interval(11, 10)
 
 
+@pytest.mark.parametrize(
+    "detector",
+    [
+        np_trial_detector(),
+        type2_trial_detector(),
+        type1_trial_detector(4),
+        type0_tv_detector(0.5, 0.5),
+        bayes_probe_detector(ORACLE_PAIR),
+        per_row(lambda d, pair, rng: 1),
+    ],
+    ids=["np", "type2", "type1", "type0", "bayes-probe", "per-row"],
+)
+def test_detector_binds_to_the_pair_alone(detector):
+    assert len(inspect.signature(detector).parameters) == 1
+    detector(ORACLE_PAIR)
+
+
 class TestEstimateRisk:
     def test_disjoint_supports_perfect_separation(self):
         pair = pair_of([1.0, 0.0], [0.0, 1.0], gamma=1.0)
@@ -105,7 +124,7 @@ class TestEstimateRisk:
         # blocks draw from streams keyed by block index, so evaluating them
         # in any order gives the same counts, and the estimate is their sum
         p1 = mix(ORACLE_PAIR)
-        score = np_trial_detector()(ORACLE_PAIR, p1)
+        score = np_trial_detector()(ORACLE_PAIR)
 
         def draw(rows, rng):
             j = rng.integers(0, 2, rows)
@@ -182,7 +201,7 @@ class TestGeneralizedRisk:
     def test_ood_bayes_rule_matches_tv_identity(self):
         pair = pair_of([0.6, 0.3, 0.1], [0.1, 0.2, 0.7], gamma=1.0, beta=0.9)
 
-        def bayes(pair, p1):
+        def bayes(pair):
             return lambda theta, d_prime, x, rng: pair.pb.probs[x] >= pair.p0.probs[x]
 
         est = estimate_generalized_risk(
@@ -195,7 +214,7 @@ class TestGeneralizedRisk:
     def test_constant_detector_symmetric_prior(self):
         pair = pair_of([0.7, 0.3], [0.2, 0.8], gamma=0.8, beta=0.5)
         est = estimate_generalized_risk(
-            lambda pair, p1: lambda theta, d, x, rng: np.zeros(x.size), pair, n=3, m=3,
+            lambda pair: lambda theta, d, x, rng: np.zeros(x.size), pair, n=3, m=3,
             prior=JointPrior.mbd_default(), target=Flavor.MBD,
             trainer=TrainerStub(), trials=2000, seed=11,
         )
@@ -208,7 +227,7 @@ class TestGeneralizedRisk:
         pair = DistributionPair(p0, pb, gamma=1.0, beta=0.2)
         seen = []
 
-        def recorder(pair, p1):
+        def recorder(pair):
             def score(theta, d_prime, x, rng):
                 seen.extend(x.tolist())
                 return np.zeros(x.size)
@@ -232,7 +251,7 @@ class TestGeneralizedRisk:
         pair = pair_of([0.7, 0.3], [0.2, 0.8], gamma=0.8, beta=0.5)
         with pytest.raises(ConfigurationError):
             estimate_generalized_risk(
-                lambda pair, p1: lambda theta, d, x, rng: np.zeros(x.size), pair, n=2, m=2,
+                lambda pair: lambda theta, d, x, rng: np.zeros(x.size), pair, n=2, m=2,
                 prior=JointPrior.ood_default(), target=Flavor.SBD,
                 trainer=TrainerStub(), trials=200, seed=0,
             )
@@ -297,7 +316,7 @@ class TestType0Demo:
 
     def test_constant_detector_random_guess(self):
         est = type0_demo_risk(
-            lambda pair, p1: lambda theta, d, x, rng: np.ones(x.size), self.PAIR, n=10, m=40,
+            lambda pair: lambda theta, d, x, rng: np.ones(x.size), self.PAIR, n=10, m=40,
             trainer=TrainerStub(), trials=2000, seed=15,
         )
         assert est.ci_low <= 0.5 <= est.ci_high

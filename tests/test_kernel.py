@@ -67,7 +67,7 @@ def dataset_verdicts(detector, reference, pair, symbols):
     """(block verdicts, per-row reference verdicts) on the same generator key."""
     verdicts = []
     for lifted in (detector, per_row(reference)):
-        score = lifted(pair, mix(pair))
+        score = lifted(pair)
         verdicts.append(np.asarray(score(symbols, substream(1, 2)), dtype=np.int64))
     return verdicts[0], verdicts[1]
 
@@ -121,7 +121,7 @@ def test_np_zero_mass_rules_batch_equals_fallback():
 
 def test_np_impossible_symbol_raises_in_both_forms():
     symbols = np.array([[1, 1, 0], [1, 3, 2]])
-    score = np_trial_detector()(ZERO_MASS_PAIR, mix(ZERO_MASS_PAIR))
+    score = np_trial_detector()(ZERO_MASS_PAIR)
     with pytest.raises(ImpossibleSampleError, match="symbol 3"):
         score(symbols, substream(1, 2))
     with pytest.raises(ImpossibleSampleError, match="symbol 3"):
@@ -139,13 +139,13 @@ def test_trained_detectors_batch_equals_fallback(label, pair, n, m):
     theta = trainer.batch(train, k)
     rows = [(trainer(SymbolDataset(t, k)), SymbolDataset(d, k)) for t, d in zip(train, d_prime)]
 
-    score0 = type0_tv_detector(pair.gamma, pair.beta)(pair, mix(pair))
+    score0 = type0_tv_detector(pair.gamma, pair.beta)(pair)
     batch0 = np.asarray(score0(theta, d_prime, x, substream(1, 2)), dtype=np.int64)
     threshold = pair.gamma * (1.0 - pair.beta) / 2.0 - _TYPE0_TIE
     expected0 = [int(tv_to_type(t, d) >= threshold) for t, d in rows]
     assert batch0.tolist() == expected0
 
-    score_probe = bayes_probe_detector(pair)(pair, mix(pair))
+    score_probe = bayes_probe_detector(pair)(pair)
     batch_probe = np.asarray(score_probe(theta, d_prime, x, substream(1, 2)), dtype=np.int64)
     expected_probe = [int(pair.pb.probs[xr] >= pair.p0.probs[xr]) for xr in x]
     assert batch_probe.tolist() == expected_probe
