@@ -60,11 +60,11 @@ def toy_delta(v: np.ndarray, k: int) -> np.ndarray:
 class ToyConfig:
     """Parameter bundle for the Gaussian toy attack.
 
-    ``mu`` and ``delta`` are derived from ``v``; construct via
+    ``n`` is the size of every clean sample the attack draws. The dimension
+    ``k``, ``mu`` and ``delta`` are derived from ``v``; construct via
     :meth:`from_direction`, which normalizes the direction first.
     """
 
-    k: int
     sigma: float
     gamma: float
     n: int
@@ -73,6 +73,9 @@ class ToyConfig:
     delta: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        v = np.asarray(self.v, dtype=float)
+        v.setflags(write=False)
+        object.__setattr__(self, "v", v)
         if self.k < 2:
             raise ParameterError("dimension must be >= 2")
         if not 0.0 <= self.sigma < math.inf:
@@ -85,9 +88,6 @@ class ToyConfig:
             raise ParameterError("n must be >= 1")
         # -0.0 and 0.0 are one configuration, so they get one config hash
         object.__setattr__(self, "gamma", self.gamma + 0.0)
-        v = np.asarray(self.v, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
         object.__setattr__(self, "mu", float(v.sum()))
         delta = toy_delta(v, self.k)
         delta.setflags(write=False)
@@ -98,7 +98,12 @@ class ToyConfig:
         cls, v: Sequence[float], sigma: float, gamma: float, n: int
     ) -> "ToyConfig":
         unit, _ = unit_direction(v)
-        return cls(k=unit.size, sigma=sigma, gamma=gamma, n=n, v=unit)
+        return cls(sigma=sigma, gamma=gamma, n=n, v=unit)
+
+    @property
+    def k(self) -> int:
+        """The feature dimension, the length of ``v``."""
+        return int(self.v.size)
 
 
 def unit_direction(v: Sequence[float]) -> tuple[np.ndarray, float]:
@@ -123,16 +128,14 @@ def unit_direction(v: Sequence[float]) -> tuple[np.ndarray, float]:
     return arr / norm, scale * norm
 
 
-def toy_sample_clean(config: ToyConfig, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n clean samples (y, z): y uniform on {-1, +1}, z = y*1 + sigma*w.
+def toy_sample_clean(config: ToyConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``config.n`` clean samples (y, z): y uniform on {-1, +1}, z = y*1 + sigma*w.
 
     ``y`` has shape (n,) and ``z`` shape (n, K); row i is sample i.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
     rng = substream(seed, Domain.TOY_CLEAN)
-    y = rng.integers(0, 2, n) * 2 - 1
-    w = rng.standard_normal((n, config.k))
+    y = rng.integers(0, 2, config.n) * 2 - 1
+    w = rng.standard_normal((config.n, config.k))
     with np.errstate(over="ignore"):
         z = y[:, None] * np.ones(config.k) + config.sigma * w
     if not np.isfinite(z).all():
@@ -219,7 +222,7 @@ def toy_attack_report(config: ToyConfig, seed: int) -> ToyAttackReport:
     (backdoored samples given their flipped label) Phi(-(t + b)/s)/2 +
     Phi((b - t)/s)/2. A quotient at s = 0 or past overflow is +-inf.
     """
-    poisoned = toy_poison(*toy_sample_clean(config, config.n, seed), config, seed)
+    poisoned = toy_poison(*toy_sample_clean(config, seed), config, seed)
     ks = toy_ks_defense(*poisoned, config)
     clf = toy_train_classifier(*poisoned)
 

@@ -46,8 +46,8 @@ def _fail(message: str, code: int) -> None:
 
 def _emit(command: str, config: dict, payload, out: str | None, text: str | None = None) -> None:
     """Print the payload envelope, or ``text`` when given; optionally append a
-    timestamped record of the payload."""
-    digest = config_hash(config)
+    timestamped record of the payload. The hash covers the command and config."""
+    digest = config_hash({"command": command, **config})
     if text is None:
         text = json.dumps({"command": command, "config_hash": digest, "payload": payload})
     click.echo(text)
@@ -107,7 +107,6 @@ def bounds_table(alpha: float, beta: float, catalog_path: str | None, fmt: str, 
             writer.writerow([row.name, f"{row.log10_alphabet:.2f}", row.min_n_exponent])
         text = buf.getvalue().rstrip("\n")
     config = {
-        "command": "bounds-table",
         "alpha": alpha,
         "beta": beta,
         # shallow: every field is a scalar or a tuple of ints
@@ -169,7 +168,6 @@ def risk(
         payload["oracle_exact"] = exact
         payload["oracle_gap"] = abs(estimate.p_hat - exact)
     config = {
-        "command": "risk",
         "pair": pair.to_jsonable(),
         "oracle": oracle,
         **{key: payload[key] for key in ("detector", "n", "trials", "seed")},
@@ -189,7 +187,7 @@ def _boundary_points(clf, x_min: float, x_max: float) -> tuple[tuple[float, floa
 
 
 def _toy_svg(path: str, config: ToyConfig, seed: int) -> None:
-    clean = toy_sample_clean(config, config.n, seed)
+    clean = toy_sample_clean(config, seed)
     poisoned = toy_poison(*clean, config, seed)
     clean_clf = toy_train_classifier(*clean)
     poisoned_clf = toy_train_classifier(*poisoned)
@@ -234,7 +232,7 @@ def _toy_csv(path: str, config: ToyConfig, seeds: list[int]) -> None:
             + [f"z{i}" for i in range(config.k)]
         )
         for seed in seeds:
-            y, z = toy_sample_clean(config, config.n, seed)
+            y, z = toy_sample_clean(config, seed)
             yp, zp = toy_poison(y, z, config, seed)
             writer.writerows(
                 np.column_stack(
@@ -279,7 +277,7 @@ def toy(
     except ValueError as exc:
         raise ParameterError(f"cannot parse --v: {exc}") from exc
     unit, norm = unit_direction(v)
-    config = ToyConfig(k=unit.size, sigma=sigma, gamma=gamma, n=n, v=unit)
+    config = ToyConfig(sigma=sigma, gamma=gamma, n=n, v=unit)
     records = [{"seed": s, **toy_attack_report(config, s).to_jsonable()} for s in range(seed, seed + seeds)]
     if abs(norm - 1.0) > 1e-9:
         click.echo(f"warning: |v| = {norm:.6g}, normalizing", err=True)
@@ -301,7 +299,6 @@ def toy(
             for key in ("p_value", "attack_success_rate", "clean_accuracy")
         }
     config_doc = {
-        "command": "toy",
         "seeds": seeds,
         "seed": seed,
         **{key: payload[key] for key in ("n", "gamma", "sigma", "v")},
@@ -346,10 +343,7 @@ def probe(
         "floor": floor,
         "floor_satisfied": bool(satisfied),
     }
-    config_doc = {
-        "command": "probe",
-        **{key: payload[key] for key in ("k", "beta", "gamma", "n", "detector", "trials", "seed")},
-    }
+    config_doc = {key: payload[key] for key in ("k", "beta", "gamma", "n", "detector", "trials", "seed")}
     _emit("probe", config_doc, payload, out)
     click.echo(
         f"measured risk {estimate.p_hat:.4f} "

@@ -30,11 +30,12 @@ from .distributions import (
     DistributionPair,
     SymbolDataset,
     mix,
+    same_alphabet,
     tv_to_type,
     type_counts,
     type_distances,
 )
-from .errors import AlphabetMismatchError, ImpossibleSampleError, ParameterError
+from .errors import ImpossibleSampleError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,7 @@ def np_type3(d: SymbolDataset, pair: DistributionPair) -> int:
     Symbols impossible under one hypothesis short-circuit the verdict;
     symbols impossible under both raise :class:`ImpossibleSampleError`.
     """
-    if d.alphabet_size != pair.alphabet_size:
-        raise AlphabetMismatchError(
-            f"alphabet sizes differ: {d.alphabet_size} vs {pair.alphabet_size}"
-        )
+    same_alphabet(d, pair)
     ratio = np_log_ratio(pair.p0, mix(pair))
     return int(np_verdicts(d.symbols[None, :], ratio)[0])
 
@@ -136,9 +134,8 @@ def type1_tv(
     independently collected clean dataset.
     """
     threshold = tv_threshold(gamma, beta)
-    if d.alphabet_size != d_clean.alphabet_size:
-        raise AlphabetMismatchError("datasets disagree on alphabet size")
-    distance = type1_distances(d.symbols[None, :], d_clean.symbols[None, :], d.alphabet_size)[0]
+    k = same_alphabet(d, d_clean)
+    distance = type1_distances(d.symbols[None, :], d_clean.symbols[None, :], k)[0]
     return int(distance >= threshold)
 
 
@@ -223,9 +220,7 @@ def ood_risk_exact(
     computed by summing masses. ``f`` may be a callable on symbols or a
     length-K array of labels.
     """
-    k = p0.alphabet_size
-    if pb.alphabet_size != k:
-        raise AlphabetMismatchError(f"alphabet sizes differ: {k} vs {pb.alphabet_size}")
+    k = same_alphabet(p0, pb)
     if callable(f):
         labels = np.asarray([int(f(x)) for x in range(k)])
     else:

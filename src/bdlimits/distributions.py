@@ -8,12 +8,13 @@ their counts (:func:`sparse_types`), so no K-vector is built per sample.
 Total variation distance is computed in its canonical finite-alphabet form,
 half the L1 distance, which equals the supremum over event sets.
 
-Sampling inverts the cumulative mass at uniforms in [0, 1). Small
-alphabets count, level by level, the CDF levels at or below each uniform;
-large ones binary-search the CDF. Types of a block whose symbols are all
-below its row length are read off the block's histogram; others are found
-by sorting each row. Each pair of kernels gives the same symbols and the
-same triples, so the choice never moves a seeded value.
+Sampling inverts the cumulative mass at uniforms in [0, 1): the symbol at
+u is the number of inner CDF levels at or below u. Small alphabets count
+those levels, level by level; large ones binary-search them. Types of a
+block whose symbols are all below its row length are read off the block's
+histogram; others are found by sorting each row. Each pair of kernels
+gives the same symbols and the same triples, so the choice never moves a
+seeded value.
 
 Everything here is a pure function of its inputs (sampling is pure given
 the seed) and all values are immutable after construction, so they can be
@@ -108,30 +109,26 @@ class Categorical:
         return int(self.probs.size)
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
-        cdf = np.cumsum(self.probs)
-        cdf[-1] = 1.0
-        cdf.setflags(write=False)
-        return cdf
+    def _levels(self) -> np.ndarray:
+        levels = np.cumsum(self.probs[:-1])
+        levels.setflags(write=False)
+        return levels
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Symbols at cumulative-mass levels u in [0, 1), by inverting the CDF.
 
         Consumes ``u``, a C-contiguous float64 array: the caller must not
-        use it afterwards. The symbol at u is min(searchsorted(cdf, u,
-        "right"), K - 1), which is the number of inner levels ``cdf[:-1]``
-        at or below u, zero masses and u on a level included. Alphabets of
-        up to ``_COUNT_LEVELS_MAX_K`` symbols count those levels in one
-        byte per uniform and write the symbols over u's memory; larger ones
-        binary-search. Either way a block draw holds no more than two
+        use it afterwards. The symbol at u is the number of inner CDF
+        levels at or below u, zero masses and u on a level included; since
+        u < 1 it is at most K - 1. Alphabets of up to
+        ``_COUNT_LEVELS_MAX_K`` symbols count those levels in one byte per
+        uniform and write the symbols over u's memory; larger ones
+        binary-search them. Either way a block draw holds no more than two
         8-byte arrays, the uniforms and the symbols.
         """
         if self.alphabet_size <= _COUNT_LEVELS_MAX_K:
-            return _count_levels(u, self._cdf[:-1])
-        # searchsorted returns int64 already; clipping in place keeps a block
-        # draw at two arrays, the uniforms and the symbols
-        idx = np.searchsorted(self._cdf, u, side="right")
-        return np.minimum(idx, self.alphabet_size - 1, out=idx)
+            return _count_levels(u, self._levels)
+        return np.searchsorted(self._levels, u, side="right")
 
     @classmethod
     def uniform(cls, k: int) -> "Categorical":
@@ -212,10 +209,7 @@ class DistributionPair:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.p0.alphabet_size != self.pb.alphabet_size:
-            raise AlphabetMismatchError(
-                f"p0 has alphabet {self.p0.alphabet_size}, pb has {self.pb.alphabet_size}"
-            )
+        same_alphabet(self.p0, self.pb)
         if not 0.0 <= self.gamma <= 1.0:
             raise ParameterError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.beta <= 1.0:
@@ -232,11 +226,14 @@ class DistributionPair:
     def mixture(self) -> Categorical:
         """The contaminated distribution gamma*pb + (1-gamma)*p0, built once per pair.
 
-        A law mixed with itself is that law: when pb equals p0 the mixture
-        is p0 itself, exact and with no K-vector of its own.
+        The endpoints and a law mixed with itself are exact: the mixture is
+        p0 itself at gamma = 0 or when pb equals p0, and pb itself at
+        gamma = 1, each with no K-vector of its own.
         """
-        if self.pb == self.p0:
+        if self.gamma == 0.0 or self.pb == self.p0:
             return self.p0
+        if self.gamma == 1.0:
+            return self.pb
         return Categorical(self.gamma * self.pb.probs + (1.0 - self.gamma) * self.p0.probs)
 
     @cached_property
@@ -305,12 +302,19 @@ def json_fields(data: object, kind: str, **convert: Callable) -> list:
     return values
 
 
+def same_alphabet(a, b) -> int:
+    """The alphabet size that ``a`` and ``b`` share, each a law, a dataset
+    or a pair; raises :class:`AlphabetMismatchError` when they differ."""
+    if a.alphabet_size != b.alphabet_size:
+        raise AlphabetMismatchError(
+            f"alphabet sizes differ: {a.alphabet_size} vs {b.alphabet_size}"
+        )
+    return a.alphabet_size
+
+
 def tv_distance(p: Categorical, q: Categorical) -> float:
     """Total variation distance, half the L1 distance between mass vectors."""
-    if p.alphabet_size != q.alphabet_size:
-        raise AlphabetMismatchError(
-            f"alphabet sizes differ: {p.alphabet_size} vs {q.alphabet_size}"
-        )
+    same_alphabet(p, q)
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
@@ -345,7 +349,7 @@ def draw_labeled(
     """
     u = rng.random((labels.size, n))
     if laws[0].alphabet_size <= _ROW_LEVELS_MAX_K:
-        levels = np.array([law._cdf[:-1] for law in laws]).T
+        levels = np.array([law._levels for law in laws]).T
         return _count_levels(u, (level[labels, None] for level in levels))
     symbols = np.empty(u.shape, dtype=np.int64)
     for label, law in enumerate(laws):
@@ -452,10 +456,7 @@ def tv_to_type(p: Categorical, d: SymbolDataset) -> float:
     The one-row case of :func:`type_distances`, so per-dataset and block
     computations agree bit for bit.
     """
-    if d.alphabet_size != p.alphabet_size:
-        raise AlphabetMismatchError(
-            f"alphabet sizes differ: {d.alphabet_size} vs {p.alphabet_size}"
-        )
+    same_alphabet(p, d)
     return float(type_distances(d.symbols[None, :], lambda row, sym: p.probs[sym])[0])
 
 
@@ -487,13 +488,9 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     pair's symbol classes, so a two-class pair is one close fan of n + 1
     types. Raises :class:`ResourceCapError` above ``ENUMERATION_CAP`` types.
     """
-    if p0.alphabet_size != p1.alphabet_size:
-        raise AlphabetMismatchError(
-            f"alphabet sizes differ: {p0.alphabet_size} vs {p1.alphabet_size}"
-        )
+    k = same_alphabet(p0, p1)
     if n < 1:
         raise ParameterError("n must be >= 1")
-    k = p0.alphabet_size
     types = math.comb(n + k - 1, k - 1)
     if types > ENUMERATION_CAP:
         raise ResourceCapError(

@@ -1,5 +1,6 @@
 """Tests for the two attacker constructions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -85,26 +86,26 @@ class TestToyDelta:
 
 class TestToySampling:
     def test_noiseless_case(self):
-        cfg = ToyConfig.from_direction([1.0, 0.0], sigma=0.0, gamma=0.5, n=10)
-        y, z = toy_sample_clean(cfg, 50, seed=3)
+        cfg = ToyConfig.from_direction([1.0, 0.0], sigma=0.0, gamma=0.5, n=50)
+        y, z = toy_sample_clean(cfg, seed=3)
         assert y.shape == (50,) and z.shape == (50, 2)
         assert np.allclose(z, y[:, None] * np.ones(2))
 
     def test_same_seed_identical(self):
-        cfg = reference_config()
-        ya, za = toy_sample_clean(cfg, 20, seed=5)
-        yb, zb = toy_sample_clean(cfg, 20, seed=5)
+        cfg = reference_config(n=20)
+        ya, za = toy_sample_clean(cfg, seed=5)
+        yb, zb = toy_sample_clean(cfg, seed=5)
         assert np.array_equal(ya, yb) and np.array_equal(za, zb)
 
     def test_projection_mean_matches_mu(self):
-        cfg = reference_config()
-        f = projections(*toy_sample_clean(cfg, 10**5, seed=11), cfg)
+        cfg = reference_config(n=10**5)
+        f = projections(*toy_sample_clean(cfg, seed=11), cfg)
         assert abs(f.mean() - cfg.mu) < 0.02
 
     def test_projection_law_invariance_moments(self):
         # first four moments of the projection are unchanged by the backdoor
-        cfg = reference_config()
-        clean = toy_sample_clean(cfg, 10**5, seed=13)
+        cfg = reference_config(n=10**5)
+        clean = toy_sample_clean(cfg, seed=13)
         f_clean = projections(*clean, cfg)
         f_bad = projections(*toy_backdoor(*clean, cfg), cfg)
         assert abs(f_clean.mean() - f_bad.mean()) < 0.02
@@ -134,21 +135,21 @@ class TestToyBackdoor:
 
 class TestToyPoison:
     def test_gamma_zero_unchanged(self):
-        cfg = reference_config(gamma=0.0)
-        y, z = toy_sample_clean(cfg, 30, seed=2)
+        cfg = reference_config(gamma=0.0, n=30)
+        y, z = toy_sample_clean(cfg, seed=2)
         yp, zp = toy_poison(y, z, cfg, seed=3)
         assert np.array_equal(yp, y) and np.array_equal(zp, z)
 
     def test_gamma_one_all_flipped(self):
-        cfg = reference_config(gamma=1.0)
-        y, z = toy_sample_clean(cfg, 30, seed=2)
+        cfg = reference_config(gamma=1.0, n=30)
+        y, z = toy_sample_clean(cfg, seed=2)
         yp, _ = toy_poison(y, z, cfg, seed=3)
         assert np.array_equal(yp, -y)
 
     def test_replacement_fraction_binomial_band(self):
-        cfg = reference_config()
         n = 10**4
-        y, z = toy_sample_clean(cfg, n, seed=4)
+        cfg = reference_config(n=n)
+        y, z = toy_sample_clean(cfg, seed=4)
         yp, _ = toy_poison(y, z, cfg, seed=5)
         frac = np.mean(y != yp)
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / n)
@@ -157,14 +158,14 @@ class TestToyPoison:
 class TestKsDefense:
     def test_statistic_and_pvalue_ranges(self):
         cfg = reference_config()
-        result = toy_ks_defense(*toy_sample_clean(cfg, 150, seed=1), cfg)
+        result = toy_ks_defense(*toy_sample_clean(cfg, seed=1), cfg)
         assert 0.0 <= result.statistic <= 1.0
         assert 0.0 <= result.p_value <= 1.0
         assert result.n == 150
 
     def test_gross_shift_detected(self):
         cfg = reference_config()
-        y, z = toy_sample_clean(cfg, 150, seed=1)
+        y, z = toy_sample_clean(cfg, seed=1)
         shifted = z + y[:, None] * 10 * cfg.sigma * cfg.v
         assert toy_ks_defense(y, shifted, cfg).p_value < 1e-6
 
@@ -175,8 +176,8 @@ class TestKsDefense:
 
 class TestToyClassifier:
     def test_clean_boundary_angle(self):
-        cfg = ToyConfig.from_direction([1.0, 0.0], sigma=0.5, gamma=0.5, n=10)
-        clf = toy_train_classifier(*toy_sample_clean(cfg, 1000, seed=8))
+        cfg = ToyConfig.from_direction([1.0, 0.0], sigma=0.5, gamma=0.5, n=1000)
+        clf = toy_train_classifier(*toy_sample_clean(cfg, seed=8))
         ideal = np.ones(2) / math.sqrt(2)
         cosine = float(clf.w @ ideal) / np.linalg.norm(clf.w)
         assert math.degrees(math.acos(min(1.0, cosine))) < 15.0
@@ -194,10 +195,10 @@ class TestToyClassifier:
         # classifier trained at gamma = 1 anti-agrees with the clean classifier;
         # the axis direction keeps the flipped clusters well separated
         cfg = ToyConfig.from_direction([1.0, 0.0], sigma=0.5, gamma=1.0, n=1000)
-        clean = toy_sample_clean(cfg, 1000, seed=9)
+        clean = toy_sample_clean(cfg, seed=9)
         clean_clf = toy_train_classifier(*clean)
         flipped_clf = toy_train_classifier(*toy_poison(*clean, cfg, seed=10))
-        _, zs = toy_sample_clean(cfg, 2000, seed=11)
+        _, zs = toy_sample_clean(dataclasses.replace(cfg, n=2000), seed=11)
         agree = np.mean(clean_clf.predict(zs) == flipped_clf.predict(zs))
         assert agree < 0.2
 
@@ -290,7 +291,7 @@ class TestPerRowReference:
     def test_arrays_match_rows(self, k):
         config = PER_ROW_CONFIGS[k]
         for seed in range(10):
-            y, z = toy_sample_clean(config, config.n, seed)
+            y, z = toy_sample_clean(config, seed)
             rows = list(zip(y.tolist(), z))
             assert np.array_equal(projections(y, z, config), self.projection_rows(rows, config))
             self.assert_rows_equal(
@@ -318,7 +319,7 @@ class TestClosedFormEvaluation:
     def test_rates_match_sampled_predictions(self, k):
         config = PER_ROW_CONFIGS[k]
         for seed in range(5):
-            clf = toy_train_classifier(*toy_poison(*toy_sample_clean(config, config.n, seed), config, seed))
+            clf = toy_train_classifier(*toy_poison(*toy_sample_clean(config, seed), config, seed))
             report = toy_attack_report(config, seed)
             rng = np.random.default_rng([k, seed])
             y = rng.integers(0, 2, self.SAMPLES) * 2 - 1

@@ -318,8 +318,15 @@ class TestRisk:
                 '{"p0": [1, 0], "pb": [0, 1], "gamma": 0.5, "beta": true}',
                 "pair file field 'beta': must be a number, got True",
             ),
+            (
+                '{"p0": [0.5, 0.5], "pb": [0.2, 0.3, 0.5], "gamma": 0.5, "beta": 0.5}',
+                "alphabet sizes differ: 2 vs 3",
+            ),
         ],
-        ids=["missing-pb", "list", "null-gamma", "bad-p0", "bool-p0", "string-pb", "string-gamma", "bool-beta"],
+        ids=[
+            "missing-pb", "list", "null-gamma", "bad-p0", "bool-p0", "string-pb", "string-gamma", "bool-beta",
+            "alphabet-mismatch",
+        ],
     )
     def test_pair_file_error_names_the_field(self, runner, tmp_path, text, message):
         path = tmp_path / "pair.json"
@@ -480,7 +487,7 @@ class TestToy:
         assert len(lines) == 51
         # the rows are the library's arrays for seed 0, as the command formats them
         config = ToyConfig.from_direction([0.981, 0.196], sigma=0.5, gamma=0.5, n=50)
-        y, z = toy_sample_clean(config, config.n, 0)
+        y, z = toy_sample_clean(config, 0)
         yp, zp = toy_poison(y, z, config, 0)
         f = projections(yp, zp, config)
         with open(csv_path, newline="") as fh:

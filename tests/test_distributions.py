@@ -21,10 +21,13 @@ from bdlimits import (
     SymbolDataset,
     exact_type3_risk,
     mix,
+    np_type3,
+    ood_risk_exact,
     product_tv_exact,
     sample,
     tv_distance,
     tv_to_type,
+    type1_tv,
     type_exceedance_frequency,
 )
 from bdlimits import distributions
@@ -134,16 +137,15 @@ class TestCategorical:
                 c.probs[0] = 0.9
 
     def test_uniform_matches_dense_construction(self):
-        # the dense spelling np.full(k, 1/k), normalized, bit for bit, and its CDF
+        # the dense spelling np.full(k, 1/k), normalized, bit for bit, and its
+        # inner CDF levels
         ks = [*range(1, 2000), *(3**e for e in range(7, 13)), 10**5, 10**6, 999_983, 2**20]
         for k in ks:
             dense = np.full(k, 1.0 / k)
             dense = dense / dense.sum() + 0.0
-            cdf = np.cumsum(dense)
-            cdf[-1] = 1.0
             law = Categorical.uniform(k)
             assert law.probs.tobytes() == dense.tobytes(), k
-            assert law._cdf.tobytes() == cdf.tobytes(), k
+            assert law._levels.tobytes() == np.cumsum(dense[:-1]).tobytes(), k
 
     def test_constant_law_is_uniform(self):
         law = Categorical.from_jsonable([0.25] * 4)
@@ -270,14 +272,59 @@ class TestTvDistance:
         assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r) + 1e-12
 
 
+class TestSameAlphabet:
+    """Every entry point taking two alphabets rejects a mismatch with one error."""
+
+    U2, U3 = Categorical.uniform(2), Categorical.uniform(3)
+    D2, D3 = SymbolDataset(np.array([0, 1]), 2), SymbolDataset(np.array([0, 2]), 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            (DistributionPair, U2, U3, 0.5, 0.5),
+            (tv_distance, U2, U3),
+            (tv_to_type, U2, D3),
+            (product_tv_exact, U2, U3, 2),
+            (np_type3, D2, DistributionPair(U3, U3, 0.5, 0.5)),
+            (type1_tv, D2, D3, 0.5, 0.5),
+            (ood_risk_exact, [0, 1], U2, U3),
+        ],
+        ids=lambda call: call[0].__name__,
+    )
+    def test_mismatch_raises_one_message(self, call):
+        entry, *args = call
+        with pytest.raises(AlphabetMismatchError, match=r"^alphabet sizes differ: 2 vs 3$"):
+            entry(*args)
+
+
 class TestMix:
     def test_gamma_zero_returns_clean(self):
         pair = DistributionPair(probs(0.7, 0.3), probs(0.1, 0.9), gamma=0.0, beta=0.5)
-        assert np.allclose(mix(pair).probs, [0.7, 0.3])
+        assert mix(pair) is pair.p0
 
     def test_gamma_one_returns_backdoor(self):
         pair = DistributionPair(probs(0.7, 0.3), probs(0.1, 0.9), gamma=1.0, beta=0.5)
-        assert np.allclose(mix(pair).probs, [0.1, 0.9])
+        assert mix(pair) is pair.pb
+
+    @staticmethod
+    def dirichlet_pairs(gamma):
+        # mixed by arithmetic, about one in eight of these pairs misses the
+        # law at gamma 0 or 1 in its last bits
+        rng = substream(42, 0)
+        for _ in range(200):
+            p0 = Categorical(rng.dirichlet(np.ones(4)))
+            pb = Categorical(rng.dirichlet(np.ones(4)))
+            yield DistributionPair(p0, pb, gamma, beta=0.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_endpoints_are_the_laws_themselves(self, gamma):
+        for pair in self.dirichlet_pairs(gamma):
+            assert mix(pair) is (pair.pb if gamma else pair.p0)
+
+    def test_unpoisoned_risk_is_exactly_half(self):
+        # at gamma = 0 both hypotheses are p0, so no detector beats a coin
+        for pair in self.dirichlet_pairs(0.0):
+            assert exact_type3_risk(pair, 5) == 0.5
 
     def test_half_mixture_by_hand(self):
         pair = DistributionPair(

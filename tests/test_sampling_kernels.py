@@ -29,9 +29,16 @@ from bdlimits.rng import substream
 THRESHOLD_KS = (_ROW_LEVELS_MAX_K, _ROW_LEVELS_MAX_K + 1, _COUNT_LEVELS_MAX_K, _COUNT_LEVELS_MAX_K + 1)
 
 
+def full_cdf(law):
+    """The law's K CDF levels, the last one forced to 1."""
+    cdf = np.cumsum(law.probs)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def searched(law, u):
     """The binary-search inversion: min(searchsorted(cdf, u, "right"), K - 1)."""
-    return np.minimum(np.searchsorted(law._cdf, u, side="right"), law.alphabet_size - 1)
+    return np.minimum(np.searchsorted(full_cdf(law), u, side="right"), law.alphabet_size - 1)
 
 
 def sorted_types(symbols):
@@ -62,7 +69,7 @@ def laws(draw, k=None):
 def uniforms(draw, law, size):
     """Uniforms in [0, 1), with 0 and values exactly on the CDF levels mixed in."""
     u = substream(draw(st.integers(0, 2**32)), 0).random(size)
-    on_level = [x for x in [0.0, *law._cdf[:-1]] if x < 1.0]
+    on_level = [x for x in [0.0, *full_cdf(law)[:-1]] if x < 1.0]
     for i in draw(st.lists(st.integers(0, size - 1), max_size=size)):
         u[i] = draw(st.sampled_from(on_level))
     return u
