@@ -73,7 +73,8 @@ class ToyConfig:
     delta: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=float)
+        # a copy, so freezing it leaves the caller's array writeable
+        v = np.array(self.v, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
         if self.k < 2:

@@ -178,14 +178,17 @@ class SymbolDataset:
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        # a view, so freezing it leaves a caller's int64 array writeable
-        arr = np.asarray(self.symbols, dtype=np.int64).view()
+        arr = np.asarray(self.symbols)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("dataset must contain at least one symbol")
+        if arr.dtype.kind not in "iu":  # a cast would truncate floats and count bools
+            raise ParameterError(f"dataset symbols must be integers, not {arr.dtype}")
         if self.alphabet_size < 1:
             raise ParameterError("alphabet size must be >= 1")
         if arr.min() < 0 or arr.max() >= self.alphabet_size:
             raise ParameterError("dataset contains symbols outside the alphabet")
+        # a view, so freezing it leaves a caller's int64 array writeable
+        arr = arr.astype(np.int64, copy=False).view()
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
 
@@ -475,18 +478,20 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     chunk of them is expanded in two fans:
 
     - the close fan puts all r draws on the last two symbols, c = 1..r and
-      then 0 on symbol K-2 and r - c on K-1. All its children are complete
-      types, so the fan is summed at once;
+      then 0 on symbol K-2 and r - c on K-1 (for r = 0, the one type with
+      no draws on either). All its children are complete types, so the fan
+      is summed at once; it is the only place a complete type is summed;
     - the open fan puts c = 1..r draws on one symbol s in f..K-3, jumping
-      over the symbols a type leaves at zero count. A child with c = r is
-      complete and summed in place; the others are pushed with f = s + 1.
+      over the symbols a type leaves at zero count, and pushes every child
+      with f = s + 1, c = r included, unless both laws give it no mass.
 
     A step builds at most ``_TYPE_CHUNK`` children of the popped chunk, its
     close fans' before its open fans', and pushed chunks are expanded depth
-    first, so at most min(n, K) chunks are held at once. The sum runs over
-    the symbols given; :func:`~bdlimits.bounds.exact_type3_risk` passes the
-    pair's symbol classes, so a two-class pair is one close fan of n + 1
-    types. Raises :class:`ResourceCapError` above ``ENUMERATION_CAP`` types.
+    first, so at most min(n + 1, K - 1) chunks are held at once. The sum
+    runs over the symbols given; :func:`~bdlimits.bounds.exact_type3_risk`
+    passes the pair's symbol classes, so a two-class pair is one close fan
+    of n + 1 types. Raises :class:`ResourceCapError` above
+    ``ENUMERATION_CAP`` types.
     """
     k = same_alphabet(p0, p1)
     if n < 1:
@@ -546,10 +551,8 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
             l0_c = l0[parent] + c * log0[sym]
             l1_c = l1[parent] + c * log1[sym]
             r -= c
-            done = r == 0
-            sums.append(_type_terms(lw_c[done], l0_c[done], l1_c[done]))
-            # a partial type massless under both laws has only zero terms below it
-            more = ~done & (np.maximum(l0_c, l1_c) > _NO_MASS_LOG)
+            # a type massless under both laws adds only zero terms, as do its children
+            more = np.maximum(l0_c, l1_c) > _NO_MASS_LOG
             if more.any():
                 stack.append((lw_c[more], l0_c[more], l1_c[more], r[more], sym[more] + 1, 0))
     # the terms are nonnegative; rounding can lift their sum past 1 at large n

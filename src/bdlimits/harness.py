@@ -38,7 +38,6 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -497,17 +496,18 @@ def append_result(path: str, record: dict) -> bool:
     The file is read once, from its end, in blocks of 64 KiB that each
     start on a line boundary, so a recent duplicate is found in the last
     block. A block that holds no whole line is read again at twice the
-    size, so the scan holds at most one block plus one line, or, around a
-    line longer than a block, a few times that line. Lines end at
-    ``b"\\n"`` only. Each block is searched, from its last line back, for
-    the hash's UTF-8 bytes and for a backslash, and only the lines around a
-    hit are parsed: a line without a backslash holds no escapes, so its
+    size. Lines end at ``b"\\n"`` only. A block that holds neither the
+    hash's UTF-8 bytes nor a backslash is skipped; any other is split into
+    lines, and each line that holds either is parsed once, from the last
+    line back: a line without a backslash holds no escapes, so its
     ``config_hash`` can equal the hash only by spelling it literally. The
-    check and the write happen under one exclusive ``fcntl.flock`` on the
-    file, so concurrent writers are serialized; the lock is POSIX advisory
-    and binds only writers that take it. A partial last line (a writer
-    killed mid-record) is closed with a newline before the record is
-    written, so the record stays on its own line.
+    scan holds under four blocks plus one line (a block, its lines and a
+    parsed line), or, around a line longer than a block, a few times that
+    line. The check and the write happen under one exclusive
+    ``fcntl.flock`` on the file, so concurrent writers are serialized; the
+    lock is POSIX advisory and binds only writers that take it. A partial
+    last line (a writer killed mid-record) is closed with a newline before
+    the record is written, so the record stays on its own line.
     """
     digest = record.get("config_hash")
     if digest is not None and not isinstance(digest, str):
@@ -528,14 +528,13 @@ def append_result(path: str, record: dict) -> bool:
 def _holds_digest(fh, digest: str) -> bool:
     """Whether a line of the binary file ``fh`` is a JSON object with this
     config hash. The file is read from its end in blocks that start on a
-    line boundary; each block is searched whole for the hash and for a
-    backslash, and only the lines around a hit are parsed, each once."""
+    line boundary. A block is split into lines only when it holds the hash
+    or a backslash, and each of its lines that holds either is parsed once,
+    from the last line back."""
     # surrogatepass: a lone surrogate is never valid UTF-8, so it can only
-    # appear escaped, and the backslash search finds that line
+    # appear escaped, and the backslash search finds that line. No line
+    # holds b"\n", so a hash with one, too, is found only on a backslash line
     needle = digest.encode("utf-8", "surrogatepass")
-    # No line holds b"\n", so a hash with one appears only escaped, on a
-    # backslash line; the backslash search skips lines the hash search parsed
-    literal = b"\n" not in needle
     fd = fh.fileno()
     end = os.fstat(fd).st_size
     size = _SCAN_BLOCK
@@ -549,33 +548,15 @@ def _holds_digest(fh, digest: str) -> bool:
         if start and not first:
             size *= 2  # no whole line: read again at twice the size
             continue
-        lines = _lines_holding(block, b"\\", first)
-        if literal:
-            lines = chain(
-                _lines_holding(block, needle, first), (raw for raw in lines if needle not in raw)
-            )
-        for raw in lines:
-            try:
-                existing = json.loads(raw.decode("utf-8"))
-            except (ValueError, RecursionError):
-                continue
-            if isinstance(existing, dict) and existing.get("config_hash") == digest:
-                return True
+        if block.rfind(needle, first) >= 0 or block.rfind(b"\\", first) >= 0:
+            for raw in reversed(block[first:].split(b"\n")):
+                if needle not in raw and b"\\" not in raw:
+                    continue
+                try:
+                    existing = json.loads(raw.decode("utf-8"))
+                except (ValueError, RecursionError):
+                    continue
+                if isinstance(existing, dict) and existing.get("config_hash") == digest:
+                    return True
         end, size = start + first, _SCAN_BLOCK
     return False
-
-
-def _lines_holding(block: bytes, mark: bytes, first: int):
-    """Yield each ``b"\\n"``-separated line of ``block[first:]`` that holds
-    ``mark``, once, without the newline, from the last line back. ``mark``
-    holds no newline, and ``first`` is 0 or just past a newline."""
-    pos = block.rfind(mark, first)
-    while pos >= 0:
-        end = block.find(b"\n", pos)
-        if end < 0:
-            end = len(block)  # a partial last line
-        head = block.rfind(b"\n", 0, pos) + 1
-        yield block[head:end]
-        if head == first:
-            return
-        pos = block.rfind(mark, first, head - 1)  # before the newline, so a hit always moves on

@@ -42,6 +42,18 @@ def reference_config(gamma=0.5, n=150):
     return ToyConfig.from_direction([0.981, 0.196], sigma=0.5, gamma=gamma, n=n)
 
 
+class TestToyConfig:
+    def test_freezes_a_copy_not_the_callers_array(self):
+        v = np.array([0.6, 0.8])
+        cfg = ToyConfig(sigma=0.5, gamma=0.5, n=10, v=v)
+        assert v.flags.writeable
+        assert not cfg.v.flags.writeable
+        with pytest.raises(ValueError):
+            cfg.v[0] = 1.0
+        v[0] = 1.0  # the caller's array stays its own
+        assert cfg.v.tolist() == [0.6, 0.8]
+
+
 class TestToyDelta:
     def test_axis_direction(self):
         # v = e1 in K = 2: mu = 1, delta = (0, 2) - (2, 0)

@@ -656,6 +656,25 @@ class TestSymbolDataset:
         with pytest.raises(ParameterError):
             SymbolDataset(np.array([0, 3]), 3)
 
+    @pytest.mark.parametrize(
+        "symbols",
+        [np.array([0.7, 1.9]), np.array([0.0, 1.0]), [True, False], np.array([0, None], dtype=object)],
+        ids=["float", "integral-float", "bool", "object"],
+    )
+    def test_rejects_symbols_that_are_not_integers(self, symbols):
+        with pytest.raises(ParameterError, match="dataset symbols must be integers"):
+            SymbolDataset(symbols, 2)
+
+    @pytest.mark.parametrize("symbols", [[], np.array([], dtype=float), np.array([], dtype=bool)])
+    def test_empty_keeps_its_message(self, symbols):
+        with pytest.raises(ParameterError, match="dataset must contain at least one symbol"):
+            SymbolDataset(symbols, 2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_accepts_any_integer_dtype(self, dtype):
+        d = SymbolDataset(np.array([1, 0, 1], dtype=dtype), 2)
+        assert d.symbols.dtype == np.int64 and d.symbols.tolist() == [1, 0, 1]
+
     def test_freezes_a_view_not_the_callers_array(self):
         a = np.array([0, 1, 1], dtype=np.int64)
         d = SymbolDataset(a, 2)

@@ -606,6 +606,30 @@ class TestResultsFile:
             tracemalloc.stop()
         assert peak < 4 * harness._SCAN_BLOCK + longest
 
+    @pytest.mark.parametrize("stored", [False, True], ids=["miss", "hit"])
+    def test_every_block_a_candidate_parses_each_line_once(self, tmp_path, parsed, stored):
+        digest = "0123456789abcdef"
+        path = tmp_path / "results.jsonl"
+        lines = _escaped_results(path, 6000, digest if stored else None)
+        assert path.stat().st_size > 4 * harness._SCAN_BLOCK
+        assert append_result(str(path), {"config_hash": digest}) is not stored
+        assert parsed == lines[::-1]  # newest first, each line once
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["miss", "hit"])
+    def test_every_block_a_candidate_memory_bounded(self, tmp_path, stored):
+        digest = "0123456789abcdef"
+        path = tmp_path / "results.jsonl"
+        lines = _escaped_results(path, 13_000, digest if stored else None)
+        longest = max(map(len, lines)) + 1
+        assert path.stat().st_size >= 1 << 20
+        tracemalloc.start()
+        try:
+            assert append_result(str(path), {"config_hash": digest}) is not stored
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * harness._SCAN_BLOCK + longest
+
     def test_concurrent_writers_serialized(self, tmp_path):
         path = tmp_path / "results.jsonl"
         paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -693,6 +717,21 @@ def _deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _escaped_results(path: Path, count: int, digest: str | None) -> list[str]:
+    """Write ``count`` records to ``path``, each line holding a backslash
+    (``json.dumps`` escapes the payload's non-ASCII name), the oldest with
+    ``digest`` as its hash when one is given. Returns the lines."""
+    lines = [
+        json.dumps({"config_hash": f"{i:016x}", "payload": {"n": i, "name": "caf\u00e9"}})
+        for i in range(count)
+    ]
+    if digest is not None:
+        lines[0] = json.dumps({"config_hash": digest, "payload": {"name": "caf\u00e9"}})
+    assert all("\\" in line for line in lines)
+    path.write_text("\n".join(lines) + "\n")
+    return lines
 
 
 def _reference_holds(content: bytes, digest: str) -> bool:
