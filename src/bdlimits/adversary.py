@@ -29,10 +29,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .detectors import KsResult, ks_pvalue, ks_statistic, normal_cdf
-from .distributions import Categorical, DistributionPair, SymbolDataset
+from .distributions import Categorical, DistributionPair, SymbolDataset, unit_interval
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
-from .harness import Detector, RiskEstimate, per_row, wilson_interval
-from .rng import Domain, count_errors, substream
+from .harness import Detector, RiskEstimate, _estimate, per_row
+from .rng import Domain, substream
 
 
 def toy_delta(v: np.ndarray, k: int) -> np.ndarray:
@@ -83,12 +83,9 @@ class ToyConfig:
             # sigma = 0 is tolerated for noiseless sampling checks; the KS
             # defense itself requires a positive sigma
             raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ParameterError("gamma must be in [0, 1]")
+        object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
         if self.n < 1:
             raise ParameterError("n must be >= 1")
-        # -0.0 and 0.0 are one configuration, so they get one config hash
-        object.__setattr__(self, "gamma", self.gamma + 0.0)
         object.__setattr__(self, "mu", float(v.sum()))
         delta = toy_delta(v, self.k)
         delta.setflags(write=False)
@@ -260,10 +257,8 @@ class ImpossibilityConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ParameterError("alphabet size must be >= 1")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ParameterError("beta must be in [0, 1]")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ParameterError("gamma must be in [0, 1]")
+        object.__setattr__(self, "beta", unit_interval("beta", self.beta))
+        object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
         if self.n < 1:
             raise ParameterError("n must be >= 1")
         m = math.floor(self.beta * self.k)
@@ -295,10 +290,17 @@ def _draw_anchored(
     return x
 
 
+def _probe_regime(n: int, m: int) -> None:
+    """The probe's regime: the floor exp(-n^2 / (m - n)) / 2 needs m > n."""
+    if m <= n:
+        raise ParameterError(
+            f"floor(beta*k) = {m} must exceed n = {n}; increase k or beta, or decrease n"
+        )
+
+
 def imposs_risk_floor(n: int, m: int) -> float:
     """Guaranteed risk floor exp(-n^2 / (m - n)) / 2 of any clean-distribution detector."""
-    if m <= n:
-        raise ParameterError("the floor requires m > n")
+    _probe_regime(n, m)
     return 0.5 * math.exp(-(n * n) / (m - n))
 
 
@@ -317,13 +319,7 @@ def imposs_risk(
     many outputs the data used, so a detector that uses them is a mixture of
     fixed detectors and the floor :func:`imposs_risk_floor` still holds.
     """
-    if trials < 100:
-        raise ParameterError("at least 100 trials are required")
-    if config.m <= config.n:
-        raise ParameterError(
-            f"floor(beta*k) = {config.m} must exceed n = {config.n}; "
-            "increase k or beta, or decrease n"
-        )
+    _probe_regime(config.n, config.m)
     uniform = Categorical.uniform(config.k)
     score = detector(DistributionPair(uniform, uniform, config.gamma, config.beta))
 
@@ -331,7 +327,7 @@ def imposs_risk(
         j = rng.integers(0, 2, rows)
         return j, _draw_anchored(rows, config, rng, config.gamma * j[:, None])
 
-    return wilson_interval(count_errors(draw, score, trials, seed, (Domain.PROBE,)), trials)
+    return _estimate(draw, score, trials, seed, (Domain.PROBE,))
 
 
 def imposs_probe(

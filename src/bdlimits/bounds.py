@@ -27,6 +27,7 @@ from .distributions import (
     is_number,
     json_fields,
     product_tv_exact,
+    unit_interval,
 )
 from .errors import ParameterError, ResourceCapError
 
@@ -181,9 +182,8 @@ def impossibility_min_n(alpha: float, beta: float, log_alphabet: float) -> float
     """
     if not 0.0 < alpha <= 0.5:
         raise ParameterError(f"alpha must be in (0, 0.5], got {alpha}")
-    if not 0.0 <= beta <= 1.0:
-        raise ParameterError(f"beta must be in [0, 1], got {beta}")
-    return _min_n_log10(math.log(2.0 * alpha), beta, log_alphabet)
+    # alpha / 0.5 is 2 alpha exactly, so this is the r = 1/2 case bit for bit
+    return sbd_min_n(alpha, beta, 0.5, log_alphabet)
 
 
 def sbd_min_n(alpha: float, beta: float, r: float, log_alphabet: float) -> float:
@@ -199,9 +199,7 @@ def sbd_min_n(alpha: float, beta: float, r: float, log_alphabet: float) -> float
         raise ParameterError(f"r must be in (0, 0.5], got {r}")
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if not 0.0 <= beta <= 1.0:
-        raise ParameterError(f"beta must be in [0, 1], got {beta}")
-    return _min_n_log10(math.log(alpha / r), beta, log_alphabet)
+    return _min_n_log10(math.log(alpha / r), unit_interval("beta", beta), log_alphabet)
 
 
 def sbd_infinite_alphabet_feasible(alpha: float, r: float) -> bool:
@@ -220,16 +218,14 @@ def achievability_alpha_bound(n: int, gamma: float, beta: float, k: int) -> floa
     """
     if n < 1 or k < 1:
         raise ParameterError("n and k must be >= 1")
-    if not 0.0 <= gamma <= 1.0 or not 0.0 <= beta <= 1.0:
-        raise ParameterError("gamma and beta must be in [0, 1]")
+    unit_interval("gamma", gamma)
+    unit_interval("beta", beta)
     return 2.0 * k * math.exp(-2.0 * n * gamma**2 * (1.0 - beta) ** 2 / k**2)
 
 
 def type3_risk_floor(gamma: float, n: int, tv: float) -> float:
     """Lower bound max(0, 1/2 - gamma * n * tv / 2) on any full-knowledge detector."""
-    if not 0.0 <= tv <= 1.0:
-        raise ParameterError(f"tv must be in [0, 1], got {tv}")
-    return max(0.0, 0.5 - 0.5 * gamma * n * tv)
+    return max(0.0, 0.5 - 0.5 * gamma * n * unit_interval("tv", tv))
 
 
 def exact_type3_risk(pair: DistributionPair, n: int) -> float:

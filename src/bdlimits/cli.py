@@ -45,12 +45,10 @@ def _fail(message: str, code: int) -> None:
 
 
 def _emit(command: str, config: dict, payload, out: str | None, text: str | None = None) -> None:
-    """Print the payload envelope, or ``text`` when given; optionally append a
-    timestamped record of the payload. The hash covers the command and config."""
+    """Optionally append a timestamped record of the payload, then print the
+    payload envelope, or ``text`` when given. The hash covers the command and
+    config. Appending first means a failed append exits with nothing on stdout."""
     digest = config_hash({"command": command, **config})
-    if text is None:
-        text = json.dumps({"command": command, "config_hash": digest, "payload": payload})
-    click.echo(text)
     if out:
         append_result(
             out,
@@ -61,6 +59,9 @@ def _emit(command: str, config: dict, payload, out: str | None, text: str | None
                 "payload": payload,
             },
         )
+    if text is None:
+        text = json.dumps({"command": command, "config_hash": digest, "payload": payload})
+    click.echo(text)
 
 
 class _Main(click.Group):

@@ -29,7 +29,6 @@ from .distributions import (
     Categorical,
     DistributionPair,
     SymbolDataset,
-    mix,
     same_alphabet,
     tv_to_type,
     type_counts,
@@ -93,7 +92,7 @@ def np_type3(d: SymbolDataset, pair: DistributionPair) -> int:
     symbols impossible under both raise :class:`ImpossibleSampleError`.
     """
     same_alphabet(d, pair)
-    ratio = np_log_ratio(pair.p0, mix(pair))
+    ratio = np_log_ratio(pair.p0, pair.mixture)
     return int(np_verdicts(d.symbols[None, :], ratio)[0])
 
 

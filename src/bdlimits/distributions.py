@@ -213,13 +213,8 @@ class DistributionPair:
 
     def __post_init__(self) -> None:
         same_alphabet(self.p0, self.pb)
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ParameterError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ParameterError(f"beta must be in [0, 1], got {self.beta}")
-        # -0.0 and 0.0 are one configuration, so they get one config hash
-        object.__setattr__(self, "gamma", self.gamma + 0.0)
-        object.__setattr__(self, "beta", self.beta + 0.0)
+        object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
+        object.__setattr__(self, "beta", unit_interval("beta", self.beta))
 
     @property
     def alphabet_size(self) -> int:
@@ -305,6 +300,15 @@ def json_fields(data: object, kind: str, **convert: Callable) -> list:
     return values
 
 
+def unit_interval(name: str, value: float) -> float:
+    """``value`` when it lies in [0, 1], with -0.0 read as 0.0; raises
+    :class:`ParameterError` naming ``name`` otherwise, NaN included."""
+    if not 0.0 <= value <= 1.0:
+        raise ParameterError(f"{name} must be in [0, 1], got {value}")
+    # -0.0 and 0.0 are one configuration, so they get one config hash
+    return value + 0.0
+
+
 def same_alphabet(a, b) -> int:
     """The alphabet size that ``a`` and ``b`` share, each a law, a dataset
     or a pair; raises :class:`AlphabetMismatchError` when they differ."""
@@ -322,7 +326,8 @@ def tv_distance(p: Categorical, q: Categorical) -> float:
 
 
 def mix(pair: DistributionPair) -> Categorical:
-    """The contaminated distribution gamma*pb + (1-gamma)*p0 (``pair.mixture``)."""
+    """The contaminated distribution gamma*pb + (1-gamma)*p0: a public alias
+    of ``pair.mixture``, which package code reads directly."""
     return pair.mixture
 
 

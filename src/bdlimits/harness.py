@@ -3,7 +3,8 @@
 The risk of a detector is the probability that its verdict disagrees with
 the fair coin J that selected whether the training set was drawn from the
 clean product law (J = 0) or from the contaminated mixture law (J = 1).
-Estimates carry a 99% Wilson interval.
+Every Monte-Carlo estimate needs at least 100 trials and reports a 99%
+Wilson interval; one step, ``_estimate``, states both rules.
 
 Every estimator supplies only a block draw, the targets and the data of a
 block of trials, to the one block kernel :func:`~bdlimits.rng.count_errors`;
@@ -50,7 +51,6 @@ from .distributions import (
     SymbolDataset,
     draw_labeled,
     draw_symbols,
-    mix,
     type_counts,
     type_distances,
 )
@@ -262,6 +262,14 @@ DETECTORS: dict[str, Callable[[], Detector]] = {
 }
 
 
+def _estimate(draw: Callable, score: Callable, trials: int, seed: int, path: tuple) -> RiskEstimate:
+    """The one estimate step: count ``score``'s errors on ``trials`` rows of
+    ``draw`` over the blocks of ``path`` and wrap them in a Wilson interval."""
+    if trials < 100:
+        raise ParameterError("at least 100 trials are required")
+    return wilson_interval(count_errors(draw, score, trials, seed, path), trials)
+
+
 def estimate_risk(
     detector: Detector,
     pair: DistributionPair,
@@ -274,18 +282,14 @@ def estimate_risk(
     Each row draws a fair label J, then a dataset of size n from p0 (J = 0)
     or the mixture (J = 1); an error is a verdict other than J.
     """
-    if trials < 100:
-        raise ParameterError("at least 100 trials are required")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    p1 = mix(pair)
 
     def draw(rows: int, rng: np.random.Generator) -> tuple:
         j = rng.integers(0, 2, rows)
-        return j, draw_labeled((pair.p0, p1), j, n, rng)
+        return j, draw_labeled((pair.p0, pair.mixture), j, n, rng)
 
-    errors = count_errors(draw, detector(pair), trials, seed, (Domain.RISK,))
-    return wilson_interval(errors, trials)
+    return _estimate(draw, detector(pair), trials, seed, (Domain.RISK,))
 
 
 def estimate_conditional_errors(
@@ -302,21 +306,17 @@ def estimate_conditional_errors(
     matches the unconditional risk. Branch j runs on its own blocks, keyed
     (seed, CONDITIONAL, j, block).
     """
-    if trials < 100:
-        raise ParameterError("at least 100 trials are required per branch")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    p1 = mix(pair)
     score = detector(pair)
 
     def branch(j: int, law: Categorical) -> RiskEstimate:
         def draw(rows: int, rng: np.random.Generator) -> tuple:
             return j, draw_symbols(law, (rows, n), rng)
 
-        errors = count_errors(draw, score, trials, seed, (Domain.CONDITIONAL, j))
-        return wilson_interval(errors, trials)
+        return _estimate(draw, score, trials, seed, (Domain.CONDITIONAL, j))
 
-    return branch(0, pair.p0), branch(1, p1)
+    return branch(0, pair.p0), branch(1, pair.mixture)
 
 
 def _trained_risk(
@@ -332,23 +332,20 @@ def _trained_risk(
     domain: Domain,
 ) -> RiskEstimate:
     """:func:`estimate_generalized_risk` on the blocks of ``domain``."""
-    if trials < 100:
-        raise ParameterError("at least 100 trials are required")
     if n < 1 or m < 1:
         raise ParameterError("n and m must be >= 1")
     prior.validate_for(target)
-    p1 = mix(pair)
     weights = np.array([prior.p00, prior.p01, prior.p10, prior.p11])
 
     def draw(rows: int, rng: np.random.Generator) -> tuple:
         cell = rng.choice(4, size=rows, p=weights)
         j, i = cell // 2, cell % 2
-        train = draw_labeled((pair.p0, p1), j, n, rng)
+        train = draw_labeled((pair.p0, pair.mixture), j, n, rng)
         d_prime = draw_symbols(pair.p0, (rows, m), rng)
         x = draw_labeled((pair.p0, pair.pb), i, 1, rng)[:, 0]
         return target.target(j, i), trainer.batch(train, pair.alphabet_size), d_prime, x
 
-    return wilson_interval(count_errors(draw, detector(pair), trials, seed, (domain,)), trials)
+    return _estimate(draw, detector(pair), trials, seed, (domain,))
 
 
 def estimate_generalized_risk(

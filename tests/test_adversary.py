@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,14 @@ class TestImpossProbe:
     def test_floor_requires_m_above_n(self):
         with pytest.raises(ParameterError):
             imposs_risk_floor(10, 10)
+
+    def test_floor_and_risk_share_the_regime_message(self):
+        message = "floor(beta*k) = 10 must exceed n = 25; increase k or beta, or decrease n"
+        cfg = ImpossibilityConfig(k=100, beta=0.1, gamma=1.0, n=25)
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+            imposs_risk_floor(25, 10)
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+            imposs_risk(type2_trial_detector(), cfg, trials=200, seed=0)
 
     def test_probe_regime_validation(self):
         cfg = ImpossibilityConfig(k=100, beta=0.1, gamma=1.0, n=25)

@@ -612,6 +612,16 @@ class TestResultsFileOption:
                 assert result.exit_code == 0, result.output
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_failed_append_prints_nothing(self, runner, tmp_path, where):
+        # the record is appended before the payload is printed, so an exit 2
+        # from --out leaves stdout empty, as every other exit 2 does
+        out = tmp_path / "missing" / "r.jsonl" if where == "missing-dir" else tmp_path
+        result = runner.invoke(main, ["risk", "--trials", "100", "--out", str(out)])
+        assert_clean_failure(result, 2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+
     def test_signed_zero_keeps_the_zero_hash(self, runner, tmp_path):
         assert_config_hash(runner, tmp_path, ["risk", "--gamma", "-0.0"], "25f2771f1f121ce7")
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -16,22 +17,28 @@ from bdlimits import (
     AlphabetMismatchError,
     Categorical,
     DistributionPair,
+    ImpossibilityConfig,
     ParameterError,
     ResourceCapError,
     SymbolDataset,
+    ToyConfig,
+    achievability_alpha_bound,
     exact_type3_risk,
+    impossibility_min_n,
     mix,
     np_type3,
     ood_risk_exact,
     product_tv_exact,
     sample,
+    sbd_min_n,
     tv_distance,
     tv_to_type,
     type1_tv,
+    type3_risk_floor,
     type_exceedance_frequency,
 )
 from bdlimits import distributions
-from bdlimits.distributions import draw_symbols, log_factorials, sparse_types
+from bdlimits.distributions import draw_symbols, log_factorials, sparse_types, unit_interval
 from bdlimits.harness import uniform_vs_point_mass
 from bdlimits.rng import substream
 
@@ -295,6 +302,40 @@ class TestSameAlphabet:
         entry, *args = call
         with pytest.raises(AlphabetMismatchError, match=r"^alphabet sizes differ: 2 vs 3$"):
             entry(*args)
+
+
+#: every caller of the one [0, 1] check, as (knob name, function of the knob)
+UNIT_KNOBS = {
+    "pair-gamma": ("gamma", lambda x: uniform_vs_point_mass(2, x, 0.5)),
+    "pair-beta": ("beta", lambda x: uniform_vs_point_mass(2, 0.5, x)),
+    "toy-gamma": ("gamma", lambda x: ToyConfig.from_direction([1.0, 0.0], 0.5, x, 10)),
+    "imposs-beta": ("beta", lambda x: ImpossibilityConfig(k=100, beta=x, gamma=0.5, n=5)),
+    "imposs-gamma": ("gamma", lambda x: ImpossibilityConfig(k=100, beta=0.5, gamma=x, n=5)),
+    "achievability-gamma": ("gamma", lambda x: achievability_alpha_bound(10, x, 0.5, 2)),
+    "achievability-beta": ("beta", lambda x: achievability_alpha_bound(10, 0.5, x, 2)),
+    "sbd-beta": ("beta", lambda x: sbd_min_n(0.1, x, 0.25, 3.0)),
+    "min-n-beta": ("beta", lambda x: impossibility_min_n(0.1, x, 3.0)),
+    "type3-tv": ("tv", lambda x: type3_risk_floor(0.5, 10, x)),
+}
+
+
+class TestUnitInterval:
+    @pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (-0.5, "-0.5"), (math.nan, "nan")])
+    @pytest.mark.parametrize("name, call", UNIT_KNOBS.values(), ids=UNIT_KNOBS.keys())
+    def test_one_message(self, name, call, value, shown):
+        message = f"{name} must be in [0, 1], got {shown}"
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+            call(value)
+
+    def test_negative_zero_read_as_zero(self):
+        assert math.copysign(1.0, unit_interval("gamma", -0.0)) == 1.0
+        assert unit_interval("gamma", 1) == 1.0
+        configs = (
+            ToyConfig.from_direction([1.0, 0.0], 0.5, -0.0, 10).gamma,
+            ImpossibilityConfig(k=100, beta=0.5, gamma=-0.0, n=5).gamma,
+            uniform_vs_point_mass(2, -0.0, -0.0).beta,
+        )
+        assert all(math.copysign(1.0, knob) == 1.0 for knob in configs)
 
 
 class TestMix:

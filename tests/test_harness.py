@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from bdlimits import (
     ConfigurationError,
     DistributionPair,
     Flavor,
+    ImpossibilityConfig,
     JointPrior,
     ParameterError,
     TrainerStub,
@@ -31,6 +33,7 @@ from bdlimits import (
     estimate_conditional_errors,
     estimate_generalized_risk,
     estimate_risk,
+    imposs_risk,
     mix,
     np_trial_detector,
     per_row,
@@ -360,6 +363,34 @@ class TestEstimatorEntryPoints:
         )
         expected = 0.5 - 0.5 * tv_distance(pair.p0, pair.pb)
         assert est.ci_low - 0.01 <= expected <= est.ci_high + 0.01
+
+
+#: each Monte-Carlo estimator as a function of its trial count
+TRIAL_COUNTED = {
+    "estimate_risk": lambda trials: estimate_risk(np_trial_detector(), ORACLE_PAIR, 2, trials, 0),
+    "estimate_conditional_errors": lambda trials: estimate_conditional_errors(
+        np_trial_detector(), ORACLE_PAIR, 2, trials, 0
+    ),
+    "estimate_generalized_risk": lambda trials: estimate_generalized_risk(
+        bayes_probe_detector(ORACLE_PAIR), ORACLE_PAIR, 2, 2, JointPrior.sbd_default(),
+        Flavor.SBD, TrainerStub(), trials, 0,
+    ),
+    "type0_demo_risk": lambda trials: type0_demo_risk(
+        type0_tv_detector(0.5, 0.5), ORACLE_PAIR, 2, 2, TrainerStub(), trials, 0
+    ),
+    "imposs_risk": lambda trials: imposs_risk(
+        type2_trial_detector(), ImpossibilityConfig(k=2000, beta=0.05, gamma=1.0, n=10), trials, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("estimator", TRIAL_COUNTED.values(), ids=TRIAL_COUNTED.keys())
+def test_one_trial_floor(estimator):
+    with pytest.raises(ParameterError, match=re.escape("at least 100 trials are required") + "$"):
+        estimator(99)
+    estimates = estimator(100)
+    for estimate in estimates if isinstance(estimates, tuple) else (estimates,):
+        assert estimate.trials == 100
 
 
 K3 = next(inst for inst in harness.benchmark_instances() if inst.label == "k3")
