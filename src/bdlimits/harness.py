@@ -335,10 +335,10 @@ def _trained_risk(
     if n < 1 or m < 1:
         raise ParameterError("n and m must be >= 1")
     prior.validate_for(target)
-    weights = np.array([prior.p00, prior.p01, prior.p10, prior.p11])
+    cells = Categorical(np.array([prior.p00, prior.p01, prior.p10, prior.p11]))
 
     def draw(rows: int, rng: np.random.Generator) -> tuple:
-        cell = rng.choice(4, size=rows, p=weights)
+        cell = cells.quantile(rng.random(rows))
         j, i = cell // 2, cell % 2
         train = draw_labeled((pair.p0, pair.mixture), j, n, rng)
         d_prime = draw_symbols(pair.p0, (rows, m), rng)

@@ -2,9 +2,9 @@
 
 All randomness in the package flows through :func:`substream`, which maps a
 seed >= 0 plus a path of integers (domain tag, block index, ...) onto a
-Philox generator. Philox is counter-based, so a stream depends only on its
-key, never on how many draws a sibling stream consumed, and the same (seed,
-path) reproduces the same stream on any platform.
+fresh SFC64 generator seeded from that key alone. Each block seeds its own,
+so a stream depends only on its key, not on what a sibling stream drew,
+and the same (seed, path) gives the same stream on any platform.
 
 Every risk the package estimates counts the seeded trials whose verdict
 differs from a target, by one block rule (:func:`block_errors`), over fixed
@@ -46,7 +46,7 @@ class Domain(enum.IntEnum):
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """The generator for (seed, *path), for any integer seed >= 0.
+    """A fresh SFC64 generator seeded from (seed, *path) alone, for any seed >= 0.
 
     Its key is the 32-bit words of the seed and of each path entry in turn,
     padded with zero words to four. Equal keys give the same stream and
@@ -58,7 +58,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(tuple(map(int, (seed, *path))))))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(tuple(map(int, (seed, *path))))))
 
 
 def block_errors(

@@ -687,9 +687,9 @@ class TestTypeConcentration:
         assert a == b
 
     def test_golden_value(self):
-        # two blocks on substream(4, CONCENTRATION, b): 380 of 5000 trials exceed
+        # two blocks on substream(4, CONCENTRATION, b): 361 of 5000 trials exceed
         p = Categorical.uniform(3)
-        assert type_exceedance_frequency(p, 30, 0.2, 5000, seed=4) == 0.076
+        assert type_exceedance_frequency(p, 30, 0.2, 5000, seed=4) == 0.0722
 
 
 class TestSymbolDataset:

@@ -266,6 +266,24 @@ class TestGeneralizedRisk:
             JointPrior(0.5, 0.5, 0.5, 0.5)
 
     @pytest.mark.parametrize(
+        "total", [1 + 4503 * 2.0**-52, 1 - 9007 * 2.0**-53], ids=["above-one", "below-one"]
+    )
+    def test_prior_at_the_sum_tolerance_runs(self, total):
+        # the farthest sums from 1 that the prior accepts (the next double
+        # out is rejected); its cell is drawn from a Categorical over the
+        # four cells, which must accept them too
+        outside = np.nextafter(total, 2 * total - 1)
+        with pytest.raises(ParameterError, match="prior cells must sum to 1"):
+            JointPrior(outside - 0.5, 0.0, 0.5, 0.0)
+        pair = pair_of([0.7, 0.3], [0.2, 0.8], gamma=0.8, beta=0.5)
+        estimate = estimate_generalized_risk(
+            lambda pair: lambda theta, d, x, rng: np.zeros(x.size), pair, n=2, m=2,
+            prior=JointPrior(total - 0.5, 0.0, 0.5, 0.0), target=Flavor.MBD,
+            trainer=TrainerStub(), trials=200, seed=0,
+        )
+        assert estimate.trials == 200
+
+    @pytest.mark.parametrize(
         "cells",
         [
             (math.nan, 0.0, 0.5, 0.5),
@@ -403,23 +421,23 @@ class TestEstimatorGoldens:
     @pytest.mark.parametrize(
         "estimate, errors",
         [
-            (lambda: estimate_risk(np_trial_detector(), K3.pair, K3.n, 5000, 7), 51),
-            (lambda: estimate_risk(type1_trial_detector(K3.m), K3.pair, K3.n, 5000, 7), 390),
-            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[0], 57),
-            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[1], 36),
+            (lambda: estimate_risk(np_trial_detector(), K3.pair, K3.n, 5000, 7), 36),
+            (lambda: estimate_risk(type1_trial_detector(K3.m), K3.pair, K3.n, 5000, 7), 357),
+            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[0], 51),
+            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[1], 25),
             (
                 lambda: estimate_generalized_risk(
                     bayes_probe_detector(K3.pair), K3.pair, K3.n, K3.m, JointPrior.sbd_default(),
                     Flavor.SBD, TrainerStub(), 5000, 7,
                 ),
-                644,
+                577,
             ),
             (
                 lambda: type0_demo_risk(
                     type0_tv_detector(K3.pair.gamma, K3.pair.beta), K3.pair, K3.n, K3.m,
                     TrainerStub(), 5000, 7,
                 ),
-                318,
+                307,
             ),
         ],
         ids=["risk-np", "risk-type1", "false-backdoor", "missed-backdoor", "sbd", "type0"],

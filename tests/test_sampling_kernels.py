@@ -144,33 +144,34 @@ def digest(*arrays):
     return h.hexdigest()
 
 
-#: SHA-256 of the seeded streams below, recorded before the small-alphabet
-#: kernels existed (binary search, mask-and-scatter labeled draws, sorted types)
+#: SHA-256 of the seeded streams below, recorded with the reference kernels
+#: above (``searched`` for every draw, row by row for the labeled ones, and
+#: ``sorted_types``), so they pin the package kernels to the references
 STREAM_DIGESTS = {
     2: (
-        "0d8f38ea5693b7a2f7232e7aa7eb760ec1d180e3973fea509a2d5e60e247e0ad",
-        "2599640f53979df77c2d9a5711814e9494783918dc205a1c830f91945a8f9d8c",
-        "a83f670a51eef4bc29ae32aa86900884b962908dcc176bd9ee3fc0ddf358216f",
+        "8873481453bdf7904189ee3ce70389824cff3fef2ab5feb17ec1c12584897589",
+        "4f21f669b40de9d02865e5ebba7da9e1a72b756d522e86a3069f5a3aa219f579",
+        "1acc7a8e1e2ddffee7016c9e80318400ccc51ac6aff97b59176548a3264febe9",
     ),
     4: (
-        "039b68ab7c967871ff2a23301a95205237b20666fe9b97ee9e9335dd1103f3ef",
-        "4c40a85a1c8e6618050c39f863328810fdde5aa889dbb41b0022a83731f80253",
-        "690a88b3ff24a04fb33f6f77df7423e0acdba1a099ac90e78a41b9cac4866379",
+        "74417a7aa8318ff759788e346906f983eb1ea02977edfbed82ddd3f3265f5cd8",
+        "aea9b247c886f4af53179b0738a63e81f34708c6d910aa4caa45daeb413da1a9",
+        "d18919f544cc414eff50062db42cbe425368570662f198f26545c38f049eb240",
     ),
     64: (
-        "34acdbefd5043eef5a5d33872c508c3e48a74973b6a731b5ae3c888447e6166c",
-        "5c4c8dfff83117853db6023c0c82fab7e7944c3316d53a1bb81326dfb3c7beda",
-        "a576d092aad97e4f9739de7e56eef065e70c635f2bd7d11b25e1bd45b2976025",
+        "f3a52af28cc93e4910a12cb690991ae42de79fd08f435727973193867251ee3b",
+        "da22cc47d9fd98e27a0951829ba01e63303b2c30640f024ea91ccafb4279cee4",
+        "c699b2668907af59562ba7d6bd993d41b525ae157b5fab460196fbde48286341",
     ),
     65: (
-        "4d90af82462430a18134d8886a349e1c23fcb900d7d5d81abaf37933feb84b84",
-        "ce04055f4c1de6d907cb977139898c5dd745ba5a6ad6941f869ea6944a6d3287",
-        "130854d1d319a9668405311d46a4a735c734dd0db3158032d6c068e4d63b9d8c",
+        "60b31a9dea4c98ffc18da2a0acf684500f968100a84044ef10847ae7a994c026",
+        "61d70eee485f5aa10dd6a45ecc0e898ac80502dd24642f7b7ef5234393e4091f",
+        "51ca2dd7be2fdebedecc1488181c3e7eae59fc0310ae69cc1bcccfc472a14dfb",
     ),
     1000: (
-        "dc8bde9d42c06a455df521e1b53de5a88eafcf0307cf3534a5b5a21f5e570e9c",
-        "14e8d3e80df3f1fe38574507ec6a7f4ce93c71a3d4b6cc3a2669108e188b11a1",
-        "1075ddc54218581b241792f59037921e9378cb91634876bdca0dda98fd5569f8",
+        "53d6f3301a30527fde71d17767bdfd8b18c0590bbf527f7d5cbc846f5151b0d5",
+        "4b914985cd414faa02f7bc2b9d5ffbad8818d3f7e98c82d7231aed52f80d357e",
+        "60e8509d2229e722d6e420d2896e4363287180e8a5fbf93bb36bc04b950a952d",
     ),
 }
 
