@@ -18,7 +18,14 @@ seeded value.
 
 Everything here is a pure function of its inputs (sampling is pure given
 the seed) and all values are immutable after construction, so they can be
-shared freely across concurrent tasks.
+shared freely across concurrent tasks. Two caches serve the exact oracle,
+and neither changes a value: a law's log masses
+(``Categorical._log_masses``), computed once per law from its immutable
+``probs``, and one module-level table of log factorials
+(:func:`log_factorials`), which is extended by replacing it with a longer
+copy, never written in place. Both are read-only, and two tasks that fill
+either at once compute the same entries, so whichever copy is kept serves
+both.
 """
 
 from __future__ import annotations
@@ -111,16 +118,31 @@ class Categorical:
     @cached_property
     def _levels(self) -> np.ndarray:
         levels = np.cumsum(self.probs[:-1])
+        # from the last positive mass on, the levels are +inf: a rounded
+        # cumsum can end one ulp below 1, where u < 1 still reaches it
+        if self.probs[-1] == 0:
+            levels[np.flatnonzero(self.probs)[-1] :] = np.inf
         levels.setflags(write=False)
         return levels
+
+    @cached_property
+    def _log_masses(self) -> np.ndarray:
+        """The log of each mass, log 0 read as ``_NO_MASS_LOG``; read-only.
+        A constant law keeps its one value broadcast, as ``probs`` does."""
+        head = self.probs[:1] if self.probs.strides == (0,) else self.probs
+        with np.errstate(divide="ignore"):
+            logs = np.maximum(np.log(head), _NO_MASS_LOG)
+        return np.broadcast_to(logs, self.probs.shape)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Symbols at cumulative-mass levels u in [0, 1), by inverting the CDF.
 
         Consumes ``u``, a C-contiguous float64 array: the caller must not
         use it afterwards. The symbol at u is the number of inner CDF
-        levels at or below u, zero masses and u on a level included; since
-        u < 1 it is at most K - 1. Alphabets of up to
+        levels at or below u, zero masses and u on a level included. The
+        levels from the last positive mass on are +inf, so the symbol is at
+        most the last one with mass, even where the masses' rounded sum
+        falls short of 1. Alphabets of up to
         ``_COUNT_LEVELS_MAX_K`` symbols count those levels in one byte per
         uniform and write the symbols over u's memory; larger ones
         binary-search them. Either way a block draw holds no more than two
@@ -468,9 +490,25 @@ def tv_to_type(p: Categorical, d: SymbolDataset) -> float:
     return float(type_distances(d.symbols[None, :], lambda row, sym: p.probs[sym])[0])
 
 
+#: log c! for c = 0, 1, ...: one ``math.lgamma`` per entry, grown on demand
+#: by :func:`log_factorials` up to the largest count asked so far
+_LOG_FACTORIAL = np.zeros(0)
+
+
 def log_factorials(n: int) -> np.ndarray:
-    """The table log c! for c = 0..n, one ``math.lgamma`` per entry."""
-    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    """The table log c! for c = 0..n, one ``math.lgamma`` per entry.
+
+    A read-only slice of one module-level table, which is extended to n
+    on first need and then shared by every later call; 8 bytes per count.
+    """
+    global _LOG_FACTORIAL
+    table = _LOG_FACTORIAL
+    if table.size <= n:
+        more = np.fromiter(map(math.lgamma, range(table.size + 1, n + 2)), float)
+        table = np.concatenate((table, more))
+        table.setflags(write=False)
+        _LOG_FACTORIAL = table
+    return table[: n + 1]
 
 
 def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
@@ -497,6 +535,11 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     passes the pair's symbol classes, so a two-class pair is one close fan
     of n + 1 types. Raises :class:`ResourceCapError` above
     ``ENUMERATION_CAP`` types.
+
+    The set-up is paid once: each law's log masses are computed on its
+    first call and the log-factorial table is shared
+    (:func:`log_factorials`), so a later call on the same laws, at any n
+    up to the largest seen, starts summing at once.
     """
     k = same_alphabet(p0, p1)
     if n < 1:
@@ -509,15 +552,14 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     if k == 1:
         # both laws are the point mass on the one symbol
         return 0.0
-    with np.errstate(divide="ignore"):
-        log0 = np.maximum(np.log(p0.probs), _NO_MASS_LOG)
-        log1 = np.maximum(np.log(p1.probs), _NO_MASS_LOG)
-    (near0, last0), (near1, last1) = log0[k - 2 :], log1[k - 2 :]
+    log0, log1 = p0._log_masses, p1._log_masses
+    near0, last0 = log0[k - 2 :].tolist()
+    near1, last1 = log1[k - 2 :].tolist()
     log_factorial = log_factorials(n)
     sums: list[float] = []
     zero = np.zeros(1)
     # entries: a chunk of partial types and the first child still to build
-    stack = [(zero + log_factorial[n], zero, zero, np.array([n]), np.array([0]), 0)]
+    stack = [(log_factorial[n:], zero, zero, np.array([n]), np.array([0]), 0)]
     while stack:
         lw, l0, l1, rem, first, start = stack.pop()
         close_ends = (rem + 1).cumsum()

@@ -494,13 +494,13 @@ def append_result(path: str, record: dict) -> bool:
     start on a line boundary, so a recent duplicate is found in the last
     block. A block that holds no whole line is read again at twice the
     size. Lines end at ``b"\\n"`` only. A block that holds neither the
-    hash's UTF-8 bytes nor a backslash is skipped; any other is split into
-    lines, and each line that holds either is parsed once, from the last
-    line back: a line without a backslash holds no escapes, so its
-    ``config_hash`` can equal the hash only by spelling it literally. The
-    scan holds under four blocks plus one line (a block, its lines and a
-    parsed line), or, around a line longer than a block, a few times that
-    line. The check and the write happen under one exclusive
+    hash's UTF-8 bytes nor a backslash is skipped. In any other, each line
+    that holds either is parsed once, from the last line back: a line
+    without a backslash holds no escapes, so its ``config_hash`` can equal
+    the hash only by spelling it literally. The scan holds at most two
+    blocks (the next one is read before the last is let go) and one parsed
+    line, or, around a line longer than a block, a few times that line.
+    The check and the write happen under one exclusive
     ``fcntl.flock`` on the file, so concurrent writers are serialized; the
     lock is POSIX advisory and binds only writers that take it. A partial
     last line (a writer killed mid-record) is closed with a newline before
@@ -525,13 +525,19 @@ def append_result(path: str, record: dict) -> bool:
 def _holds_digest(fh, digest: str) -> bool:
     """Whether a line of the binary file ``fh`` is a JSON object with this
     config hash. The file is read from its end in blocks that start on a
-    line boundary. A block is split into lines only when it holds the hash
-    or a backslash, and each of its lines that holds either is parsed once,
-    from the last line back."""
+    line boundary. The lines of a block that hold the hash or a
+    backslash are walked from the last one back, each parsed once; a line
+    is found from the later of the last hash and the last backslash not yet
+    walked past, so no other line is split off."""
     # surrogatepass: a lone surrogate is never valid UTF-8, so it can only
     # appear escaped, and the backslash search finds that line. No line
-    # holds b"\n", so a hash with one, too, is found only on a backslash line
-    needle = digest.encode("utf-8", "surrogatepass")
+    # holds b"\n", so a hash with one is found by the backslash search alone.
+    # A line that holds the empty hash unescaped holds b'""'; a nonempty
+    # needle lets a search that ends at a line's start find only what
+    # starts before it
+    needle = digest.encode("utf-8", "surrogatepass") or b'""'
+    if b"\n" in needle:
+        needle = b"\\"
     fd = fh.fileno()
     end = os.fstat(fd).st_size
     size = _SCAN_BLOCK
@@ -545,15 +551,25 @@ def _holds_digest(fh, digest: str) -> bool:
         if start and not first:
             size *= 2  # no whole line: read again at twice the size
             continue
-        if block.rfind(needle, first) >= 0 or block.rfind(b"\\", first) >= 0:
-            for raw in reversed(block[first:].split(b"\n")):
-                if needle not in raw and b"\\" not in raw:
-                    continue
-                try:
-                    existing = json.loads(raw.decode("utf-8"))
-                except (ValueError, RecursionError):
-                    continue
-                if isinstance(existing, dict) and existing.get("config_hash") == digest:
-                    return True
+        # the last hash and the last backslash not yet walked past; each is
+        # searched for again only once the walk has passed it
+        hit = block.rfind(needle, first)
+        slash = block.rfind(b"\\", first)
+        while hit >= 0 or slash >= 0:
+            # the line around the later one; block[first - 1] is b"\n"
+            at = max(hit, slash)
+            line_start = block.rfind(b"\n", 0, at) + 1
+            line_end = block.find(b"\n", at)
+            raw = block[line_start : line_end if line_end >= 0 else None]
+            try:
+                existing = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError):
+                existing = None
+            if isinstance(existing, dict) and existing.get("config_hash") == digest:
+                return True
+            if hit >= line_start:
+                hit = block.rfind(needle, first, line_start)
+            if slash >= line_start:
+                slash = block.rfind(b"\\", first, line_start)
         end, size = start + first, _SCAN_BLOCK
     return False

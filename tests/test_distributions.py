@@ -39,7 +39,7 @@ from bdlimits import (
 )
 from bdlimits import distributions
 from bdlimits.distributions import draw_symbols, log_factorials, sparse_types, unit_interval
-from bdlimits.harness import uniform_vs_point_mass
+from bdlimits.harness import benchmark_instances, uniform_vs_point_mass
 from bdlimits.rng import substream
 
 
@@ -643,6 +643,34 @@ class TestProductTv:
         table = log_factorials(20000)
         assert table.shape == (20001,)
         np.testing.assert_allclose(table, gammaln(np.arange(20001) + 1.0), rtol=1e-15, atol=0.0)
+
+    def test_warm_laws_give_cold_values(self, monkeypatch):
+        # the exact-grid points; each cold call starts with no cached log
+        # masses and an empty log-factorial table, the warm pair has been
+        # asked every larger n first
+        grid = {"k2": range(10, 24), "k3": range(8, 15), "k4": range(6, 12)}
+        warm = {inst.label: inst.pair for inst in benchmark_instances()}
+        for label, ns in grid.items():
+            for n in reversed(ns):
+                cold = next(inst.pair for inst in benchmark_instances() if inst.label == label)
+                monkeypatch.setattr(distributions, "_LOG_FACTORIAL", np.zeros(0))
+                assert exact_type3_risk(warm[label], n) == exact_type3_risk(cold, n), (label, n)
+
+    def test_log_factorial_table_grows_on_demand(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_LOG_FACTORIAL", np.zeros(0))
+        for n in (5, 3, 40, 20):
+            table = log_factorials(n)
+            assert table.tolist() == [math.lgamma(c + 1) for c in range(n + 1)]
+            assert not table.flags.writeable
+        assert distributions._LOG_FACTORIAL.size == 41
+
+    def test_log_masses_cached_read_only(self):
+        law = probs(0.5, 0.0, 0.5)
+        logs = law._log_masses
+        assert logs is law._log_masses and not logs.flags.writeable
+        assert logs[1] == distributions._NO_MASS_LOG
+        assert logs[0] == logs[2] == math.log(0.5)
+        assert Categorical.uniform(10**9)._log_masses.strides == (0,)
 
     def test_memory_bounded(self):
         # 1.6e6 types; a (types x K) count matrix alone would take 380 MB

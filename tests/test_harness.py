@@ -664,6 +664,22 @@ class TestResultsFile:
         assert append_result(str(path), {"config_hash": digest}) is not stored
         assert parsed == lines[::-1]  # newest first, each line once
 
+    def test_recent_duplicate_found_without_splitting_its_block(self, tmp_path, parsed):
+        # every line is a candidate; the duplicate is the newest one, so the
+        # scan parses that line alone and holds little more than one block
+        path = tmp_path / "results.jsonl"
+        lines = _escaped_results(path, 13_000, None)
+        digest = json.loads(lines[-1])["config_hash"]
+        parsed.clear()
+        tracemalloc.start()
+        try:
+            assert append_result(str(path), {"config_hash": digest}) is False
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == lines[-1:]
+        assert peak < 1.5 * harness._SCAN_BLOCK
+
     @pytest.mark.parametrize("stored", [False, True], ids=["miss", "hit"])
     def test_every_block_a_candidate_memory_bounded(self, tmp_path, stored):
         digest = "0123456789abcdef"

@@ -28,6 +28,9 @@ from bdlimits.rng import substream
 #: alphabet sizes on both sides of each kernel's threshold
 THRESHOLD_KS = (_ROW_LEVELS_MAX_K, _ROW_LEVELS_MAX_K + 1, _COUNT_LEVELS_MAX_K, _COUNT_LEVELS_MAX_K + 1)
 
+#: 1 - 2**-53, the largest value ``Generator.random`` returns
+TOP_UNIFORM = np.nextafter(1.0, 0.0)
+
 
 def full_cdf(law):
     """The law's K CDF levels, the last one forced to 1."""
@@ -37,8 +40,10 @@ def full_cdf(law):
 
 
 def searched(law, u):
-    """The binary-search inversion: min(searchsorted(cdf, u, "right"), K - 1)."""
-    return np.minimum(np.searchsorted(full_cdf(law), u, side="right"), law.alphabet_size - 1)
+    """The binary-search inversion, capped at the last symbol with mass:
+    min(searchsorted(cdf, u, "right"), that symbol)."""
+    last = np.flatnonzero(law.probs)[-1]
+    return np.minimum(np.searchsorted(np.cumsum(law.probs), u, side="right"), last)
 
 
 def sorted_types(symbols):
@@ -67,9 +72,10 @@ def laws(draw, k=None):
 
 @st.composite
 def uniforms(draw, law, size):
-    """Uniforms in [0, 1), with 0 and values exactly on the CDF levels mixed in."""
+    """Uniforms in [0, 1), with 0, the largest uniform below 1 and values
+    exactly on the CDF levels mixed in."""
     u = substream(draw(st.integers(0, 2**32)), 0).random(size)
-    on_level = [x for x in [0.0, *full_cdf(law)[:-1]] if x < 1.0]
+    on_level = [x for x in [0.0, TOP_UNIFORM, *full_cdf(law)[:-1]] if x < 1.0]
     for i in draw(st.lists(st.integers(0, size - 1), max_size=size)):
         u[i] = draw(st.sampled_from(on_level))
     return u
@@ -107,6 +113,32 @@ class TestLevelCounting:
         assert symbols.shape == (rows, n) and symbols.dtype == np.int64
         for r in range(rows):
             np.testing.assert_array_equal(symbols[r], searched(pair[labels[r]], u[r]))
+
+
+class TopUniforms:
+    """A stand-in generator whose every uniform is ``TOP_UNIFORM``."""
+
+    def random(self, shape):
+        return np.full(shape, TOP_UNIFORM)
+
+
+class TestMasslessLastSymbol:
+    # the float cumsum of these masses ends at 1 - 2**-53, so a level at
+    # the rounded cumsum would let TOP_UNIFORM reach the massless symbol 3
+    MASSES = (0.36506899198262255, 0.5787927773682225, 0.05613823064915503, 0.0)
+
+    @pytest.mark.parametrize("k", [4, _COUNT_LEVELS_MAX_K + 9], ids=["count", "search"])
+    def test_quantile_stops_at_the_last_mass(self, k):
+        law = Categorical(np.r_[self.MASSES, np.zeros(k - 4)])
+        assert np.cumsum(law.probs)[2] == TOP_UNIFORM
+        assert law.quantile(np.full(5, TOP_UNIFORM)).tolist() == [2] * 5
+
+    @pytest.mark.parametrize("k", [4, _COUNT_LEVELS_MAX_K + 9], ids=["row-levels", "gathered"])
+    def test_labeled_draw_stops_at_the_last_mass(self, k):
+        law = Categorical(np.r_[self.MASSES, np.zeros(k - 4)])
+        other = Categorical.uniform(k)
+        symbols = draw_labeled((law, other), np.array([0, 1, 0]), 4, TopUniforms())
+        assert symbols.tolist() == [[2] * 4, [k - 1] * 4, [2] * 4]
 
 
 class TestHistogramTypes:
