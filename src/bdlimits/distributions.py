@@ -516,9 +516,9 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
 
     The type c (count vector) of an outcome is sufficient, so the distance
     is (1/2) sum_c multinomial(n; c) |p0^c - p1^c| over the C(n+K-1, K-1)
-    types. A partial type is held as running vectors (log weight, log p0
-    mass, log p1 mass, remaining draws r, first open symbol f), and a popped
-    chunk of them is expanded in two fans:
+    types. A partial type is held as its log weight, log p0 mass, log p1
+    mass, remaining draws r and first open symbol f, and is expanded in two
+    fans, each written once (``close`` and ``open_``):
 
     - the close fan puts all r draws on the last two symbols, c = 1..r and
       then 0 on symbol K-2 and r - c on K-1 (for r = 0, the one type with
@@ -528,13 +528,21 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
       over the symbols a type leaves at zero count, and pushes every child
       with f = s + 1, c = r included, unless both laws give it no mass.
 
-    A step builds at most ``_TYPE_CHUNK`` children of the popped chunk, its
-    close fans' before its open fans', and pushed chunks are expanded depth
-    first, so at most min(n + 1, K - 1) chunks are held at once. The sum
-    runs over the symbols given; :func:`~bdlimits.bounds.exact_type3_risk`
-    passes the pair's symbol classes, so a two-class pair is one close fan
-    of n + 1 types. Raises :class:`ResourceCapError` above
-    ``ENUMERATION_CAP`` types.
+    The root (r = n, f = 0, log weight log n!, both log masses 0) is
+    expanded first, from scalars: its close fan is c = 1..n then 0 from one
+    ``arange``, its open fan (s, c - 1) in row-major order from one
+    ``divmod``. The stack then holds only pushed open-fan chunks. A step of
+    the root or of a popped chunk builds at most ``_TYPE_CHUNK`` children,
+    close fans' before open fans', and the chunk a step pushes is expanded
+    depth first before the next step, so at most min(n, K - 2) chunks of
+    at most ``_TYPE_CHUNK`` partial types are held at once. A chunk at
+    depth d has f >= d, so from depth K - 2 on it builds no open fan.
+
+    The sum runs over the symbols given;
+    :func:`~bdlimits.bounds.exact_type3_risk` passes the pair's symbol
+    classes, so a two-class pair is the root's close fan of n + 1 types and
+    nothing else. Raises :class:`ResourceCapError` above ``ENUMERATION_CAP``
+    types.
 
     The set-up is paid once: each law's log masses are computed on its
     first call and the log-factorial table is shared
@@ -557,51 +565,72 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     near1, last1 = log1[k - 2 :].tolist()
     log_factorial = log_factorials(n)
     sums: list[float] = []
-    zero = np.zeros(1)
-    # entries: a chunk of partial types and the first child still to build
-    stack = [(log_factorial[n:], zero, zero, np.array([n]), np.array([0]), 0)]
-    while stack:
-        lw, l0, l1, rem, first, start = stack.pop()
-        close_ends = (rem + 1).cumsum()
-        closed = total = int(close_ends[-1])
-        if k > 2:  # two symbols have no open fan
-            fan = (k - 2 - first) * rem
-            open_ends = fan.cumsum() + closed
-            total = int(open_ends[-1])
-        stop = min(start + _TYPE_CHUNK, total)
-        if stop < total:
-            stack.append((lw, l0, l1, rem, first, stop))
-        if start < closed:
-            child = np.arange(start, min(stop, closed))
-            parent = close_ends.searchsorted(child, side="right")
-            r = rem[parent]
-            # child j of a close fan puts c = (j + 1) mod (r + 1) draws on symbol
-            # K-2, 1..r and then 0; two-class risks are pinned to this order
-            c = (child + 1 - close_ends[parent]) % (r + 1)
-            r -= c  # the draws on symbol K-1
-            sums.append(
-                _type_terms(
-                    lw[parent] - log_factorial[c] - log_factorial[r],
-                    l0[parent] + c * near0 + r * last0,
-                    l1[parent] + c * near1 + r * last1,
-                )
+    # entries: a chunk of partial types, its depth and the first child still to build
+    stack: list[tuple] = []
+
+    def close(lw, l0, l1, c, r) -> None:
+        # the complete types with c draws on symbol K-2 and r on K-1
+        sums.append(
+            _type_terms(
+                lw - log_factorial[c] - log_factorial[r],
+                l0 + c * near0 + r * last0,
+                l1 + c * near1 + r * last1,
             )
+        )
+
+    def open_(lw, l0, l1, r, sym, c, depth) -> None:
+        # the partial types with c draws on symbol sym and r - c left
+        l0 = l0 + c * log0[sym]
+        l1 = l1 + c * log1[sym]
+        # a type massless under both laws adds only zero terms, as do its children
+        more = np.maximum(l0, l1) > _NO_MASS_LOG
+        if more.any():
+            lw = lw - log_factorial[c]
+            stack.append((lw[more], l0[more], l1[more], (r - c)[more], sym[more] + 1, depth, 0))
+
+    def expand_pushed() -> None:
+        while stack:
+            lw, l0, l1, rem, first, depth, start = stack.pop()
+            close_ends = (rem + 1).cumsum()
+            closed = total = int(close_ends[-1])
+            if depth < k - 2:  # f >= depth, and only f < K-2 can open
+                fan = (k - 2 - first) * rem
+                open_ends = fan.cumsum() + closed
+                total = int(open_ends[-1])
+            stop = min(start + _TYPE_CHUNK, total)
+            if stop < total:
+                stack.append((lw, l0, l1, rem, first, depth, stop))
+            if start < closed:
+                child = np.arange(start, min(stop, closed))
+                parent = close_ends.searchsorted(child, side="right")
+                r = rem[parent]
+                # child j of a close fan puts c = (j + 1) mod (r + 1) draws on K-2
+                c = (child + 1 - close_ends[parent]) % (r + 1)
+                close(lw[parent], l0[parent], l1[parent], c, r - c)
+            if stop > closed:
+                child = np.arange(max(start, closed), stop)
+                parent = open_ends.searchsorted(child, side="right")
+                r = rem[parent]
+                # the fan of a partial type runs over (s - f, c - 1) in row-major order
+                sym, c = np.divmod(child - (open_ends - fan)[parent], r)
+                sym += first[parent]
+                open_(lw[parent], l0[parent], l1[parent], r, sym, c + 1, depth + 1)
+
+    root = log_factorial[n]  # the root's log weight; its log masses are 0
+    closed, total = n + 1, n + 1 + (k - 2) * n
+    for start in range(0, total, _TYPE_CHUNK):
+        stop = min(start + _TYPE_CHUNK, total)
+        if start < closed:
+            # c = 1..n, then 0; two-class risks are pinned to this order
+            c = np.arange(start + 1, min(stop, closed) + 1)
+            if stop >= closed:
+                c[-1] = 0
+            close(root, 0.0, 0.0, c, n - c)
         if stop > closed:
-            child = np.arange(max(start, closed), stop)
-            parent = open_ends.searchsorted(child, side="right")
-            r = rem[parent]
-            # the fan of a partial type runs over (s - f, c - 1) in row-major order
-            sym, c = np.divmod(child - (open_ends - fan)[parent], r)
-            sym += first[parent]
-            c += 1
-            lw_c = lw[parent] - log_factorial[c]
-            l0_c = l0[parent] + c * log0[sym]
-            l1_c = l1[parent] + c * log1[sym]
-            r -= c
-            # a type massless under both laws adds only zero terms, as do its children
-            more = np.maximum(l0_c, l1_c) > _NO_MASS_LOG
-            if more.any():
-                stack.append((lw_c[more], l0_c[more], l1_c[more], r[more], sym[more] + 1, 0))
+            # (s, c - 1) in row-major order
+            sym, c = np.divmod(np.arange(max(start, closed) - closed, stop - closed), n)
+            open_(root, 0.0, 0.0, n, sym, c + 1, 1)
+        expand_pushed()
     # the terms are nonnegative; rounding can lift their sum past 1 at large n
     return min(0.5 * math.fsum(sums), 1.0)
 
@@ -610,7 +639,8 @@ def _type_terms(lw: np.ndarray, l0: np.ndarray, l1: np.ndarray) -> float:
     """Sum of e^lw |e^l0 - e^l1| over complete types, as e^(lw+hi) (1 - e^(lo-hi))."""
     hi, lo = np.maximum(l0, l1), np.minimum(l0, l1)
     # negating the sum rather than each term gives the same bits, one pass fewer
-    return -float((np.exp(lw + hi) * np.expm1(lo - hi)).sum())
+    # np.add.reduce is ndarray.sum without its Python wrapper, the same pairwise sum
+    return -float(np.add.reduce(np.exp(lw + hi) * np.expm1(lo - hi)))
 
 
 def type_exceedance_frequency(

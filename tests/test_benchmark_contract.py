@@ -7,9 +7,12 @@ argument of each per-trial loop. A rename or a new signature there breaks
 gates each ``exact-grid`` result against its own type-sum reference, so an
 oracle that fails the gate fails here too, and every workload's gates run
 here on one whole cycle, so a changed return type or call shape fails here
-and not only in the benchmark run.
+and not only in the benchmark run. Every call ``perfbench/workloads.py``
+makes into the package also binds to its callee's signature, so a renamed
+or reordered parameter fails here by name.
 """
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -75,6 +78,46 @@ def test_loops_take_trials(layers):
     for label in layers.LOOPS:
         module, attr = label.split(".")
         assert "trials" in inspect.signature(resolve(module, attr)).parameters, label
+
+
+def package_calls(module):
+    """(call text, callee, call node) of each call in ``module``'s source on a
+    name it imported from the package, a module or a class."""
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        attrs, root = [], node.func
+        while isinstance(root, ast.Attribute):
+            attrs.append(root.attr)
+            root = root.value
+        if not isinstance(root, ast.Name):
+            continue
+        callee = getattr(module, root.id, None)
+        home = callee.__name__ if inspect.ismodule(callee) else getattr(callee, "__module__", "")
+        if not str(home).startswith("bdlimits"):
+            continue
+        for attr in reversed(attrs):
+            callee = getattr(callee, attr)
+        yield ast.unparse(node.func), callee, node
+
+
+def test_workload_calls_bind(workloads):
+    called = set()
+    for text, callee, node in package_calls(workloads):
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        assert not starred and all(kw.arg for kw in node.keywords), text
+        # bind checks the count, the order and the keyword names of the arguments
+        inspect.signature(callee).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+        called.add(text)
+    assert {
+        "bounds.exact_type3_risk",
+        "harness.estimate_generalized_risk",
+        "harness.type0_demo_risk",
+        "adversary.imposs_probe",
+        "adversary.ImpossibilityConfig",
+        "detectors.type2_tv",
+        "cli.main.main",
+    } <= called, called
 
 
 def test_exact_grid_gate(workloads):

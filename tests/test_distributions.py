@@ -1,5 +1,6 @@
 """Tests for categorical distributions, sampling, and TV distance."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -41,6 +42,10 @@ from bdlimits import distributions
 from bdlimits.distributions import draw_symbols, log_factorials, sparse_types, unit_interval
 from bdlimits.harness import benchmark_instances, uniform_vs_point_mass
 from bdlimits.rng import substream
+
+
+#: the exact-grid benchmark's points: class labels of benchmark_instances() and their n
+EXACT_GRID = {"k2": range(10, 24), "k3": range(8, 15), "k4": range(6, 12)}
 
 
 def probs(*values):
@@ -622,11 +627,13 @@ class TestProductTv:
             (3, 0.5, 0.5, 40, 0.015496230356438045),
             (100000, 0.5, 0.5, 20, 1.002126735416553e-05),
             (2, 0.8, 0.2, 5000, 0.0),
+            (2, 0.5, 0.5, 40000, 1.1145084855002096e-11),
         ],
     )
     def test_two_class_risks_pinned(self, k, gamma, beta, n, risk):
         # a two-class pair sums its n + 1 types in one close fan, in a fixed order
-        # (c = 1..n, then 0, draws on the first class), so these stay bit for bit
+        # (c = 1..n, then 0, draws on the first class), so these stay bit for bit;
+        # at n = 40000 the fan spans three _TYPE_CHUNK windows, one sum each
         assert exact_type3_risk(uniform_vs_point_mass(k, gamma, beta), n) == risk
 
     @pytest.mark.parametrize(
@@ -648,13 +655,35 @@ class TestProductTv:
         # the exact-grid points; each cold call starts with no cached log
         # masses and an empty log-factorial table, the warm pair has been
         # asked every larger n first
-        grid = {"k2": range(10, 24), "k3": range(8, 15), "k4": range(6, 12)}
         warm = {inst.label: inst.pair for inst in benchmark_instances()}
-        for label, ns in grid.items():
+        for label, ns in EXACT_GRID.items():
             for n in reversed(ns):
                 cold = next(inst.pair for inst in benchmark_instances() if inst.label == label)
                 monkeypatch.setattr(distributions, "_LOG_FACTORIAL", np.zeros(0))
                 assert exact_type3_risk(warm[label], n) == exact_type3_risk(cold, n), (label, n)
+
+    def test_values_pinned_bit_for_bit(self, monkeypatch):
+        # one digest over the exact-grid risks and the product TVs of seeded laws,
+        # half of them with zero masses, at three chunk sizes; recorded before the
+        # root's fans were built from scalars, so a last-bit move fails at any
+        # class count
+        pairs = {inst.label: inst.pair for inst in benchmark_instances()}
+        values = [exact_type3_risk(pairs[label], n) for label, ns in EXACT_GRID.items() for n in ns]
+        rng = substream(16, 6)
+        chunks = (distributions._TYPE_CHUNK, 3, 7)
+        for k in range(1, 7):
+            for trial in range(8):
+                laws = rng.dirichlet(np.ones(k), size=2)
+                if trial % 2 and k > 1:
+                    laws[0, rng.integers(k)] = 0.0
+                    laws[1, rng.integers(k)] = 0.0
+                p0, p1 = (Categorical(law / law.sum()) for law in laws)
+                for chunk in chunks:
+                    monkeypatch.setattr(distributions, "_TYPE_CHUNK", chunk)
+                    values.extend(product_tv_exact(p0, p1, n) for n in range(1, 9))
+        assert len(values) == 27 + 6 * 8 * 3 * 8
+        digest = hashlib.sha256("\n".join(map(float.hex, values)).encode()).hexdigest()
+        assert digest == "7189f8e63d989e2ea45a681a969a627e2b12df85f235f00b023131be77262169"
 
     def test_log_factorial_table_grows_on_demand(self, monkeypatch):
         monkeypatch.setattr(distributions, "_LOG_FACTORIAL", np.zeros(0))
