@@ -37,10 +37,8 @@ from .distributions import (
     SymbolDataset,
     mix,
     product_tv_exact,
-    sample,
     tv_distance,
     tv_to_type,
-    type_exceedance_frequency,
 )
 from .errors import (
     AlphabetMismatchError,
@@ -69,6 +67,7 @@ from .harness import (
     type0_tv_detector,
     type1_trial_detector,
     type2_trial_detector,
+    type_exceedance_frequency,
     wilson_interval,
 )
 from .adversary import (

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .detectors import KsResult, ks_pvalue, ks_statistic, normal_cdf
-from .distributions import Categorical, DistributionPair, SymbolDataset, unit_interval
+from .distributions import Categorical, DistributionPair, SymbolDataset, at_least, unit_interval
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
 from .harness import Detector, RiskEstimate, _estimate, per_row
 from .rng import Domain, substream
@@ -77,15 +77,13 @@ class ToyConfig:
         v = np.array(self.v, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
-        if self.k < 2:
-            raise ParameterError("dimension must be >= 2")
+        at_least("dimension", self.k, 2)
         if not 0.0 <= self.sigma < math.inf:
             # sigma = 0 is tolerated for noiseless sampling checks; the KS
             # defense itself requires a positive sigma
             raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
         object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
-        if self.n < 1:
-            raise ParameterError("n must be >= 1")
+        at_least("n", self.n)
         object.__setattr__(self, "mu", float(v.sum()))
         delta = toy_delta(v, self.k)
         delta.setflags(write=False)
@@ -255,12 +253,10 @@ class ImpossibilityConfig:
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ParameterError("alphabet size must be >= 1")
+        at_least("alphabet size", self.k)
         object.__setattr__(self, "beta", unit_interval("beta", self.beta))
         object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
-        if self.n < 1:
-            raise ParameterError("n must be >= 1")
+        at_least("n", self.n)
         m = math.floor(self.beta * self.k)
         if (m + 1) / self.k <= self.beta:
             m += 1

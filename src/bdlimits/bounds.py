@@ -24,6 +24,7 @@ from .distributions import (
     ENUMERATION_CAP,
     Categorical,
     DistributionPair,
+    at_least,
     is_number,
     json_fields,
     product_tv_exact,
@@ -216,8 +217,8 @@ def achievability_alpha_bound(n: int, gamma: float, beta: float, k: int) -> floa
     type-distance detector; gamma = 0 or beta = 1 make it 2K, unsatisfiable
     for risks at or below one half.
     """
-    if n < 1 or k < 1:
-        raise ParameterError("n and k must be >= 1")
+    at_least("n", n)
+    at_least("k", k)
     unit_interval("gamma", gamma)
     unit_interval("beta", beta)
     return 2.0 * k * math.exp(-2.0 * n * gamma**2 * (1.0 - beta) ** 2 / k**2)
@@ -257,8 +258,9 @@ def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> Distrib
     """
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")
-    if not 0.0 < gamma <= 1.0 or n < 1:
-        raise ParameterError("gamma must be in (0, 1] and n >= 1")
+    if not 0.0 < gamma <= 1.0:
+        raise ParameterError("gamma must be in (0, 1]")
+    at_least("n", n)
     m = math.floor(gamma * n / (2.0 * epsilon))
     if m < 1:
         raise ParameterError(

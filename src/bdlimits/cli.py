@@ -34,7 +34,7 @@ from .adversary import (
     unit_direction,
 )
 from .bounds import exact_type3_risk
-from .distributions import DistributionPair
+from .distributions import DistributionPair, at_least
 from .errors import BdLimitsError, ParameterError, ResourceCapError
 from .harness import DETECTORS, append_result, config_hash, estimate_risk, uniform_vs_point_mass
 
@@ -271,8 +271,7 @@ def toy(
     out: str | None,
 ) -> None:
     """Run the projection-evading attack on the Gaussian classification task."""
-    if seeds < 1:
-        raise ParameterError("--seeds must be >= 1")
+    at_least("--seeds", seeds)
     try:
         v = np.array([float(part) for part in v_text.split(",")])
     except ValueError as exc:

@@ -29,6 +29,7 @@ from .distributions import (
     Categorical,
     DistributionPair,
     SymbolDataset,
+    at_least,
     same_alphabet,
     tv_to_type,
     type_counts,
@@ -146,8 +147,7 @@ def ks_statistic(values: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray
     """
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
-    if n < 1:
-        raise ParameterError("KS statistic requires at least one observation")
+    at_least("sample count", n)
     f = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     upper = i / n - f
@@ -202,8 +202,7 @@ def ks_pvalue(statistic: float, n: int) -> float:
     Kolmogorov survival function :func:`kolmogorov_sf`. The exact finite-n
     distribution is not used.
     """
-    if n < 1:
-        raise ParameterError("sample count must be >= 1")
+    at_least("sample count", n)
     root_n = math.sqrt(n)
     return kolmogorov_sf((root_n + 0.12 + 0.11 / root_n) * statistic)
 

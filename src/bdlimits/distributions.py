@@ -16,12 +16,13 @@ histogram; others are found by sorting each row. Each pair of kernels
 gives the same symbols and the same triples, so the choice never moves a
 seeded value.
 
-Everything here is a pure function of its inputs (sampling is pure given
-the seed) and all values are immutable after construction, so they can be
-shared freely across concurrent tasks. Two caches serve the exact oracle,
-and neither changes a value: a law's log masses
-(``Categorical._log_masses``), computed once per law from its immutable
-``probs``, and one module-level table of log factorials
+No function here takes a seed: sampling takes a numpy ``Generator``, which
+the estimators seed. Everything here is a pure function of its inputs
+(sampling is pure given the generator) and all values are immutable after
+construction, so they can be shared freely across concurrent tasks. Two
+caches serve the exact oracle, and neither changes a value: a law's log
+masses (``Categorical._log_masses``), computed once per law from its
+immutable ``probs``, and one module-level table of log factorials
 (:func:`log_factorials`), which is extended by replacing it with a longer
 copy, never written in place. Both are read-only, and two tasks that fill
 either at once compute the same entries, so whichever copy is kept serves
@@ -39,7 +40,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AlphabetMismatchError, ParameterError, ResourceCapError
-from .rng import Domain, count_errors, substream
 
 #: Probability vectors must sum to 1 within this tolerance to be accepted.
 PROB_TOLERANCE = 1e-12
@@ -154,8 +154,7 @@ class Categorical:
 
     @classmethod
     def uniform(cls, k: int) -> "Categorical":
-        if k < 1:
-            raise ParameterError("alphabet size must be >= 1")
+        at_least("alphabet size", k)
         return cls(np.broadcast_to(1.0 / k, (k,)))
 
     @classmethod
@@ -205,8 +204,7 @@ class SymbolDataset:
             raise ParameterError("dataset must contain at least one symbol")
         if arr.dtype.kind not in "iu":  # a cast would truncate floats and count bools
             raise ParameterError(f"dataset symbols must be integers, not {arr.dtype}")
-        if self.alphabet_size < 1:
-            raise ParameterError("alphabet size must be >= 1")
+        at_least("alphabet size", self.alphabet_size)
         if arr.min() < 0 or arr.max() >= self.alphabet_size:
             raise ParameterError("dataset contains symbols outside the alphabet")
         # a view, so freezing it leaves a caller's int64 array writeable
@@ -331,6 +329,13 @@ def unit_interval(name: str, value: float) -> float:
     return value + 0.0
 
 
+def at_least(name: str, value: int, low: int = 1) -> None:
+    """Raise :class:`ParameterError` naming ``name`` when the count ``value``
+    is below ``low``."""
+    if value < low:
+        raise ParameterError(f"{name} must be >= {low}")
+
+
 def same_alphabet(a, b) -> int:
     """The alphabet size that ``a`` and ``b`` share, each a law, a dataset
     or a pair; raises :class:`AlphabetMismatchError` when they differ."""
@@ -403,14 +408,6 @@ def _count_levels(u: np.ndarray, levels) -> np.ndarray:
     symbols = u.view(np.int64)
     symbols[...] = count
     return symbols
-
-
-def sample(p: Categorical, n: int, seed: int) -> SymbolDataset:
-    """Deterministic i.i.d. sample of size n from p under the given seed."""
-    if n < 1:
-        raise ParameterError("sample size must be >= 1")
-    rng = substream(seed, Domain.SAMPLE)
-    return SymbolDataset(draw_symbols(p, n, rng), p.alphabet_size)
 
 
 #: A reference law per row of a symbol block: (row, symbol) index arrays to
@@ -550,8 +547,7 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     up to the largest seen, starts summing at once.
     """
     k = same_alphabet(p0, p1)
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    at_least("n", n)
     types = math.comb(n + k - 1, k - 1)
     if types > ENUMERATION_CAP:
         raise ResourceCapError(
@@ -642,26 +638,3 @@ def _type_terms(lw: np.ndarray, l0: np.ndarray, l1: np.ndarray) -> float:
     # np.add.reduce is ndarray.sum without its Python wrapper, the same pairwise sum
     return -float(np.add.reduce(np.exp(lw + hi) * np.expm1(lo - hi)))
 
-
-def type_exceedance_frequency(
-    p: Categorical, n: int, threshold: float, trials: int, seed: int
-) -> float:
-    """Fraction of seeded trials where TV(type of an n-sample, p) >= threshold.
-
-    Empirical counterpart of the concentration bound
-    2K * exp(-8 N t^2 / K^2). Blocks follow the block rule of
-    :mod:`~bdlimits.rng` on path (CONCENTRATION,), with the target False
-    and the verdict TV >= threshold, so their errors are the exceedances.
-    Types are sparse, so memory is O(BLOCK * n) plus the probability vector
-    on any alphabet.
-    """
-    if trials < 1 or n < 1:
-        raise ParameterError("trials and n must be >= 1")
-
-    def draw(rows: int, rng: np.random.Generator) -> tuple:
-        return False, draw_symbols(p, (rows, n), rng)
-
-    def exceeds(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return type_distances(symbols, lambda row, sym: p.probs[sym]) >= threshold
-
-    return count_errors(draw, exceeds, trials, seed, (Domain.CONCENTRATION,)) / trials

@@ -3,8 +3,9 @@
 The risk of a detector is the probability that its verdict disagrees with
 the fair coin J that selected whether the training set was drawn from the
 clean product law (J = 0) or from the contaminated mixture law (J = 1).
-Every Monte-Carlo estimate needs at least 100 trials and reports a 99%
-Wilson interval; one step, ``_estimate``, states both rules.
+Every Monte-Carlo estimate, the type-concentration frequency
+(:func:`type_exceedance_frequency`) included, needs at least 100 trials and
+reports a 99% Wilson interval; one step, ``_estimate``, states both rules.
 
 Every estimator supplies only a block draw, the targets and the data of a
 block of trials, to the one block kernel :func:`~bdlimits.rng.count_errors`;
@@ -49,6 +50,7 @@ from .distributions import (
     DistributionPair,
     Reference,
     SymbolDataset,
+    at_least,
     draw_labeled,
     draw_symbols,
     type_counts,
@@ -90,8 +92,7 @@ class RiskEstimate:
 
 def wilson_interval(errors: int, trials: int) -> RiskEstimate:
     """Wilson score interval; well behaved near risks of 0 and 1."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    at_least("trials", trials)
     if not 0 <= errors <= trials:
         raise ParameterError("error count outside [0, trials]")
     p, z = errors / trials, _Z99
@@ -221,8 +222,7 @@ def type2_trial_detector() -> Detector:
 
 def type1_trial_detector(m: int) -> Detector:
     """Type-1 detector in harness form; draws m clean samples per row."""
-    if m < 1:
-        raise ParameterError("m must be >= 1")
+    at_least("m", m)
 
     def detector(pair: DistributionPair):
         threshold = tv_threshold(pair.gamma, pair.beta)
@@ -282,8 +282,7 @@ def estimate_risk(
     Each row draws a fair label J, then a dataset of size n from p0 (J = 0)
     or the mixture (J = 1); an error is a verdict other than J.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    at_least("n", n)
 
     def draw(rows: int, rng: np.random.Generator) -> tuple:
         j = rng.integers(0, 2, rows)
@@ -306,8 +305,7 @@ def estimate_conditional_errors(
     matches the unconditional risk. Branch j runs on its own blocks, keyed
     (seed, CONDITIONAL, j, block).
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    at_least("n", n)
     score = detector(pair)
 
     def branch(j: int, law: Categorical) -> RiskEstimate:
@@ -317,6 +315,28 @@ def estimate_conditional_errors(
         return _estimate(draw, score, trials, seed, (Domain.CONDITIONAL, j))
 
     return branch(0, pair.p0), branch(1, pair.mixture)
+
+
+def type_exceedance_frequency(
+    p: Categorical, n: int, threshold: float, trials: int, seed: int
+) -> RiskEstimate:
+    """Fraction of seeded trials where TV(type of an n-sample, p) >= threshold.
+
+    Empirical counterpart of the concentration bound
+    2K * exp(-8 N t^2 / K^2). Blocks run on path (CONCENTRATION,), with the
+    target False and the verdict TV >= threshold, so their errors are the
+    exceedances and ``p_hat`` is their fraction. Types are sparse, so
+    memory is O(BLOCK * n) plus the probability vector on any alphabet.
+    """
+    at_least("n", n)
+
+    def draw(rows: int, rng: np.random.Generator) -> tuple:
+        return False, draw_symbols(p, (rows, n), rng)
+
+    def exceeds(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return type_distances(symbols, lambda row, sym: p.probs[sym]) >= threshold
+
+    return _estimate(draw, exceeds, trials, seed, (Domain.CONCENTRATION,))
 
 
 def _trained_risk(
@@ -332,8 +352,8 @@ def _trained_risk(
     domain: Domain,
 ) -> RiskEstimate:
     """:func:`estimate_generalized_risk` on the blocks of ``domain``."""
-    if n < 1 or m < 1:
-        raise ParameterError("n and m must be >= 1")
+    at_least("n", n)
+    at_least("m", m)
     prior.validate_for(target)
     cells = Categorical(np.array([prior.p00, prior.p01, prior.p10, prior.p11]))
 

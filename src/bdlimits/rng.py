@@ -34,7 +34,6 @@ class Domain(enum.IntEnum):
     gap in the values rather than moving the others.
     """
 
-    SAMPLE = 0
     RISK = 1
     CONDITIONAL = 2
     GENERALIZED = 3

@@ -185,7 +185,7 @@ def test_criterion_6_type_concentration_grid():
                 for t in (0.05, 0.1, 0.2, 0.4):
                     freq = type_exceedance_frequency(
                         p, n, t, trials, seed=1000 * k + 10 * n + int(100 * t)
-                    )
+                    ).p_hat
                     bound = min(1.0, 2 * k * math.exp(-8 * n * t * t / (k * k)))
                     sd = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
                     assert freq <= bound + 3 * sd, (k, n, t, freq, bound)

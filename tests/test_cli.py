@@ -590,6 +590,23 @@ class TestSeedOption:
         assert [p_hat(s) for s in (5, 2**64 + 5, 2**65 + 5)] == [0.2475, 0.2625, 0.265]
 
 
+class TestCountOptions:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["risk", "--n", "0"], "n must be >= 1"),
+            (["probe", "--k", "0"], "alphabet size must be >= 1"),
+            (["toy", "--n", "0"], "n must be >= 1"),
+        ],
+        ids=["risk-n", "probe-k", "toy-n"],
+    )
+    def test_zero_count_exits_2(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert_clean_failure(result, 2)
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
+
+
 class TestResultsFileOption:
     def test_out_appends_and_dedupes(self, runner, tmp_path):
         out = tmp_path / "results.jsonl"

@@ -1,5 +1,6 @@
 """Tests for categorical distributions, sampling, and TV distance."""
 
+import ast
 import hashlib
 import itertools
 import json
@@ -7,6 +8,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,24 +23,26 @@ from bdlimits import (
     ImpossibilityConfig,
     ParameterError,
     ResourceCapError,
+    RiskEstimate,
     SymbolDataset,
     ToyConfig,
     achievability_alpha_bound,
     exact_type3_risk,
     impossibility_min_n,
+    ks_pvalue,
     mix,
     np_type3,
     ood_risk_exact,
     product_tv_exact,
-    sample,
     sbd_min_n,
     tv_distance,
     tv_to_type,
     type1_tv,
     type3_risk_floor,
     type_exceedance_frequency,
+    wilson_interval,
 )
-from bdlimits import distributions
+from bdlimits import cli, distributions
 from bdlimits.distributions import draw_symbols, log_factorials, sparse_types, unit_interval
 from bdlimits.harness import benchmark_instances, uniform_vs_point_mass
 from bdlimits.rng import substream
@@ -343,6 +347,38 @@ class TestUnitInterval:
         assert all(math.copysign(1.0, knob) == 1.0 for knob in configs)
 
 
+#: a caller of the one count check in each module, as (message, call at a count below its floor)
+COUNTS = {
+    "adversary": ("alphabet size must be >= 1", lambda: ImpossibilityConfig(k=0, beta=0.5, gamma=0.5, n=5)),
+    "adversary-dimension": ("dimension must be >= 2", lambda: ToyConfig.from_direction([1.0], 0.5, 0.5, 10)),
+    "bounds": ("k must be >= 1", lambda: achievability_alpha_bound(10, 0.5, 0.5, 0)),
+    "cli": (
+        "--seeds must be >= 1",
+        lambda: cli.toy.callback(
+            n=10, gamma=0.5, sigma=0.5, v_text="1,0", seeds=0, seed=0, svg_path=None, csv_path=None, out=None
+        ),
+    ),
+    "detectors": ("sample count must be >= 1", lambda: ks_pvalue(0.1, 0)),
+    "distributions": ("n must be >= 1", lambda: product_tv_exact(probs(0.5, 0.5), probs(0.5, 0.5), 0)),
+    "harness": ("trials must be >= 1", lambda: wilson_interval(0, 0)),
+}
+
+
+class TestAtLeast:
+    @pytest.mark.parametrize("message, call", COUNTS.values(), ids=COUNTS.keys())
+    def test_low_count_rejected_with_one_message(self, message, call):
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            call()
+
+
+def test_laws_module_takes_no_seed():
+    # seeds become generators in the estimators; the laws only draw from them
+    tree = ast.parse(Path(distributions.__file__).read_text(encoding="utf-8"))
+    sources = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    sources += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert not [source for source in sources if source and source.split(".")[-1] == "rng"], sources
+
+
 class TestMix:
     def test_gamma_zero_returns_clean(self):
         pair = DistributionPair(probs(0.7, 0.3), probs(0.1, 0.9), gamma=0.0, beta=0.5)
@@ -473,30 +509,37 @@ class TestSymbolClasses:
         assert pair.classes[0] is pair.p0 and pair.classes[1] is pair.mixture
 
 
+def seeded_dataset(p: Categorical, n: int, seed: int) -> SymbolDataset:
+    """A dataset of n symbols from p, drawn on the substream of ``seed``."""
+    return SymbolDataset(draw_symbols(p, n, substream(seed)), p.alphabet_size)
+
+
 class TestSample:
+    """A seeded sample: :func:`draw_symbols` on a substream, as a dataset."""
+
     def test_point_mass_is_constant(self):
-        d = sample(Categorical.point_mass(0, 3), 5, seed=123)
+        d = seeded_dataset(Categorical.point_mass(0, 3), 5, seed=123)
         assert list(d.symbols) == [0, 0, 0, 0, 0]
 
     def test_same_seed_same_dataset(self):
         p = probs(0.2, 0.3, 0.5)
-        a = sample(p, 100, seed=9)
-        b = sample(p, 100, seed=9)
+        a = seeded_dataset(p, 100, seed=9)
+        b = seeded_dataset(p, 100, seed=9)
         assert np.array_equal(a.symbols, b.symbols)
 
     def test_different_seed_differs(self):
         p = probs(0.2, 0.3, 0.5)
-        assert not np.array_equal(sample(p, 100, 1).symbols, sample(p, 100, 2).symbols)
+        assert not np.array_equal(seeded_dataset(p, 100, 1).symbols, seeded_dataset(p, 100, 2).symbols)
 
     def test_uniform_frequencies_concentrate(self):
         # Hoeffding: deviation beyond 0.01 at 1e5 draws has probability < 1e-8
-        d = sample(Categorical.uniform(2), 10**5, seed=7)
+        d = seeded_dataset(Categorical.uniform(2), 10**5, seed=7)
         counts = np.bincount(d.symbols, minlength=2)
         assert abs(counts[0] / len(d) - 0.5) < 0.01
 
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
-            sample(Categorical.uniform(2), 0, seed=0)
+            seeded_dataset(Categorical.uniform(2), 0, seed=0)
 
 
 class TestEmpiricalType:
@@ -732,7 +775,7 @@ class TestTypeConcentration:
         trials = 10**4
         for k, n, t in [(2, 50, 0.15), (4, 100, 0.2), (6, 200, 0.3)]:
             p = Categorical.uniform(k)
-            freq = type_exceedance_frequency(p, n, t, trials, seed=k * 31 + n)
+            freq = type_exceedance_frequency(p, n, t, trials, seed=k * 31 + n).p_hat
             bound = min(1.0, 2 * k * math.exp(-8 * n * t * t / (k * k)))
             sd = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
             assert freq <= bound + 3 * sd
@@ -746,7 +789,14 @@ class TestTypeConcentration:
     def test_golden_value(self):
         # two blocks on substream(4, CONCENTRATION, b): 361 of 5000 trials exceed
         p = Categorical.uniform(3)
-        assert type_exceedance_frequency(p, 30, 0.2, 5000, seed=4) == 0.0722
+        estimate = type_exceedance_frequency(p, 30, 0.2, 5000, seed=4)
+        assert isinstance(estimate, RiskEstimate) and estimate.trials == 5000
+        assert estimate.p_hat == 0.0722
+        assert estimate.ci_low < estimate.p_hat < estimate.ci_high
+
+    def test_minimum_trials_enforced(self):
+        with pytest.raises(ParameterError, match="^at least 100 trials are required$"):
+            type_exceedance_frequency(Categorical.uniform(3), 30, 0.2, 99, seed=4)
 
 
 class TestSymbolDataset:

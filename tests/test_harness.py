@@ -37,7 +37,6 @@ from bdlimits import (
     mix,
     np_trial_detector,
     per_row,
-    sample,
     tv_distance,
     type0_demo_risk,
     type0_tv_detector,
@@ -46,7 +45,7 @@ from bdlimits import (
     wilson_interval,
 )
 from bdlimits import harness
-from bdlimits.distributions import draw_labeled
+from bdlimits.distributions import draw_labeled, draw_symbols
 from bdlimits.harness import append_result, config_hash
 from bdlimits.rng import BLOCK, Domain, block_errors, substream
 
@@ -311,7 +310,7 @@ class TestTrainerStub:
         assert np.allclose(theta.probs, [(2 + 1) / 6, (1 + 1) / 6, (0 + 1) / 6])
 
     def test_deterministic(self):
-        d = sample(Categorical.uniform(4), 20, seed=13)
+        d = SymbolDataset(draw_symbols(Categorical.uniform(4), 20, substream(13)), 4)
         trainer = TrainerStub()
         assert trainer(d) == trainer(d)
 
