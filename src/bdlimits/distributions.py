@@ -35,7 +35,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -193,7 +193,13 @@ class Categorical:
 
 @dataclass(frozen=True)
 class SymbolDataset:
-    """An i.i.d. sample of symbols from a fixed alphabet."""
+    """An i.i.d. sample of symbols from a fixed alphabet.
+
+    The symbols are kept as a read-only int64 view; a caller's int64 array
+    stays writeable. Construction checks that they are integers in
+    0..alphabet_size-1. :meth:`rows` checks a whole (rows, n) block once
+    and yields its rows as datasets that share the checked block.
+    """
 
     symbols: np.ndarray
     alphabet_size: int
@@ -202,18 +208,46 @@ class SymbolDataset:
         arr = np.asarray(self.symbols)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("dataset must contain at least one symbol")
-        if arr.dtype.kind not in "iu":  # a cast would truncate floats and count bools
-            raise ParameterError(f"dataset symbols must be integers, not {arr.dtype}")
-        at_least("alphabet size", self.alphabet_size)
-        if arr.min() < 0 or arr.max() >= self.alphabet_size:
-            raise ParameterError("dataset contains symbols outside the alphabet")
-        # a view, so freezing it leaves a caller's int64 array writeable
-        arr = arr.astype(np.int64, copy=False).view()
-        arr.setflags(write=False)
-        object.__setattr__(self, "symbols", arr)
+        object.__setattr__(self, "symbols", _checked_symbols(arr, self.alphabet_size))
+
+    @classmethod
+    def rows(cls, block: np.ndarray, alphabet_size: int) -> Iterator[SymbolDataset]:
+        """The rows of a (rows, n) block as datasets, in row order.
+
+        The block is checked once, as one dataset would be; each row is a
+        read-only view of the checked block, built without a check of its own.
+        """
+        arr = np.asarray(block)
+        if arr.ndim != 2 or arr.size < 1:
+            raise ParameterError("dataset must contain at least one symbol")
+        arr = _checked_symbols(arr, alphabet_size)
+
+        def dataset(row: np.ndarray) -> SymbolDataset:
+            d = object.__new__(cls)
+            object.__setattr__(d, "symbols", row)
+            object.__setattr__(d, "alphabet_size", alphabet_size)
+            return d
+
+        return map(dataset, arr)
 
     def __len__(self) -> int:
         return int(self.symbols.size)
+
+
+def _checked_symbols(arr: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """``arr`` as a read-only int64 view, once its symbols are checked to be
+    integers in 0..alphabet_size-1; raises :class:`ParameterError` otherwise."""
+    if arr.dtype.kind not in "iu":  # a cast would truncate floats and count bools
+        raise ParameterError(f"dataset symbols must be integers, not {arr.dtype}")
+    at_least("alphabet size", alphabet_size)
+    # a view, so freezing it leaves a caller's int64 array writeable; the
+    # range is checked after the cast, where a uint64 symbol of 2^63 or more
+    # has wrapped below 0
+    arr = arr.astype(np.int64, copy=False).view()
+    if arr.min() < 0 or arr.max() >= alphabet_size:
+        raise ParameterError("dataset contains symbols outside the alphabet")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -422,10 +456,11 @@ def sparse_types(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     once, sorted by row and then by symbol. When k, the largest symbol in
     the block plus 1, is at most n, the rows x k histogram is no larger than
     the block: it is counted with one ``bincount`` and the triples are its
-    nonzero cells. Otherwise each row is sorted and its runs of equal
-    symbols counted. Both give the same triples with the same dtypes, and
-    no histogram over the whole alphabet is built, so memory stays
-    O(rows * n) on any alphabet.
+    nonzero cells. Otherwise each row is sorted and the runs of equal
+    symbols are counted in one pass over the flattened sorted block, with
+    a run ending at every row start. Both give the same triples with the
+    same dtypes, and no histogram over the whole alphabet is built, so
+    memory stays O(rows * n) on any alphabet.
     """
     rows, n = symbols.shape
     # on a large alphabet the first symbol alone usually shows k > n, which
@@ -436,16 +471,16 @@ def sparse_types(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         row = cells // k
         sym = (cells - row * k).astype(symbols.dtype, copy=False)
         return row, sym, counts[cells]
-    ordered = np.sort(symbols, axis=1)
-    first = np.empty(ordered.shape, dtype=bool)
-    first[:, 0] = True
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
-    starts = np.flatnonzero(first)
-    # each run of equal symbols ends where the next starts, the last at the end
-    counts = np.empty_like(starts)
-    counts[:-1] = starts[1:] - starts[:-1]
-    counts[-1] = rows * n - starts[-1]
-    return starts // n, ordered.ravel()[starts], counts
+    ordered = np.sort(symbols, axis=1).ravel()
+    # a run starts where the flat sorted block changes value or a row
+    # starts; the row starts include the sentinel rows * n, where the last
+    # run ends, and keep a run from merging across two rows
+    first = np.empty(rows * n + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
+    first[::n] = True
+    edges = first.nonzero()[0]
+    starts = edges[:-1]
+    return starts // n, ordered[starts], edges[1:] - starts
 
 
 def type_counts(

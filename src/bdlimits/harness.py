@@ -239,8 +239,9 @@ def type1_trial_detector(m: int) -> Detector:
 def per_row(fn: Callable[[SymbolDataset, DistributionPair, np.random.Generator], int]) -> Detector:
     """Lift a per-dataset detector ``fn(d, pair, rng)`` into harness form.
 
-    The scorer calls ``fn`` once per row of the block, in row order, with
-    that row as a :class:`SymbolDataset` and the block's generator.
+    The scorer checks its block once (:meth:`SymbolDataset.rows`) and calls
+    ``fn`` once per row, in row order, with that row as a read-only
+    :class:`SymbolDataset` on the pair's alphabet and the block's generator.
     """
 
     def detector(pair: DistributionPair):
@@ -248,7 +249,7 @@ def per_row(fn: Callable[[SymbolDataset, DistributionPair, np.random.Generator],
 
         def score(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             return np.fromiter(
-                (int(fn(SymbolDataset(row, k), pair, rng)) for row in symbols), dtype=np.int64
+                (int(fn(d, pair, rng)) for d in SymbolDataset.rows(symbols, k)), dtype=np.int64
             )
 
         return score

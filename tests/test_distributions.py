@@ -830,3 +830,30 @@ class TestSymbolDataset:
         assert not d.symbols.flags.writeable
         with pytest.raises(ValueError):
             d.symbols[0] = 1
+
+    def test_rejects_uint64_symbols_that_int64_cannot_hold(self):
+        # 2^63 is inside an alphabet of 2^64 but wraps to -2^63 as int64
+        big = np.array([2**63], dtype=np.uint64)
+        outside = "^dataset contains symbols outside the alphabet$"
+        with pytest.raises(ParameterError, match=outside):
+            SymbolDataset(big, 2**64)
+        with pytest.raises(ParameterError, match=outside):
+            SymbolDataset.rows(np.array([[0], [2**63]], dtype=np.uint64), 2**64)
+        largest = np.array([2**63 - 1], dtype=np.uint64)
+        assert SymbolDataset(largest, 2**64).symbols.tolist() == [2**63 - 1]
+
+    def test_rows_share_the_checked_block(self):
+        block = np.array([[0, 2], [1, 1], [2, 0]], dtype=np.int32)
+        datasets = list(SymbolDataset.rows(block, 3))
+        assert [d.symbols.tolist() for d in datasets] == block.tolist()
+        for d in datasets:
+            assert d.alphabet_size == 3 and d.symbols.dtype == np.int64
+            assert not d.symbols.flags.writeable
+            assert d.symbols.base is datasets[0].symbols.base  # one checked int64 copy
+
+    @pytest.mark.parametrize(
+        "block", [np.array([0, 1]), np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)]
+    )
+    def test_rows_need_a_two_dimensional_block_with_symbols(self, block):
+        with pytest.raises(ParameterError, match="^dataset must contain at least one symbol$"):
+            SymbolDataset.rows(block, 2)

@@ -96,6 +96,44 @@ def test_detector_binds_to_the_pair_alone(detector):
     detector(ORACLE_PAIR)
 
 
+class TestPerRow:
+    """``per_row`` checks its block once, as ``SymbolDataset`` checks one dataset."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [np.array([[0.0, 1.0]]), np.array([[True, False]]), np.array([[0, 1], [1, 2]])],
+        ids=["float", "bool", "out-of-range"],
+    )
+    def test_block_check_keeps_the_dataset_message(self, block):
+        with pytest.raises(ParameterError) as one_dataset:
+            SymbolDataset(block[-1], ORACLE_PAIR.alphabet_size)
+        calls = []
+        score = per_row(lambda d, pair, rng: calls.append(d) or 0)(ORACLE_PAIR)
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(one_dataset.value))}$"):
+            score(block, substream(0))
+        assert calls == []
+
+    def test_rows_reach_fn_as_read_only_int64_datasets_in_order(self):
+        block = substream(3).integers(0, 2, (5, 4))
+        rng = substream(0)
+        seen = []
+
+        def fn(d, pair, generator):
+            assert pair is ORACLE_PAIR and generator is rng
+            seen.append(d)
+            return int(d.symbols[0])
+
+        verdicts = per_row(fn)(ORACLE_PAIR)(block, rng)
+        assert verdicts.tolist() == block[:, 0].tolist()
+        assert len(seen) == len(block)
+        for d, row in zip(seen, block):
+            assert isinstance(d, SymbolDataset)
+            assert d.alphabet_size == ORACLE_PAIR.alphabet_size and len(d) == block.shape[1]
+            assert d.symbols.dtype == np.int64 and not d.symbols.flags.writeable
+            np.testing.assert_array_equal(d.symbols, row)
+        assert block.dtype == np.int64 and block.flags.writeable
+
+
 class TestEstimateRisk:
     def test_disjoint_supports_perfect_separation(self):
         pair = pair_of([1.0, 0.0], [0.0, 1.0], gamma=1.0)

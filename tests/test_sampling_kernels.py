@@ -158,6 +158,42 @@ class TestHistogramTypes:
             np.testing.assert_array_equal(a, b)
 
 
+class TestSortedTypesPath:
+    """``sparse_types``' sort path, forced by a first symbol >= n, against
+    ``sorted_types``: runs are counted over the flat sorted block, so a run
+    must end at every row start."""
+
+    @staticmethod
+    def assert_sorted_types(symbols):
+        assert symbols[0, 0] >= symbols.shape[1]  # the sort path
+        got, expected = sparse_types(symbols), sorted_types(symbols)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize(
+        "rows",
+        [[[5], [5], [7], [7]], [[9, 9, 9], [9, 9, 9]], [[4, 6, 5], [6, 7, 6], [7, 9, 9]]],
+        ids=["n=1", "one-symbol-rows", "chained-rows"],
+    )
+    def test_runs_end_at_row_starts(self, dtype, rows):
+        self.assert_sorted_types(np.array(rows, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_sort(self, dtype, data):
+        rows, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        span = data.draw(st.integers(1, 2 * n))  # span 1: each row one repeated symbol
+        symbols = n + substream(data.draw(st.integers(0, 2**32)), 0).integers(0, span, (rows, n))
+        if data.draw(st.booleans()):
+            # chain the rows: row r + 1's smallest symbol is row r's largest
+            for r in range(1, rows):
+                symbols[r] += symbols[r - 1].max() - symbols[r].min()
+        self.assert_sorted_types(symbols.astype(dtype))
+
+
 def pinned_law(k, flip=False):
     """A fixed law on k symbols; from k = 4 on, symbol 1 and symbol k-1 are massless."""
     w = 1.0 + np.arange(k) % 5
