@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .detectors import KsResult, ks_pvalue, ks_statistic, normal_cdf
-from .distributions import Categorical, DistributionPair, SymbolDataset, at_least, unit_interval
+from .distributions import Categorical, DistributionPair, SymbolDataset, at_least, within
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
 from .harness import Detector, RiskEstimate, _estimate, per_row
 from .rng import Domain, substream
@@ -38,14 +38,15 @@ from .rng import Domain, substream
 def toy_delta(v: np.ndarray, k: int) -> np.ndarray:
     """Backdoor shift delta = 2/sqrt(K - mu^2) * (1 - mu v) - 2 mu v.
 
-    ``v`` must be a unit vector; mu = v . 1 must satisfy mu^2 < K. The
+    ``v`` must be a unit vector, its norm within 1e-9 of 1, which a NaN or
+    infinite entry never is; mu = v . 1 must satisfy mu^2 < K. The
     returned vector satisfies v . delta = -2 mu, which is exactly what
     preserves the projection statistics under the label flip.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size != k:
         raise ParameterError(f"direction must be a length-{k} vector")
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9:
         raise ParameterError("direction must be a unit vector")
     mu = float(v.sum())
     if mu * mu >= k:
@@ -56,13 +57,14 @@ def toy_delta(v: np.ndarray, k: int) -> np.ndarray:
     return (2.0 / math.sqrt(k - mu * mu)) * (ones - mu * v) - 2.0 * mu * v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyConfig:
     """Parameter bundle for the Gaussian toy attack.
 
     ``n`` is the size of every clean sample the attack draws. The dimension
     ``k``, ``mu`` and ``delta`` are derived from ``v``; construct via
-    :meth:`from_direction`, which normalizes the direction first.
+    :meth:`from_direction`, which normalizes the direction first. Configs
+    compare and hash by identity, as they hold arrays.
     """
 
     sigma: float
@@ -78,11 +80,10 @@ class ToyConfig:
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
         at_least("dimension", self.k, 2)
-        if not 0.0 <= self.sigma < math.inf:
-            # sigma = 0 is tolerated for noiseless sampling checks; the KS
-            # defense itself requires a positive sigma
-            raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
+        # sigma = 0 is tolerated for noiseless sampling checks; the KS
+        # defense itself requires a positive sigma
+        object.__setattr__(self, "sigma", within("sigma", self.sigma, 0.0, math.inf, open_high=True))
+        object.__setattr__(self, "gamma", within("gamma", self.gamma, 0.0, 1.0))
         at_least("n", self.n)
         object.__setattr__(self, "mu", float(v.sum()))
         delta = toy_delta(v, self.k)
@@ -174,9 +175,9 @@ def toy_ks_defense(y: np.ndarray, z: np.ndarray, config: ToyConfig) -> KsResult:
     return KsResult(statistic=stat, p_value=ks_pvalue(stat, f.size), n=f.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearClassifier:
-    """sign(w . z + b) classifier fitted by least squares."""
+    """sign(w . z + b) classifier fitted by least squares; compares by identity."""
 
     w: np.ndarray
     b: float
@@ -254,8 +255,8 @@ class ImpossibilityConfig:
 
     def __post_init__(self) -> None:
         at_least("alphabet size", self.k)
-        object.__setattr__(self, "beta", unit_interval("beta", self.beta))
-        object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
+        object.__setattr__(self, "beta", within("beta", self.beta, 0.0, 1.0))
+        object.__setattr__(self, "gamma", within("gamma", self.gamma, 0.0, 1.0))
         at_least("n", self.n)
         m = math.floor(self.beta * self.k)
         if (m + 1) / self.k <= self.beta:

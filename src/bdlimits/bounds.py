@@ -21,16 +21,16 @@ from importlib import resources
 import numpy as np
 
 from .distributions import (
-    ENUMERATION_CAP,
     Categorical,
     DistributionPair,
     at_least,
     is_number,
     json_fields,
     product_tv_exact,
-    unit_interval,
+    within,
+    within_enumeration_cap,
 )
-from .errors import ParameterError, ResourceCapError
+from .errors import ParameterError
 
 
 def _positive_int(value: object, what: str) -> int:
@@ -93,11 +93,10 @@ class DatasetSpec:
             )
             object.__setattr__(self, "cardinalities", cards)
         if self.log10_size is not None:
-            size = self.log10_size
-            if not is_number(size) or not 0.0 <= size < math.inf:
-                raise ParameterError(
-                    f"dataset {self.name!r} log10_size must be a finite number >= 0, got {size!r}"
-                )
+            what = f"dataset {self.name!r} log10_size"
+            if not is_number(self.log10_size):
+                raise ParameterError(f"{what} must be a number, got {self.log10_size!r}")
+            within(what, self.log10_size, 0.0, math.inf, open_high=True)
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "DatasetSpec":
@@ -122,8 +121,7 @@ class BoundReport:
     min_n_exponent: int
 
     def __post_init__(self) -> None:
-        if self.min_n_exponent < 0:
-            raise ParameterError("minimum-N exponent cannot be negative")
+        at_least("minimum-N exponent", self.min_n_exponent, 0)
 
     def to_jsonable(self) -> dict:
         return {
@@ -157,10 +155,7 @@ def _min_n_log10(log_ratio: float, beta: float, log_alphabet: float) -> float:
     evaluated in the rationalized form (beta*|X| - 1) L / (sqrt(L^2/4 +
     (beta*|X| - 1) L) + L/2), which has no cancellation.
     """
-    if not 0.0 <= log_alphabet < math.inf:
-        raise ParameterError(
-            f"log10 alphabet size must be finite and >= 0, got {log_alphabet!r}"
-        )
+    within("log10 alphabet size", log_alphabet, 0.0, math.inf, open_high=True)
     if log_ratio >= 0.0 or beta == 0.0:
         return -math.inf
     t = math.log10(beta) + log_alphabet  # log10(beta*|X|)
@@ -181,8 +176,7 @@ def impossibility_min_n(alpha: float, beta: float, log_alphabet: float) -> float
     result is its base-10 log, or -inf when it is 0: at alpha = 1/2, beta = 0
     or beta*|X| <= 1.
     """
-    if not 0.0 < alpha <= 0.5:
-        raise ParameterError(f"alpha must be in (0, 0.5], got {alpha}")
+    within("alpha", alpha, 0.0, 0.5, open_low=True)
     # alpha / 0.5 is 2 alpha exactly, so this is the r = 1/2 case bit for bit
     return sbd_min_n(alpha, beta, 0.5, log_alphabet)
 
@@ -196,18 +190,14 @@ def sbd_min_n(alpha: float, beta: float, r: float, log_alphabet: float) -> float
     alpha >= r. At r = 1/2 this reproduces :func:`impossibility_min_n`
     exactly.
     """
-    if r <= 0.0 or r > 0.5:
-        raise ParameterError(f"r must be in (0, 0.5], got {r}")
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    return _min_n_log10(math.log(alpha / r), unit_interval("beta", beta), log_alphabet)
+    within("r", r, 0.0, 0.5, open_low=True)
+    within("alpha", alpha, 0.0, math.inf, open_low=True)
+    return _min_n_log10(math.log(alpha / r), within("beta", beta, 0.0, 1.0), log_alphabet)
 
 
 def sbd_infinite_alphabet_feasible(alpha: float, r: float) -> bool:
     """On an infinite alphabet, alpha-error sample detection needs alpha >= r."""
-    if r <= 0.0:
-        raise ParameterError(f"r must be positive, got {r}")
-    return alpha >= r
+    return alpha >= within("r", r, 0.0, math.inf, open_low=True)
 
 
 def achievability_alpha_bound(n: int, gamma: float, beta: float, k: int) -> float:
@@ -219,14 +209,16 @@ def achievability_alpha_bound(n: int, gamma: float, beta: float, k: int) -> floa
     """
     at_least("n", n)
     at_least("k", k)
-    unit_interval("gamma", gamma)
-    unit_interval("beta", beta)
+    within("gamma", gamma, 0.0, 1.0)
+    within("beta", beta, 0.0, 1.0)
     return 2.0 * k * math.exp(-2.0 * n * gamma**2 * (1.0 - beta) ** 2 / k**2)
 
 
 def type3_risk_floor(gamma: float, n: int, tv: float) -> float:
-    """Lower bound max(0, 1/2 - gamma * n * tv / 2) on any full-knowledge detector."""
-    return max(0.0, 0.5 - 0.5 * gamma * n * unit_interval("tv", tv))
+    """Lower bound max(0, 1/2 - gamma * n * tv / 2) on any full-knowledge
+    detector, for gamma and tv in [0, 1] and n >= 1."""
+    at_least("n", n)
+    return max(0.0, 0.5 - 0.5 * within("gamma", gamma, 0.0, 1.0) * n * within("tv", tv, 0.0, 1.0))
 
 
 def exact_type3_risk(pair: DistributionPair, n: int) -> float:
@@ -236,16 +228,13 @@ def exact_type3_risk(pair: DistributionPair, n: int) -> float:
     classes (:attr:`DistributionPair.classes`), so the sum runs over the
     C(N+L-1, L-1) types of the L classes: at most two for a uniform clean
     law against a point-mass backdoor, at any K. Raises
-    :class:`ResourceCapError`, naming L and K, when those types exceed 1e7.
+    :class:`ResourceCapError`, naming L and K, when those types exceed the
+    cap of :func:`~bdlimits.distributions.within_enumeration_cap`.
     """
     p0, p1 = pair.classes
     classes = p0.alphabet_size
-    types = math.comb(n + classes - 1, classes - 1) if n >= 1 else 0
-    if types > ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"{types} types of {n} draws on L = {classes} symbol classes of the "
-            f"K = {pair.alphabet_size} symbols exceed the enumeration cap {ENUMERATION_CAP}"
-        )
+    symbols = f"L = {classes} symbol classes of the K = {pair.alphabet_size} symbols"
+    within_enumeration_cap(n, classes, symbols)
     return 0.5 - 0.5 * product_tv_exact(p0, p1, n)
 
 
@@ -256,10 +245,8 @@ def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> Distrib
     m = floor(gamma*n / (2*epsilon)), so TV(p0, pb) = 1/(m+1). The pair's
     beta is set to 1 - TV, making it exactly marginally admissible.
     """
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError("gamma must be in (0, 1]")
+    within("epsilon", epsilon, 0.0, math.inf, open_low=True)
+    within("gamma", gamma, 0.0, 1.0, open_low=True)
     at_least("n", n)
     m = math.floor(gamma * n / (2.0 * epsilon))
     if m < 1:

@@ -34,6 +34,7 @@ from .distributions import (
     tv_to_type,
     type_counts,
     type_distances,
+    within,
 )
 from .errors import ImpossibleSampleError, ParameterError
 
@@ -47,10 +48,8 @@ class KsResult:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.statistic <= 1.0:
-            raise ParameterError("KS statistic must lie in [0, 1]")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ParameterError("p-value must lie in [0, 1]")
+        within("KS statistic", self.statistic, 0.0, 1.0)
+        within("p-value", self.p_value, 0.0, 1.0)
 
 
 def np_log_ratio(p0: Categorical, p1: Categorical) -> np.ndarray:
@@ -98,11 +97,10 @@ def np_type3(d: SymbolDataset, pair: DistributionPair) -> int:
 
 
 def tv_threshold(gamma: float, beta: float) -> float:
-    """Flag threshold gamma * (1 - beta) / 2 of the type-distance tests."""
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
-    if not 0.0 <= beta < 1.0:
-        raise ParameterError(f"beta must be in [0, 1), got {beta}")
+    """Flag threshold gamma * (1 - beta) / 2 of the type-distance tests, for
+    gamma in (0, 1] and beta in [0, 1), where it is positive."""
+    within("gamma", gamma, 0.0, 1.0, open_low=True)
+    within("beta", beta, 0.0, 1.0, open_high=True)
     return gamma * (1.0 - beta) / 2.0
 
 

@@ -191,14 +191,15 @@ class Categorical:
         return hash((self.probs.size, float(self.probs[0]), float(self.probs[-1])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolDataset:
     """An i.i.d. sample of symbols from a fixed alphabet.
 
     The symbols are kept as a read-only int64 view; a caller's int64 array
     stays writeable. Construction checks that they are integers in
     0..alphabet_size-1. :meth:`rows` checks a whole (rows, n) block once
-    and yields its rows as datasets that share the checked block.
+    and yields its rows as datasets that share the checked block. Datasets
+    compare and hash by identity, as arrays admit no truth-valued ``==``.
     """
 
     symbols: np.ndarray
@@ -267,8 +268,8 @@ class DistributionPair:
 
     def __post_init__(self) -> None:
         same_alphabet(self.p0, self.pb)
-        object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
-        object.__setattr__(self, "beta", unit_interval("beta", self.beta))
+        object.__setattr__(self, "gamma", within("gamma", self.gamma, 0.0, 1.0))
+        object.__setattr__(self, "beta", within("beta", self.beta, 0.0, 1.0))
 
     @property
     def alphabet_size(self) -> int:
@@ -354,13 +355,18 @@ def json_fields(data: object, kind: str, **convert: Callable) -> list:
     return values
 
 
-def unit_interval(name: str, value: float) -> float:
-    """``value`` when it lies in [0, 1], with -0.0 read as 0.0; raises
-    :class:`ParameterError` naming ``name`` otherwise, NaN included."""
-    if not 0.0 <= value <= 1.0:
-        raise ParameterError(f"{name} must be in [0, 1], got {value}")
-    # -0.0 and 0.0 are one configuration, so they get one config hash
-    return value + 0.0
+def within(
+    name: str, value: float, low: float, high: float, open_low: bool = False, open_high: bool = False
+) -> float:
+    """``value`` + 0.0 when it lies between ``low`` and ``high``, each end closed
+    unless marked open; raises :class:`ParameterError` "{name} must be in
+    {interval}, got {value}" otherwise. NaN fails both comparisons, an end may
+    be +-inf, the + 0.0 gives -0.0 the config hash of 0.0, and the interval's
+    text is built only for the error."""
+    if (low < value if open_low else low <= value) and (value < high if open_high else value <= high):
+        return value + 0.0
+    interval = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+    raise ParameterError(f"{name} must be in {interval}, got {value}")
 
 
 def at_least(name: str, value: int, low: int = 1) -> None:
@@ -543,6 +549,18 @@ def log_factorials(n: int) -> np.ndarray:
     return table[: n + 1]
 
 
+def within_enumeration_cap(n: int, k: int, symbols: str = "") -> None:
+    """Raise :class:`ResourceCapError` when the C(n+k-1, k-1) types of n >= 1
+    draws on k symbols, named ``symbols`` if given, exceed ``ENUMERATION_CAP``."""
+    at_least("n", n)
+    types = math.comb(n + k - 1, k - 1)
+    if types > ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"{types} types of {n} draws on {symbols or f'{k} symbols'} "
+            f"exceed the enumeration cap {ENUMERATION_CAP}"
+        )
+
+
 def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     """Exact TV distance between the n-fold product distributions.
 
@@ -574,7 +592,7 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     :func:`~bdlimits.bounds.exact_type3_risk` passes the pair's symbol
     classes, so a two-class pair is the root's close fan of n + 1 types and
     nothing else. Raises :class:`ResourceCapError` above ``ENUMERATION_CAP``
-    types.
+    types (:func:`within_enumeration_cap`).
 
     The set-up is paid once: each law's log masses are computed on its
     first call and the log-factorial table is shared
@@ -582,12 +600,7 @@ def product_tv_exact(p0: Categorical, p1: Categorical, n: int) -> float:
     up to the largest seen, starts summing at once.
     """
     k = same_alphabet(p0, p1)
-    at_least("n", n)
-    types = math.comb(n + k - 1, k - 1)
-    if types > ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"{types} types of {n} draws on {k} symbols exceed the enumeration cap {ENUMERATION_CAP}"
-        )
+    within_enumeration_cap(n, k)
     if k == 1:
         # both laws are the point mass on the one symbol
         return 0.0

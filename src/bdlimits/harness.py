@@ -55,6 +55,7 @@ from .distributions import (
     draw_symbols,
     type_counts,
     type_distances,
+    within,
 )
 from .errors import ConfigurationError, ParameterError
 from .rng import Domain, count_errors
@@ -176,8 +177,7 @@ class TrainerStub:
     smoothing: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.smoothing < math.inf:
-            raise ParameterError(f"smoothing must be finite and nonnegative, got {self.smoothing}")
+        within("smoothing", self.smoothing, 0.0, math.inf, open_high=True)
 
     def __call__(self, d: SymbolDataset) -> Categorical:
         counts = np.bincount(d.symbols, minlength=d.alphabet_size).astype(float)
@@ -209,15 +209,15 @@ def np_trial_detector() -> Detector:
     return detector
 
 
+def _type_exceeds(p: Categorical, threshold: float) -> Callable[..., np.ndarray]:
+    """Block scorer flagging each row whose type lies at TV >= ``threshold`` from p."""
+    probs = p.probs
+    return lambda symbols, rng: type_distances(symbols, lambda row, sym: probs[sym]) >= threshold
+
+
 def type2_trial_detector() -> Detector:
     """Type-distance detector in harness form, thresholded from the pair's knobs."""
-
-    def detector(pair: DistributionPair):
-        threshold = tv_threshold(pair.gamma, pair.beta)
-        p0 = pair.p0.probs
-        return lambda symbols, rng: type_distances(symbols, lambda row, sym: p0[sym]) >= threshold
-
-    return detector
+    return lambda pair: _type_exceeds(pair.p0, tv_threshold(pair.gamma, pair.beta))
 
 
 def type1_trial_detector(m: int) -> Detector:
@@ -334,10 +334,7 @@ def type_exceedance_frequency(
     def draw(rows: int, rng: np.random.Generator) -> tuple:
         return False, draw_symbols(p, (rows, n), rng)
 
-    def exceeds(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return type_distances(symbols, lambda row, sym: p.probs[sym]) >= threshold
-
-    return _estimate(draw, exceeds, trials, seed, (Domain.CONCENTRATION,))
+    return _estimate(draw, _type_exceeds(p, threshold), trials, seed, (Domain.CONCENTRATION,))
 
 
 def _trained_risk(

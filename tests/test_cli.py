@@ -406,7 +406,7 @@ class TestToy:
             warnings.simplefilter("always")
             result = runner.invoke(main, ["toy", "--n", "40", "--sigma", sigma])
         assert_clean_failure(result, 2)
-        assert result.stderr == f"error: sigma must be finite and nonnegative, got {sigma}\n"
+        assert result.stderr == f"error: sigma must be in [0, inf), got {sigma}\n"
         assert caught == []
 
     def test_overflowing_sigma_exits_2(self, runner):

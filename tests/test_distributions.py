@@ -1,6 +1,7 @@
 """Tests for categorical distributions, sampling, and TV distance."""
 
 import ast
+import copy
 import hashlib
 import itertools
 import json
@@ -18,23 +19,31 @@ from scipy.special import gammaln
 
 from bdlimits import (
     AlphabetMismatchError,
+    BoundReport,
     Categorical,
+    DatasetSpec,
     DistributionPair,
     ImpossibilityConfig,
+    KsResult,
+    LinearClassifier,
     ParameterError,
     ResourceCapError,
     RiskEstimate,
     SymbolDataset,
     ToyConfig,
+    TrainerStub,
     achievability_alpha_bound,
     exact_type3_risk,
     impossibility_min_n,
     ks_pvalue,
     mix,
+    near_indistinguishable_pair,
     np_type3,
     ood_risk_exact,
     product_tv_exact,
+    sbd_infinite_alphabet_feasible,
     sbd_min_n,
+    toy_delta,
     tv_distance,
     tv_to_type,
     type1_tv,
@@ -43,7 +52,8 @@ from bdlimits import (
     wilson_interval,
 )
 from bdlimits import cli, distributions
-from bdlimits.distributions import draw_symbols, log_factorials, sparse_types, unit_interval
+from bdlimits.detectors import tv_threshold
+from bdlimits.distributions import draw_symbols, log_factorials, sparse_types, within
 from bdlimits.harness import benchmark_instances, uniform_vs_point_mass
 from bdlimits.rng import substream
 
@@ -313,38 +323,140 @@ class TestSameAlphabet:
             entry(*args)
 
 
-#: every caller of the one [0, 1] check, as (knob name, function of the knob)
-UNIT_KNOBS = {
-    "pair-gamma": ("gamma", lambda x: uniform_vs_point_mass(2, x, 0.5)),
-    "pair-beta": ("beta", lambda x: uniform_vs_point_mass(2, 0.5, x)),
-    "toy-gamma": ("gamma", lambda x: ToyConfig.from_direction([1.0, 0.0], 0.5, x, 10)),
-    "imposs-beta": ("beta", lambda x: ImpossibilityConfig(k=100, beta=x, gamma=0.5, n=5)),
-    "imposs-gamma": ("gamma", lambda x: ImpossibilityConfig(k=100, beta=0.5, gamma=x, n=5)),
-    "achievability-gamma": ("gamma", lambda x: achievability_alpha_bound(10, x, 0.5, 2)),
-    "achievability-beta": ("beta", lambda x: achievability_alpha_bound(10, 0.5, x, 2)),
-    "sbd-beta": ("beta", lambda x: sbd_min_n(0.1, x, 0.25, 3.0)),
-    "min-n-beta": ("beta", lambda x: impossibility_min_n(0.1, x, 3.0)),
-    "type3-tv": ("tv", lambda x: type3_risk_floor(0.5, 10, x)),
+#: every range-checked scalar knob, as (knob name, its interval, function of the knob)
+RANGE_KNOBS = {
+    "pair-gamma": ("gamma", "[0, 1]", lambda x: uniform_vs_point_mass(2, x, 0.5)),
+    "pair-beta": ("beta", "[0, 1]", lambda x: uniform_vs_point_mass(2, 0.5, x)),
+    "toy-gamma": ("gamma", "[0, 1]", lambda x: ToyConfig.from_direction([1.0, 0.0], 0.5, x, 10)),
+    "toy-sigma": ("sigma", "[0, inf)", lambda x: ToyConfig.from_direction([1.0, 0.0], x, 0.5, 10)),
+    "imposs-beta": ("beta", "[0, 1]", lambda x: ImpossibilityConfig(k=100, beta=x, gamma=0.5, n=5)),
+    "imposs-gamma": ("gamma", "[0, 1]", lambda x: ImpossibilityConfig(k=100, beta=0.5, gamma=x, n=5)),
+    "achievability-gamma": ("gamma", "[0, 1]", lambda x: achievability_alpha_bound(10, x, 0.5, 2)),
+    "achievability-beta": ("beta", "[0, 1]", lambda x: achievability_alpha_bound(10, 0.5, x, 2)),
+    "sbd-beta": ("beta", "[0, 1]", lambda x: sbd_min_n(0.1, x, 0.25, 3.0)),
+    "sbd-r": ("r", "(0, 0.5]", lambda x: sbd_min_n(0.1, 0.5, x, 3.0)),
+    "sbd-alpha": ("alpha", "(0, inf]", lambda x: sbd_min_n(x, 0.5, 0.25, 3.0)),
+    "min-n-beta": ("beta", "[0, 1]", lambda x: impossibility_min_n(0.1, x, 3.0)),
+    "min-n-alpha": ("alpha", "(0, 0.5]", lambda x: impossibility_min_n(x, 0.5, 3.0)),
+    "min-n-log10-alphabet": ("log10 alphabet size", "[0, inf)", lambda x: impossibility_min_n(0.1, 0.5, x)),
+    "feasible-r": ("r", "(0, inf]", lambda x: sbd_infinite_alphabet_feasible(0.1, x)),
+    "type3-gamma": ("gamma", "[0, 1]", lambda x: type3_risk_floor(x, 10, 0.5)),
+    "type3-tv": ("tv", "[0, 1]", lambda x: type3_risk_floor(0.5, 10, x)),
+    "near-epsilon": ("epsilon", "(0, inf]", lambda x: near_indistinguishable_pair(0.5, 10, x)),
+    "near-gamma": ("gamma", "(0, 1]", lambda x: near_indistinguishable_pair(x, 10, 0.1)),
+    "threshold-gamma": ("gamma", "(0, 1]", lambda x: tv_threshold(x, 0.5)),
+    "threshold-beta": ("beta", "[0, 1)", lambda x: tv_threshold(0.5, x)),
+    "smoothing": ("smoothing", "[0, inf)", lambda x: TrainerStub(x)),
+    "log10-size": ("dataset 'a' log10_size", "[0, inf)", lambda x: DatasetSpec("a", log10_size=x)),
+    "ks-statistic": ("KS statistic", "[0, 1]", lambda x: KsResult(x, 0.5, 10)),
+    "ks-p-value": ("p-value", "[0, 1]", lambda x: KsResult(0.5, x, 10)),
 }
 
 
+def interval_ends(interval: str) -> tuple[float, float, bool, bool]:
+    """(low, high, low end open, high end open) of an interval's text."""
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    return low, high, interval[0] == "(", interval[-1] == ")"
+
+
+def outside(interval: str) -> list[float]:
+    """NaN, -inf, half a unit and one ulp past each finite end, an open end
+    itself, and +inf unless it is a closed end."""
+    low, high, open_low, open_high = interval_ends(interval)
+    values = [math.nan, -math.inf, low - 0.5, math.nextafter(low, -math.inf)] + [low] * open_low
+    if high < math.inf:
+        values += [high + 0.5, math.nextafter(high, math.inf)]
+    if high < math.inf or open_high:
+        values.append(math.inf)
+    return values + [high] * (open_high and high < math.inf)
+
+
+def knob_cases(values) -> list:
+    """pytest params (name, interval, call, value) over ``values(interval)``
+    of every knob, with ids knob-value-shown, the value and its message text."""
+    return [
+        pytest.param(name, interval, call, value, id=f"{key}-{value}-{value}")
+        for key, (name, interval, call) in RANGE_KNOBS.items()
+        for value in values(interval)
+    ]
+
+
+def closed_ends(interval: str) -> list[float]:
+    """The closed ends of an interval's text."""
+    low, high, open_low, open_high = interval_ends(interval)
+    return [low] * (not open_low) + [high] * (not open_high)
+
+
 class TestUnitInterval:
-    @pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (-0.5, "-0.5"), (math.nan, "nan")])
-    @pytest.mark.parametrize("name, call", UNIT_KNOBS.values(), ids=UNIT_KNOBS.keys())
-    def test_one_message(self, name, call, value, shown):
-        message = f"{name} must be in [0, 1], got {shown}"
-        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+    """Every range-checked knob goes through ``within``: one message for all it rejects."""
+
+    @pytest.mark.parametrize("name, interval, call, value", knob_cases(outside))
+    def test_one_message(self, name, interval, call, value):
+        message = f"{name} must be in {interval}, got {value}"
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
             call(value)
 
+    @pytest.mark.parametrize("name, interval, call, value", knob_cases(closed_ends))
+    def test_closed_end_accepted(self, name, interval, call, value):
+        try:
+            call(value)
+        except ParameterError as exc:
+            # a later rule may reject the end (epsilon = inf leaves one
+            # symbol), but never the range check
+            assert not str(exc).startswith(f"{name} must be in"), exc
+
     def test_negative_zero_read_as_zero(self):
-        assert math.copysign(1.0, unit_interval("gamma", -0.0)) == 1.0
-        assert unit_interval("gamma", 1) == 1.0
+        assert math.copysign(1.0, within("gamma", -0.0, 0, 1)) == 1.0
+        assert within("gamma", 1, 0, 1) == 1.0
         configs = (
             ToyConfig.from_direction([1.0, 0.0], 0.5, -0.0, 10).gamma,
+            ToyConfig.from_direction([1.0, 0.0], -0.0, 0.5, 10).sigma,
             ImpossibilityConfig(k=100, beta=0.5, gamma=-0.0, n=5).gamma,
             uniform_vs_point_mass(2, -0.0, -0.0).beta,
         )
         assert all(math.copysign(1.0, knob) == 1.0 for knob in configs)
+
+    @pytest.mark.parametrize(
+        "message, call",
+        [
+            ("alpha must be in (0, inf], got nan", lambda: sbd_min_n(math.nan, 0.001, 0.5, 10.0)),
+            ("r must be in (0, 0.5], got nan", lambda: sbd_min_n(0.1, 0.001, math.nan, 10.0)),
+            ("r must be in (0, inf], got nan", lambda: sbd_infinite_alphabet_feasible(0.1, math.nan)),
+            ("epsilon must be in (0, inf], got nan", lambda: near_indistinguishable_pair(0.5, 10, math.nan)),
+            ("gamma must be in [0, 1], got -5.0", lambda: type3_risk_floor(-5.0, 10, 0.5)),
+            ("gamma must be in [0, 1], got 2.0", lambda: type3_risk_floor(2.0, 1, 0.1)),
+            ("n must be >= 1", lambda: type3_risk_floor(0.5, -3, 0.5)),
+            (
+                "direction must be a unit vector",
+                lambda: ToyConfig(sigma=0.5, gamma=0.5, n=10, v=np.array([math.nan, 1.0])),
+            ),
+            ("direction must be a unit vector", lambda: toy_delta(np.array([math.nan, 0.0]), 2)),
+        ],
+        ids=[
+            "sbd-alpha-nan", "sbd-r-nan", "feasible-r-nan", "near-epsilon-nan", "type3-gamma-negative",
+            "type3-gamma-above-one", "type3-n-negative", "toy-config-nan-direction", "toy-delta-nan-direction",
+        ],
+    )
+    def test_unchecked_scalar_raises_naming_it(self, message, call):
+        # unchecked, these returned NaN, False or a floor outside [0, 1/2], or failed in int()
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        SymbolDataset(np.array([0, 1]), 2),
+        ToyConfig.from_direction([1.0, 0.0], 0.5, 0.5, 10),
+        LinearClassifier(np.array([1.0, 0.0]), 0.5),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_array_holders_compare_by_identity(value):
+    # an array field has no truth-valued ==, so these compare as objects
+    assert value == value
+    assert value != copy.copy(value)
+    assert hash(value) == hash(value)
 
 
 #: a caller of the one count check in each module, as (message, call at a count below its floor)
@@ -352,6 +464,7 @@ COUNTS = {
     "adversary": ("alphabet size must be >= 1", lambda: ImpossibilityConfig(k=0, beta=0.5, gamma=0.5, n=5)),
     "adversary-dimension": ("dimension must be >= 2", lambda: ToyConfig.from_direction([1.0], 0.5, 0.5, 10)),
     "bounds": ("k must be >= 1", lambda: achievability_alpha_bound(10, 0.5, 0.5, 0)),
+    "bounds-report": ("minimum-N exponent must be >= 0", lambda: BoundReport("a", 1.0, -1)),
     "cli": (
         "--seeds must be >= 1",
         lambda: cli.toy.callback(
