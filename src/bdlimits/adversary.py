@@ -28,8 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .checks import at_least, within
 from .detectors import KsResult, ks_pvalue, ks_statistic, normal_cdf
-from .distributions import Categorical, DistributionPair, SymbolDataset, at_least, within
+from .distributions import Categorical, DistributionPair, SymbolDataset
 from .errors import DegenerateDirectionError, DegenerateFitError, ParameterError
 from .harness import Detector, RiskEstimate, _estimate, per_row
 from .rng import Domain, substream
@@ -288,7 +289,9 @@ def _draw_anchored(
 
 
 def _probe_regime(n: int, m: int) -> None:
-    """The probe's regime: the floor exp(-n^2 / (m - n)) / 2 needs m > n."""
+    """The probe's regime: the floor exp(-n^2 / (m - n)) / 2 needs n >= 1
+    and m > n."""
+    at_least("n", n)
     if m <= n:
         raise ParameterError(
             f"floor(beta*k) = {m} must exceed n = {n}; increase k or beta, or decrease n"

@@ -6,31 +6,41 @@ Alphabet sizes and minimum training-set sizes are therefore passed around
 as plain floats holding their base-10 logarithm, with -inf for zero, and
 the bound formula is evaluated on those logs without overflow.
 
+The bounds are pure ``math``. Only the two functions that build laws,
+:func:`exact_type3_risk` and :func:`near_indistinguishable_pair`, load
+numpy and :mod:`~bdlimits.distributions`, when first called, so the
+bounds table loads neither.
+
 The log-ratio terms inside the bound formulas are natural logs, as in the
 paper.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .distributions import (
-    Categorical,
-    DistributionPair,
-    at_least,
-    is_number,
-    json_fields,
-    product_tv_exact,
-    within,
-    within_enumeration_cap,
-)
+from .checks import at_least, is_number, json_fields, within
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    from .distributions import DistributionPair
+
+
+@functools.cache
+def _distributions():
+    """The module of the laws, imported on the first call. A ``from
+    .distributions import`` in a function body would run the import
+    machinery on every call, about a tenth of a two-class
+    :func:`exact_type3_risk`; the cached call costs next to nothing."""
+    from . import distributions
+
+    return distributions
 
 
 def _positive_int(value: object, what: str) -> int:
@@ -231,11 +241,12 @@ def exact_type3_risk(pair: DistributionPair, n: int) -> float:
     :class:`ResourceCapError`, naming L and K, when those types exceed the
     cap of :func:`~bdlimits.distributions.within_enumeration_cap`.
     """
+    laws = _distributions()
     p0, p1 = pair.classes
     classes = p0.alphabet_size
     symbols = f"L = {classes} symbol classes of the K = {pair.alphabet_size} symbols"
-    within_enumeration_cap(n, classes, symbols)
-    return 0.5 - 0.5 * product_tv_exact(p0, p1, n)
+    laws.within_enumeration_cap(n, classes, symbols)
+    return 0.5 - 0.5 * laws.product_tv_exact(p0, p1, n)
 
 
 def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> DistributionPair:
@@ -245,6 +256,9 @@ def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> Distrib
     m = floor(gamma*n / (2*epsilon)), so TV(p0, pb) = 1/(m+1). The pair's
     beta is set to 1 - TV, making it exactly marginally admissible.
     """
+    import numpy as np
+
+    laws = _distributions()
     within("epsilon", epsilon, 0.0, math.inf, open_low=True)
     within("gamma", gamma, 0.0, 1.0, open_low=True)
     at_least("n", n)
@@ -254,13 +268,13 @@ def near_indistinguishable_pair(gamma: float, n: int, epsilon: float) -> Distrib
             f"support size {m + 1} too small; decrease epsilon or increase gamma*n"
         )
     k = m + 1
-    p0 = Categorical.uniform(k)
+    p0 = laws.Categorical.uniform(k)
     pb_probs = np.zeros(k)
     pb_probs[1:] = 1.0 / m
-    pb = Categorical(pb_probs)
+    pb = laws.Categorical(pb_probs)
     tv = 1.0 / k
     assert tv <= 2.0 * epsilon / (gamma * n) + 1e-15
-    return DistributionPair(p0, pb, gamma, beta=1.0 - tv)
+    return laws.DistributionPair(p0, pb, gamma, beta=1.0 - tv)
 
 
 def min_n_exponent(log10_min_n: float) -> int:

@@ -5,6 +5,10 @@ oracle's enumeration cap, or memory). Every randomized subcommand takes
 --seed (default 0, never wall clock), and the payload printed to stdout is a
 deterministic function of the flags. Records appended via --out additionally
 carry a timestamp and a config hash used for deduplication.
+
+Each command imports what it runs inside its own body: numpy, the harness,
+the adversaries and the plots load only with the command that needs them,
+so ``bounds-table`` and ``--help`` run without numpy.
 """
 
 from __future__ import annotations
@@ -13,30 +17,19 @@ import csv
 import dataclasses
 import io
 import json
-import statistics
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import bounds, svgplot
-from .adversary import (
-    ImpossibilityConfig,
-    ToyConfig,
-    imposs_risk,
-    imposs_risk_floor,
-    toy_attack_report,
-    toy_poison,
-    toy_sample_clean,
-    toy_train_classifier,
-    projections,
-    unit_direction,
-)
-from .bounds import exact_type3_risk
-from .distributions import DistributionPair, at_least
+from . import bounds
+from .checks import DETECTOR_NAMES, at_least
 from .errors import BdLimitsError, ParameterError, ResourceCapError
-from .harness import DETECTORS, append_result, config_hash, estimate_risk, uniform_vs_point_mass
+from .results import append_result, config_hash
+
+if TYPE_CHECKING:
+    from .adversary import ToyConfig
 
 
 def _fail(message: str, code: int) -> None:
@@ -117,7 +110,7 @@ def bounds_table(alpha: float, beta: float, catalog_path: str | None, fmt: str, 
 
 
 @main.command("risk")
-@click.option("--detector", "detector_name", default="np", show_default=True, type=click.Choice(sorted(DETECTORS)))
+@click.option("--detector", "detector_name", default="np", show_default=True, type=click.Choice(sorted(DETECTOR_NAMES)))
 @click.option("--k", default=2, show_default=True, type=int)
 @click.option("--n", default=2, show_default=True, type=int)
 @click.option("--gamma", default=0.5, show_default=True, type=float)
@@ -146,6 +139,9 @@ def risk(
     out: str | None,
 ) -> None:
     """Monte-Carlo risk of a detector on a distribution pair."""
+    from .distributions import DistributionPair
+    from .harness import DETECTORS, estimate_risk, uniform_vs_point_mass
+
     if pair_path is not None:
         with open(pair_path, "r", encoding="utf-8") as fh:
             pair = DistributionPair.from_jsonable(json.load(fh))
@@ -165,7 +161,7 @@ def risk(
         "oracle_gap": None,
     }
     if oracle:
-        exact = exact_type3_risk(pair, n)
+        exact = bounds.exact_type3_risk(pair, n)
         payload["oracle_exact"] = exact
         payload["oracle_gap"] = abs(estimate.p_hat - exact)
     config = {
@@ -188,6 +184,11 @@ def _boundary_points(clf, x_min: float, x_max: float) -> tuple[tuple[float, floa
 
 
 def _toy_svg(path: str, config: ToyConfig, seed: int) -> None:
+    import numpy as np
+
+    from . import svgplot
+    from .adversary import projections, toy_poison, toy_sample_clean, toy_train_classifier
+
     clean = toy_sample_clean(config, seed)
     poisoned = toy_poison(*clean, config, seed)
     clean_clf = toy_train_classifier(*clean)
@@ -226,6 +227,10 @@ def _toy_svg(path: str, config: ToyConfig, seed: int) -> None:
 
 
 def _toy_csv(path: str, config: ToyConfig, seeds: list[int]) -> None:
+    import numpy as np
+
+    from .adversary import projections, toy_poison, toy_sample_clean
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -271,6 +276,12 @@ def toy(
     out: str | None,
 ) -> None:
     """Run the projection-evading attack on the Gaussian classification task."""
+    import statistics
+
+    import numpy as np
+
+    from .adversary import ToyConfig, toy_attack_report, unit_direction
+
     at_least("--seeds", seeds)
     try:
         v = np.array([float(part) for part in v_text.split(",")])
@@ -326,6 +337,9 @@ def probe(
     out: str | None,
 ) -> None:
     """Measure a clean-distribution detector against the marginally-clean sampler."""
+    from .adversary import ImpossibilityConfig, imposs_risk, imposs_risk_floor
+    from .harness import DETECTORS
+
     config = ImpossibilityConfig(k=k, beta=beta, gamma=gamma, n=n)
     estimate = imposs_risk(DETECTORS[detector_name](), config, trials, seed)
     floor = imposs_risk_floor(n, config.m)

@@ -25,16 +25,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .checks import at_least, within
 from .distributions import (
     Categorical,
     DistributionPair,
     SymbolDataset,
-    at_least,
     same_alphabet,
     tv_to_type,
     type_counts,
     type_distances,
-    within,
 )
 from .errors import ImpossibleSampleError, ParameterError
 

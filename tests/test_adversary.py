@@ -417,6 +417,11 @@ class TestImpossProbe:
         with pytest.raises(ParameterError):
             imposs_risk_floor(10, 10)
 
+    @pytest.mark.parametrize("n", [-5, 0])
+    def test_floor_requires_n_at_least_one(self, n):
+        with pytest.raises(ParameterError, match="^n must be >= 1$"):
+            imposs_risk_floor(n, 10)
+
     def test_floor_and_risk_share_the_regime_message(self):
         message = "floor(beta*k) = 10 must exceed n = 25; increase k or beta, or decrease n"
         cfg = ImpossibilityConfig(k=100, beta=0.1, gamma=1.0, n=25)

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bdlimits import ToyConfig, cli, exact_type3_risk, projections, toy_poison, toy_sample_clean
+from bdlimits import ToyConfig, adversary, exact_type3_risk, harness, projections, toy_poison, toy_sample_clean
 from bdlimits.cli import main
 from bdlimits.harness import uniform_vs_point_mass
 
@@ -271,7 +271,7 @@ class TestRisk:
 
     def test_memory_error_exits_3(self, runner, monkeypatch):
         # a message-less MemoryError still gets a non-empty error line
-        monkeypatch.setattr(cli, "estimate_risk", raise_memory_error(""))
+        monkeypatch.setattr(harness, "estimate_risk", raise_memory_error(""))
         result = runner.invoke(main, ["risk", "--trials", "100"])
         assert_clean_failure(result, 3)
         assert result.stderr == "error: out of memory\n"
@@ -536,7 +536,7 @@ class TestProbe:
 
     def test_memory_error_exits_3(self, runner, monkeypatch):
         message = "Unable to allocate 7.28 TiB for an array with shape (4096, 100000000000)"
-        monkeypatch.setattr(cli, "imposs_risk", raise_memory_error(message))
+        monkeypatch.setattr(adversary, "imposs_risk", raise_memory_error(message))
         result = runner.invoke(main, self.ARGS)
         assert_clean_failure(result, 3)
         assert result.stderr == f"error: {message}\n"

@@ -911,6 +911,16 @@ class TestTypeConcentration:
         with pytest.raises(ParameterError, match="^at least 100 trials are required$"):
             type_exceedance_frequency(Categorical.uniform(3), 30, 0.2, 99, seed=4)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ParameterError, match=r"^threshold must be in \[-inf, inf\], got nan$"):
+            type_exceedance_frequency(Categorical.uniform(4), 10, math.nan, 200, seed=0)
+
+    @pytest.mark.parametrize("threshold, p_hat", [(-0.5, 1.0), (1.5, 0.0), (-math.inf, 1.0), (math.inf, 0.0)])
+    def test_threshold_outside_unit_interval_accepted(self, threshold, p_hat):
+        # every type lies at TV in [0, 1] from p, so all rows or none exceed
+        estimate = type_exceedance_frequency(Categorical.uniform(4), 10, threshold, 200, seed=0)
+        assert estimate.p_hat == p_hat
+
 
 class TestSymbolDataset:
     def test_rejects_out_of_alphabet(self):

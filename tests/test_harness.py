@@ -44,7 +44,7 @@ from bdlimits import (
     type2_trial_detector,
     wilson_interval,
 )
-from bdlimits import harness
+from bdlimits import harness, results
 from bdlimits.distributions import draw_labeled, draw_symbols
 from bdlimits.harness import append_result, config_hash
 from bdlimits.rng import BLOCK, Domain, block_errors, substream
@@ -610,7 +610,7 @@ class TestResultsFile:
             reads.append(len(block))
             return block
 
-        monkeypatch.setattr(harness.os, "pread", pread)
+        monkeypatch.setattr(results.os, "pread", pread)
         assert append_result(str(path), {"config_hash": f"{5999:016x}"}) is False
         assert 0 < sum(reads) <= harness._SCAN_BLOCK
         # a miss reads every byte once, plus the partial first line of each
@@ -627,7 +627,7 @@ class TestResultsFile:
             json.dumps({"config_hash": f"{i:016x}", "payload": {"n": i}}) + "\n" for i in range(300)
         )
         path.write_text(content)
-        with mock.patch.object(harness, "_SCAN_BLOCK", block), _deadline(10):
+        with mock.patch.object(results, "_SCAN_BLOCK", block), _deadline(10):
             assert append_result(str(path), {"config_hash": f"{0:016x}"}) is False
         assert path.read_text() == content
 
@@ -659,7 +659,7 @@ class TestResultsFile:
         path.write_bytes(content)
         held = _reference_holds(content, digest)
         parsed.clear()  # keep only the parses append_result makes
-        with mock.patch.object(harness, "_SCAN_BLOCK", block), _deadline(10):
+        with mock.patch.object(results, "_SCAN_BLOCK", block), _deadline(10):
             appended = append_result(str(path), {"config_hash": digest})
         assert appended is not held
         assert not (stored and appended)
@@ -767,7 +767,7 @@ class TestResultsFile:
             content = content.rstrip(b"\n")  # a partial last line
         record = {"config_hash": digest, "payload": 1}
         block = data.draw(st.sampled_from([1, 7, 64, harness._SCAN_BLOCK]))
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "_SCAN_BLOCK", block):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(results, "_SCAN_BLOCK", block):
             path = Path(tmp) / "results.jsonl"
             path.write_bytes(content)
             appended = append_result(str(path), record)
@@ -786,8 +786,8 @@ class TestResultsFile:
 #: would all miss the shared record and all write it.
 _APPEND_MANY = """
 import sys, time
-from bdlimits import harness
-holds_digest = harness._holds_digest
+from bdlimits import harness, results
+holds_digest = results._holds_digest
 
 def holds_digest_then_pause(fh, digest):
     found = holds_digest(fh, digest)
@@ -795,7 +795,7 @@ def holds_digest_then_pause(fh, digest):
         time.sleep(0.05)
     return found
 
-harness._holds_digest = holds_digest_then_pause
+results._holds_digest = holds_digest_then_pause
 path, worker = sys.argv[1], sys.argv[2]
 print("ready", flush=True)
 sys.stdin.read()
