@@ -22,7 +22,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from importlib import resources
 from typing import TYPE_CHECKING
 
 from .checks import at_least, is_number, json_fields, within
@@ -303,6 +302,8 @@ def table_report(
 def load_catalog(path: str | None = None) -> list[DatasetSpec]:
     """Load a dataset catalog; without a path, the bundled eight-dataset one."""
     if path is None:
+        from importlib import resources
+
         text = resources.files("bdlimits").joinpath("data/dataset_catalog.json").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:

@@ -2,19 +2,23 @@
 
 The symbols of an alphabet of size K are the integers 0..K-1. A
 :class:`Categorical` is a probability vector on that alphabet, a
-:class:`SymbolDataset` is an i.i.d. sample. The type of a sample, its
-normalized histogram, is kept sparse as the symbols the sample holds and
-their counts (:func:`sparse_types`), so no K-vector is built per sample.
-Total variation distance is computed in its canonical finite-alphabet form,
-half the L1 distance, which equals the supremum over event sets.
+:class:`SymbolDataset` is an i.i.d. sample. The type of a sample is its
+normalized histogram, and no K-vector is built per sample: a block of
+samples whose symbols all lie below its row length n keeps the types of
+its rows as one (rows, k) table of counts, k the largest symbol plus 1,
+which is no larger than the block (:func:`_type_table`); any other block
+keeps them sparse, as the symbols each row holds and their counts
+(:func:`sparse_types`). Total variation distance is computed in its
+canonical finite-alphabet form, half the L1 distance, which equals the
+supremum over event sets.
 
 Sampling inverts the cumulative mass at uniforms in [0, 1): the symbol at
 u is the number of inner CDF levels at or below u. Small alphabets count
 those levels, level by level; large ones binary-search them. Types of a
-block whose symbols are all below its row length are read off the block's
-histogram; others are found by sorting each row. Each pair of kernels
-gives the same symbols and the same triples, so the choice never moves a
-seeded value.
+block with a type table are counted, looked up and scored on it; others
+are found by sorting each row. Each pair of kernels gives the same
+symbols, the same triples, counts and distances, bit for bit, so the
+choice never moves a seeded value.
 
 No function here takes a seed: sampling takes a numpy ``Generator``, which
 the estimators seed. Everything here is a pure function of its inputs
@@ -408,9 +412,34 @@ def _count_levels(u: np.ndarray, levels) -> np.ndarray:
     return symbols
 
 
-#: A reference law per row of a symbol block: (row, symbol) index arrays to
-#: the mass that row's reference puts on each symbol.
+#: A reference law per row of a symbol block: (row, symbol) index arrays,
+#: which broadcast together, to the mass that row's reference puts on each
+#: symbol, in an array that broadcasts to their shape. Symbols lie in
+#: 0..k-1, k the alphabet size. A reference may be asked about symbols a
+#: row never observed, and must return a finite mass >= 0 for them.
 Reference = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _type_table(symbols: np.ndarray, k: int | None = None) -> np.ndarray | None:
+    """How often each row of a (rows, n) block holds each symbol below k, as
+    a (rows, k) int64 table; None when k > n, where the table would be
+    larger than the block.
+
+    k defaults to the largest symbol in the block plus 1. On a large
+    alphabet the first symbol alone usually shows k > n, which spares the
+    sort path a pass over the block. The table is one ``bincount`` of the
+    keys row * k + symbol.
+    """
+    rows, n = symbols.shape
+    if k is None:
+        if symbols[0, 0] >= n:
+            return None
+        k = int(symbols.max()) + 1
+    if k > n:
+        return None
+    keys = np.arange(0, rows * k, k).repeat(n)
+    keys += symbols.ravel()
+    return np.bincount(keys, minlength=rows * k).reshape(rows, k)
 
 
 def sparse_types(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -418,23 +447,24 @@ def sparse_types(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Returns (row, symbol, count) arrays listing each symbol a row observed
     once, sorted by row and then by symbol. When k, the largest symbol in
-    the block plus 1, is at most n, the rows x k histogram is no larger than
-    the block: it is counted with one ``bincount`` and the triples are its
-    nonzero cells. Otherwise each row is sorted and the runs of equal
-    symbols are counted in one pass over the flattened sorted block, with
-    a run ending at every row start. Both give the same triples with the
-    same dtypes, and no histogram over the whole alphabet is built, so
+    the block plus 1, is at most n, the triples are the nonzero cells of
+    the block's type table (:func:`_type_table`), which is no larger than
+    the block. Otherwise each row is sorted and the runs of equal symbols
+    are counted (:func:`_sorted_types`). Both give the same triples with
+    the same dtypes, and no histogram over the whole alphabet is built, so
     memory stays O(rows * n) on any alphabet.
     """
+    table = _type_table(symbols)
+    if table is None:
+        return _sorted_types(symbols)
+    row, sym = np.nonzero(table)  # in row-major order
+    return row, sym.astype(symbols.dtype, copy=False), table[row, sym]
+
+
+def _sorted_types(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sparse_types` by sorting each row and counting the runs of
+    equal symbols in one pass over the flattened sorted block."""
     rows, n = symbols.shape
-    # on a large alphabet the first symbol alone usually shows k > n, which
-    # spares the sort path a pass over the block
-    if symbols[0, 0] < n and (k := int(symbols.max()) + 1) <= n:
-        counts = np.bincount((np.arange(0, rows * k, k)[:, None] + symbols).ravel())
-        cells = np.flatnonzero(counts)
-        row = cells // k
-        sym = (cells - row * k).astype(symbols.dtype, copy=False)
-        return row, sym, counts[cells]
     ordered = np.sort(symbols, axis=1).ravel()
     # a run starts where the flat sorted block changes value or a row
     # starts; the row starts include the sentinel rows * n, where the last
@@ -450,7 +480,20 @@ def sparse_types(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def type_counts(
     symbols: np.ndarray, k: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Lookup (row, symbol) -> how often that row of a (rows, n) block holds it."""
+    """Lookup (row, symbol) -> how often that row of a (rows, n) block holds it.
+
+    The row and symbol index arrays broadcast together, and symbols must lie
+    in 0..k-1; a symbol the row never observed counts 0. Up to k = n the
+    lookup gathers from the block's (rows, k) type table
+    (:func:`_type_table`); larger alphabets binary-search the sorted keys
+    row * k + symbol of its sparse types. Outside the alphabet the answer
+    is undefined and unchecked: the table raises ``IndexError``, and the
+    search answers with a later row's count or 0, since the key of (row 0,
+    symbol k) is that of (row 1, symbol 0).
+    """
+    table = _type_table(symbols, k)
+    if table is not None:
+        return lambda rows, syms: table[rows, syms]
     row, sym, counts = sparse_types(symbols)
     keys = row * k + sym  # ascending, since sparse_types sorts by (row, symbol)
 
@@ -466,14 +509,34 @@ def type_distances(symbols: np.ndarray, reference: Reference) -> np.ndarray:
     """TV distance between each row's type and that row's reference law.
 
     Uses sum_x |S(x) - p(x)| = sum_observed (|c_x/N - p(x)| - p(x)) + 1,
-    which is exact for any reference p summing to 1 and touches only the
-    symbols a row observed, so huge alphabets need no dense histogram.
+    which is exact for any reference p summing to 1. A block whose symbols
+    all lie below its row length scores every cell of its type table
+    (:func:`_type_table`), symbol by symbol: a symbol a row never observed
+    adds |0/N - p| - p, which is +0.0 for any finite p >= 0, so each row's
+    sum is the same, bit for bit, as over its observed symbols alone.
+    Other blocks touch only the symbols a row observed, so huge alphabets
+    need no dense histogram. Either way each row's terms are added one at
+    a time in symbol order. No term is -0.0 (x - x is +0.0), so a sum that
+    starts from +0.0 and one that starts from its first term agree.
     """
     rows, n = symbols.shape
-    row, sym, counts = sparse_types(symbols)
-    p_obs = reference(row, sym)
-    terms = np.abs(counts / n - p_obs) - p_obs
-    return 0.5 * (np.bincount(row, weights=terms, minlength=rows) + 1.0)
+    table = _type_table(symbols)
+    if table is None:
+        row, sym, counts = _sorted_types(symbols)
+        p_obs = reference(row, sym)
+        terms = np.abs(counts / n - p_obs) - p_obs
+        return 0.5 * (np.bincount(row, weights=terms, minlength=rows) + 1.0)
+    p = reference(np.arange(rows), np.arange(table.shape[1])[:, None])
+    # the same terms, symbol by symbol as a (k, rows) array, written in
+    # place so that no temporary of the table's size is held beside it
+    terms = np.divide(table.T, n, order="C")
+    terms -= p
+    np.abs(terms, out=terms)
+    terms -= p
+    # numpy adds a (k, rows) array along its slow axis one symbol after
+    # another; a single row has no slow axis and would be summed pairwise
+    sums = np.add.reduce(terms, axis=0) if rows > 1 else np.cumsum(terms)[-1:]
+    return 0.5 * (sums + 1.0)
 
 
 def tv_to_type(p: Categorical, d: SymbolDataset) -> float:

@@ -184,8 +184,13 @@ class TrainerStub:
         """The trained parameters of every row of a (rows, n) block.
 
         Row r's smoothed frequency (c_x + s) / (n + K s) is computed for the
-        queried (row, symbol) pairs from the row's sparse type, never as a
-        dense rows x K array.
+        queried (row, symbol) pairs from the block's type counts
+        (:func:`~bdlimits.distributions.type_counts`): a rows x K count
+        table when K <= n, where it is no larger than the block, and the
+        sparse types otherwise. The row and symbol index arrays
+        broadcast together, and symbols must lie in 0..K-1; a symbol the
+        row never observed gets the finite, positive mass s / (n + K s),
+        or 0 when s = 0.
         """
         counts = type_counts(symbols, k)
         total = symbols.shape[1] + k * self.smoothing

@@ -459,6 +459,7 @@ class TestEstimatorGoldens:
         "estimate, errors",
         [
             (lambda: estimate_risk(np_trial_detector(), K3.pair, K3.n, 5000, 7), 36),
+            (lambda: estimate_risk(type2_trial_detector(), K3.pair, K3.n, 5000, 7), 166),
             (lambda: estimate_risk(type1_trial_detector(K3.m), K3.pair, K3.n, 5000, 7), 357),
             (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[0], 51),
             (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[1], 25),
@@ -477,7 +478,7 @@ class TestEstimatorGoldens:
                 307,
             ),
         ],
-        ids=["risk-np", "risk-type1", "false-backdoor", "missed-backdoor", "sbd", "type0"],
+        ids=["risk-np", "risk-type2", "risk-type1", "false-backdoor", "missed-backdoor", "sbd", "type0"],
     )
     def test_golden(self, estimate, errors):
         assert estimate() == wilson_interval(errors, 5000)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 
 import bdlimits
@@ -90,3 +91,15 @@ def test_commands_run_without_numpy(args):
     normal = python("-c", RUN_CLI, *args)
     assert normal.returncode == 0, normal.stderr
     assert blocked.stdout == normal.stdout
+
+
+def test_cli_import_loads_no_importlib_resources():
+    # -S keeps site's own start-up from loading it; only the bundled
+    # catalog, read by ``load_catalog``, needs it
+    click_site = str(Path(click.__file__).resolve().parents[1])
+    src = str(Path(bdlimits.__file__).resolve().parents[1])
+    code = "import sys, bdlimits.cli; print('importlib.resources' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, click_site])}
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"False\n"

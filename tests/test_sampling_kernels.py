@@ -1,10 +1,10 @@
 """Contract tests for the small-alphabet sampling and type kernels.
 
 Small alphabets invert the CDF by counting levels and read types off a
-histogram; large ones binary-search the CDF and sort each row. Each kernel
+type table; large ones binary-search the CDF and sort each row. Each kernel
 must give exactly what the search and the sort give, on both sides of its
-size threshold, and the seeded streams are pinned by digest so that no
-kernel change can move a seeded value silently.
+size threshold, and the seeded streams and type distances are pinned by
+digest so that no kernel change can move a seeded value silently.
 """
 
 import hashlib
@@ -16,13 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdlimits import Categorical
+from bdlimits.detectors import type1_distances
 from bdlimits.distributions import (
     _COUNT_LEVELS_MAX_K,
     _ROW_LEVELS_MAX_K,
     draw_labeled,
     draw_symbols,
     sparse_types,
+    type_counts,
+    type_distances,
 )
+from bdlimits.harness import TrainerStub
 from bdlimits.rng import substream
 
 #: alphabet sizes on both sides of each kernel's threshold
@@ -56,6 +60,34 @@ def sorted_types(symbols):
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, rows * n))
     return starts // n, ordered.ravel()[starts], counts
+
+
+def sparse_counts(symbols, k):
+    """``type_counts`` by binary search over the sorted keys row * k + symbol
+    of the sparse types, the lookup every block used before the type table."""
+    row, sym, counts = sorted_types(symbols)
+    keys = row * k + sym
+
+    def at(rows, syms):
+        query = rows * k + syms
+        pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        return np.where(keys[pos] == query, counts[pos], 0)
+
+    return at
+
+
+def sparse_distances(symbols, reference):
+    """``type_distances`` over the observed symbols of the sparse types alone,
+    as every block was scored before the type table."""
+    rows, n = symbols.shape
+    row, sym, counts = sorted_types(symbols)
+    p_obs = reference(row, sym)
+    terms = np.abs(counts / n - p_obs) - p_obs
+    return 0.5 * (np.bincount(row, weights=terms, minlength=rows) + 1.0)
+
+
+def hexes(values):
+    return [float.hex(x) for x in values.tolist()]
 
 
 @st.composite
@@ -194,6 +226,39 @@ class TestSortedTypesPath:
         self.assert_sorted_types(symbols.astype(dtype))
 
 
+class TestTypeTable:
+    """Blocks whose symbols all lie below their row length n are scored on
+    their (rows, k) type table; they must give what the sparse types give,
+    counts exactly and distances bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_sparse_types(self, data):
+        rows, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(1, n))  # k = n included, and n = 1
+        seed = data.draw(st.integers(0, 2**32))
+        symbols = substream(seed, 0).integers(0, k, (rows, n))
+        got, expected = type_counts(symbols, k), sparse_counts(symbols, k)
+        every = np.arange(rows).repeat(k), np.tile(np.arange(k), rows)
+        np.testing.assert_array_equal(got(*every), expected(*every))
+        # a law with zero masses, a row-dependent one, and the type of a
+        # second block, whose own lookup is sparse when it is shorter than k
+        law = data.draw(laws(k)).probs
+        masses = substream(seed, 1).random((rows, k))
+        masses[substream(seed, 2).random((rows, k)) < 0.3] = 0.0
+        m = data.draw(st.integers(1, 10))
+        clean = substream(seed, 3).integers(0, k, (rows, m))
+        counts, reference_counts = type_counts(clean, k), sparse_counts(clean, k)
+        for reference, expected in [
+            (lambda row, sym: law[sym], lambda row, sym: law[sym]),
+            (lambda row, sym: masses[row, sym], lambda row, sym: masses[row, sym]),
+            (lambda row, sym: counts(row, sym) / m, lambda row, sym: reference_counts(row, sym) / m),
+        ]:
+            assert hexes(type_distances(symbols, reference)) == hexes(
+                sparse_distances(symbols, expected)
+            )
+
+
 def pinned_law(k, flip=False):
     """A fixed law on k symbols; from k = 4 on, symbol 1 and symbol k-1 are massless."""
     w = 1.0 + np.arange(k) % 5
@@ -261,6 +326,41 @@ def test_seeded_streams_are_pinned(k):
     assert got == STREAM_DIGESTS[k]
 
 
+def full_law(k):
+    """A fixed law on k symbols, each with mass."""
+    w = 1.0 + np.arange(k) % 3
+    return Categorical(w / w.sum())
+
+
+#: SHA-256 of the ``float.hex`` of ``type_distances`` on the seeded blocks
+#: below against each of the package's references, recorded with the sparse
+#: types, before any block was scored on its type table. At n = k - 1 the
+#: blocks take the sort path, at n = k and k + 1 the table.
+DISTANCE_DIGESTS = {
+    "p0": "daad05f8fe83081294b4f6443bf34c55dfe71edada998f58812a7fb33a6c14ef",
+    "trained": "60a6ca7c513a5345d865a7b7d5f6367bb40da10cb0449b79c1e7ae2121551101",
+    "type1": "7cee6d51169f05dad2fa147c84551296888a958df937f2abc2084a2c735be4d5",
+}
+
+
+@pytest.mark.parametrize("reference", sorted(DISTANCE_DIGESTS))
+def test_seeded_distances_are_pinned(reference):
+    h = hashlib.sha256()
+    for k in (2, 3, 4, 64):
+        for n in (k - 1, k, k + 1):
+            rng = substream(17, k, n)
+            symbols, train, clean = (draw_symbols(full_law(k), (40, n), rng) for _ in range(3))
+            if reference == "p0":
+                probs = pinned_law(k).probs
+                distances = type_distances(symbols, lambda row, sym: probs[sym])
+            elif reference == "trained":
+                distances = type_distances(symbols, TrainerStub().batch(train, k))
+            else:
+                distances = type1_distances(symbols, clean, k)
+            h.update(" ".join(hexes(distances)).encode())
+    assert h.hexdigest() == DISTANCE_DIGESTS[reference]
+
+
 def peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -290,3 +390,16 @@ def test_histogram_types_memory():
     symbols = substream(3, 0).integers(0, k, (rows, n))
     (row, _, _), peak = peak_bytes(lambda: sparse_types(symbols))
     assert peak <= 8 * rows * n + 8 * rows * k + 4 * 8 * row.size + 16 * 1024, peak
+
+
+def test_type_table_memory():
+    # the table's worst case, k = n, where it is as large as the block; on
+    # this block the sparse types peaked at 7,996,662 B in type_distances
+    # and at 7,428,344 B building the type_counts lookup
+    rows, n = 4096, 64
+    symbols = substream(3, 0).integers(0, n, (rows, n))
+    probs = np.full(n, 1.0 / n)
+    _, peak = peak_bytes(lambda: type_distances(symbols, lambda row, sym: probs[sym]))
+    assert peak <= 7_996_662, peak
+    _, peak = peak_bytes(lambda: type_counts(symbols, n))
+    assert peak <= 7_428_344, peak
