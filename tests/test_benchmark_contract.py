@@ -3,7 +3,9 @@
 ``perfbench/layers.py`` wraps a fixed list of package functions by name, the
 dataset validation hook and the four CLI callbacks, and reads the ``trials``
 argument of each per-trial loop. A rename or a new signature there breaks
-``--trace 1`` without failing any other test. ``perfbench/workloads.py``
+``--trace 1`` without failing any other test. The CLI reads the bounds names
+it calls through their module when a command runs, so a wrapper set after
+the import still sees every call. ``perfbench/workloads.py``
 gates each ``exact-grid`` result against its own type-sum reference, so an
 oracle that fails the gate fails here too, and every workload's gates run
 here on one whole cycle, so a changed return type or call shape fails here
@@ -20,8 +22,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
-from bdlimits import cli, distributions, exact_type3_risk
+from bdlimits import bounds, cli, distributions, exact_type3_risk
 from bdlimits.harness import benchmark_instances
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -78,6 +81,36 @@ def test_loops_take_trials(layers):
     for label in layers.LOOPS:
         module, attr = label.split(".")
         assert "trials" in inspect.signature(resolve(module, attr)).parameters, label
+
+
+@pytest.mark.parametrize(
+    "args, calls",
+    [
+        (["bounds-table"], {"table_report": 1, "exact_type3_risk": 0}),
+        (["risk", "--oracle", "--trials", "100"], {"table_report": 0, "exact_type3_risk": 1}),
+        (["risk", "--trials", "100"], {"table_report": 0, "exact_type3_risk": 0}),
+    ],
+    ids=["bounds-table", "risk-oracle", "risk"],
+)
+def test_cli_reads_bounds_names_at_call_time(monkeypatch, args, calls):
+    # ``--trace 1`` sets its wrappers on the module, as ``setattr`` does here,
+    # after the CLI has been imported
+    seen = dict.fromkeys(calls, 0)
+
+    def counting(name):
+        original = getattr(bounds, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bounds, name, counting(name))
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    assert seen == calls
 
 
 def package_calls(module):

@@ -1,7 +1,9 @@
 """The package runs on numpy and click alone; scipy is a test-only reference.
 
 Commands that need no numpy, ``bounds-table`` and ``--help``, run without it,
-and importing the package and its CLI loads none of it.
+and importing the package and its CLI loads none of it. Importing the CLI
+loads only the package modules that every command uses; the closed-form
+bounds load with ``bounds-table`` and ``risk --oracle``.
 """
 
 import os
@@ -34,6 +36,16 @@ main(sys.argv[1:], prog_name="bdlimits")
 """
 
 RUN_CLI = "import sys; from bdlimits.cli import main; main(sys.argv[1:], prog_name='bdlimits')"
+
+#: Runs the CLI on the arguments, then prints whether the bounds module loaded.
+BOUNDS_LOADED = """
+import sys
+from bdlimits.cli import main
+try:
+    main(sys.argv[1:], prog_name="bdlimits")
+finally:
+    print("bdlimits.bounds" in sys.modules)
+"""
 
 
 def python(*args: str) -> subprocess.CompletedProcess:
@@ -103,3 +115,31 @@ def test_cli_import_loads_no_importlib_resources():
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == b"False\n"
+
+
+def test_cli_import_loads_only_what_every_command_uses():
+    code = (
+        "import sys, bdlimits.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'bdlimits')); "
+        "print('csv' in sys.modules, 'dataclasses' in sys.modules)"
+    )
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
+    package = ["bdlimits", "bdlimits.checks", "bdlimits.cli", "bdlimits.errors", "bdlimits.results"]
+    assert result.stdout.decode().splitlines() == [repr(package), "False False"]
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["--help"], False),
+        (["risk", "--trials", "100"], False),
+        (["risk", "--trials", "100", "--oracle"], True),
+        (["bounds-table"], True),
+    ],
+    ids=["help", "risk", "risk-oracle", "bounds-table"],
+)
+def test_bounds_load_only_with_the_commands_that_use_them(args, loaded):
+    result = python("-c", BOUNDS_LOADED, *args)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loaded).encode()
