@@ -61,14 +61,13 @@ def np_log_ratio(p0: Categorical, p1: Categorical) -> np.ndarray:
         return np.log(p1.probs) - np.log(p0.probs)
 
 
-def np_verdicts(symbols: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """NP verdicts for each row of a (rows, n) symbol block.
+def _zero_mass_sums(symbols: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Each row's summed log ratio, for a ratio with an infinite or NaN entry.
 
-    A row flags (1) iff its summed log ratio is >= 0. The infinities carry
-    the zero-mass rules: a symbol impossible under the mixture makes the
-    sum -inf (or NaN beside a +inf) and the row CLEAN; one impossible under
-    the clean law alone makes it +inf and the row BACKDOORED. A symbol
-    impossible under both raises :class:`ImpossibleSampleError`.
+    The infinities carry the zero-mass rules: a symbol impossible under the
+    mixture makes the sum -inf (or NaN beside a +inf), which clears the row;
+    one impossible under the clean law alone makes it +inf, which flags it.
+    A symbol impossible under both raises :class:`ImpossibleSampleError`.
     """
     with np.errstate(invalid="ignore"):
         llr = ratio[symbols].sum(axis=1)
@@ -79,7 +78,24 @@ def np_verdicts(symbols: np.ndarray, ratio: np.ndarray) -> np.ndarray:
         raise ImpossibleSampleError(
             f"symbol {bad} has zero probability under both hypotheses"
         )
-    return (llr >= 0.0).astype(np.int64)
+    return llr
+
+
+def np_scorer(ratio: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """NP verdicts for each row of a (rows, n) symbol block, on one log ratio.
+
+    The returned function flags a row (1) iff its summed log ratio is >= 0.
+    ``ratio`` is checked here, once: when every entry is finite, no row sum
+    can be NaN, so each block is only summed and thresholded; otherwise the
+    zero-mass rules of :func:`_zero_mass_sums` apply.
+    """
+    finite = bool(np.isfinite(ratio).all())
+
+    def verdicts(symbols: np.ndarray) -> np.ndarray:
+        llr = ratio[symbols].sum(axis=1) if finite else _zero_mass_sums(symbols, ratio)
+        return (llr >= 0.0).astype(np.int64)
+
+    return verdicts
 
 
 def np_type3(d: SymbolDataset, pair: DistributionPair) -> int:
@@ -91,8 +107,8 @@ def np_type3(d: SymbolDataset, pair: DistributionPair) -> int:
     symbols impossible under both raise :class:`ImpossibleSampleError`.
     """
     same_alphabet(d, pair)
-    ratio = np_log_ratio(pair.p0, pair.mixture)
-    return int(np_verdicts(d.symbols[None, :], ratio)[0])
+    verdicts = np_scorer(np_log_ratio(pair.p0, pair.mixture))
+    return int(verdicts(d.symbols[None, :])[0])
 
 
 def tv_threshold(gamma: float, beta: float) -> float:

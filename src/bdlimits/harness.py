@@ -39,12 +39,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
 
 from .checks import DETECTOR_NAMES, at_least, within
-from .detectors import np_log_ratio, np_verdicts, tv_threshold, type1_distances
+from .detectors import np_log_ratio, np_scorer, tv_threshold, type1_distances
 from .distributions import (
     Categorical,
     DistributionPair,
@@ -149,15 +150,25 @@ class JointPrior:
         if flavor is Flavor.OOD and (self.p10 > 0.0 or self.p11 > 0.0):
             raise ConfigurationError("OOD prior must not weight backdoored models")
 
+    @cached_property
+    def cell_law(self) -> Categorical:
+        """The prior as a law on the cells 2j + i, built once per prior."""
+        return Categorical(np.array([self.p00, self.p01, self.p10, self.p11]))
+
+    # each default is one shared instance, so its cell law is built once
+
     @classmethod
+    @cache
     def mbd_default(cls) -> "JointPrior":
         return cls(0.5, 0.0, 0.5, 0.0)
 
     @classmethod
+    @cache
     def sbd_default(cls) -> "JointPrior":
         return cls(0.5, 0.0, 0.25, 0.25)
 
     @classmethod
+    @cache
     def ood_default(cls) -> "JointPrior":
         return cls(0.5, 0.5, 0.0, 0.0)
 
@@ -200,12 +211,12 @@ class TrainerStub:
 def np_trial_detector() -> Detector:
     """Full-knowledge likelihood-ratio detector in harness form.
 
-    Sums log(mixture / p0), built once per estimate, over each row.
+    Sums log(mixture / p0), built and checked once per estimate, over each row.
     """
 
     def detector(pair: DistributionPair):
-        ratio = np_log_ratio(pair.p0, pair.mixture)
-        return lambda symbols, rng: np_verdicts(symbols, ratio)
+        verdicts = np_scorer(np_log_ratio(pair.p0, pair.mixture))
+        return lambda symbols, rng: verdicts(symbols)
 
     return detector
 
@@ -354,7 +365,7 @@ def _trained_risk(
     at_least("n", n)
     at_least("m", m)
     prior.validate_for(target)
-    cells = Categorical(np.array([prior.p00, prior.p01, prior.p10, prior.p11]))
+    cells = prior.cell_law
 
     def draw(rows: int, rng: np.random.Generator) -> tuple:
         cell = cells.quantile(rng.random(rows))

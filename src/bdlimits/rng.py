@@ -1,10 +1,11 @@
 """Deterministic random streams and the one Monte-Carlo block kernel.
 
-All randomness in the package flows through :func:`substream`, which maps a
-seed >= 0 plus a path of integers (domain tag, block index, ...) onto a
-fresh SFC64 generator seeded from that key alone. Each block seeds its own,
-so a stream depends only on its key, not on what a sibling stream drew,
-and the same (seed, path) gives the same stream on any platform.
+All randomness in the package flows through :func:`substream`, which maps an
+integer seed >= 0, taken whole, plus a path of integers (domain tag, block
+index, ...) onto a fresh SFC64 generator seeded from that key alone. Each
+block seeds its own, so a stream depends only on its key, not on what a
+sibling stream drew, and the same (seed, path) gives the same stream on any
+platform.
 
 Every risk the package estimates counts the seeded trials whose verdict
 differs from a target, by one block rule (:func:`block_errors`), over fixed
@@ -26,6 +27,9 @@ from .errors import ParameterError
 #: it changes every seeded Monte-Carlo value.
 BLOCK = 4096
 
+#: Keys whose entries all lie below this are one 32-bit word per entry.
+_WORD = 1 << 32
+
 
 class Domain(enum.IntEnum):
     """Namespace tags keeping unrelated substreams disjoint.
@@ -45,7 +49,8 @@ class Domain(enum.IntEnum):
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """A fresh SFC64 generator seeded from (seed, *path) alone, for any seed >= 0.
+    """A fresh SFC64 generator seeded from (seed, *path) alone, for any integer
+    seed >= 0 (a Python or numpy integer, not a bool).
 
     Its key is the 32-bit words of the seed and of each path entry in turn,
     padded with zero words to four. Equal keys give the same stream and
@@ -54,10 +59,21 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     path) have distinct keys. A wider seed takes more words and can spell
     another seed's key: substream(2**33 + 7, RISK, b) is substream(7,
     CONDITIONAL, 1, b).
+
+    A key whose entries all lie below 2^32 goes to numpy as one uint32 array
+    of those words, which skips its per-entry conversion; a wider key goes
+    as a tuple of ints, which numpy splits into the same words.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(tuple(map(int, (seed, *path))))))
+    key = (seed, *path)
+    if 0 <= min(key) and max(key) < _WORD:
+        words = np.array(key, dtype=np.uint32)
+    else:
+        words = tuple(map(int, key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 def block_errors(

@@ -11,21 +11,26 @@ oracle that fails the gate fails here too, and every workload's gates run
 here on one whole cycle, so a changed return type or call shape fails here
 and not only in the benchmark run. Every call ``perfbench/workloads.py``
 makes into the package also binds to its callee's signature, so a renamed
-or reordered parameter fails here by name.
+or reordered parameter fails here by name. The default priors that
+``mc-small-k`` asks for on every op stay classmethods that return one
+shared prior, so its cell law is built once.
 """
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from bdlimits import bounds, cli, distributions, exact_type3_risk
-from bdlimits.harness import benchmark_instances
+from bdlimits.distributions import Categorical
+from bdlimits.harness import JointPrior, benchmark_instances
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -132,6 +137,28 @@ def package_calls(module):
         for attr in reversed(attrs):
             callee = getattr(callee, attr)
         yield ast.unparse(node.func), callee, node
+
+
+@pytest.mark.parametrize(
+    "name, cells",
+    [
+        ("mbd_default", (0.5, 0.0, 0.5, 0.0)),
+        ("sbd_default", (0.5, 0.0, 0.25, 0.25)),
+        ("ood_default", (0.5, 0.5, 0.0, 0.0)),
+    ],
+)
+def test_default_priors_shared(name, cells):
+    # ``mc-small-k`` calls ``harness.JointPrior.sbd_default()`` on every op;
+    # one shared prior builds its cell law once
+    assert isinstance(inspect.getattr_static(JointPrior, name), classmethod)
+    prior = getattr(JointPrior, name)()
+    assert prior is getattr(JointPrior, name)()
+    assert prior == JointPrior(*cells)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prior.p00 = 1.0
+    assert prior.cell_law is prior.cell_law
+    assert prior.cell_law == Categorical(np.array(cells))
+    assert prior.cell_law == JointPrior(*cells).cell_law
 
 
 def test_workload_calls_bind(workloads):

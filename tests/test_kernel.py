@@ -20,6 +20,7 @@ from bdlimits import (
     TrainerStub,
     bayes_probe_detector,
     benchmark_instances,
+    estimate_conditional_errors,
     estimate_risk,
     imposs_probe,
     imposs_risk,
@@ -35,9 +36,10 @@ from bdlimits import (
     type2_tv,
     type_exceedance_frequency,
 )
+from bdlimits.detectors import np_log_ratio
 from bdlimits.distributions import draw_symbols
 from bdlimits.harness import _TYPE0_TIE
-from bdlimits.rng import substream
+from bdlimits.rng import BLOCK, substream
 
 ROWS = 500
 
@@ -126,6 +128,67 @@ def test_np_impossible_symbol_raises_in_both_forms():
         score(symbols, substream(1, 2))
     with pytest.raises(ImpossibleSampleError, match="symbol 3"):
         np_type3(SymbolDataset(symbols[1], 4), ZERO_MASS_PAIR)
+
+
+def np_verdicts_checked_per_block(symbols, ratio):
+    """The NP block scorer as it was before the log ratio was checked once
+    per estimate: every block runs the NaN and impossible-symbol checks."""
+    with np.errstate(invalid="ignore"):
+        llr = ratio[symbols].sum(axis=1)
+    suspect = symbols[np.isnan(llr)]
+    impossible = np.isnan(ratio[suspect])
+    if impossible.any():
+        raise ImpossibleSampleError(f"symbol {int(suspect[impossible][0])}")
+    return (llr >= 0.0).astype(np.int64)
+
+
+def dirichlet_pairs(count, k, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p0, pb = rng.dirichlet(np.ones(k), 2)
+        yield DistributionPair(Categorical(p0), Categorical(pb), gamma=rng.random(), beta=0.5)
+
+
+FINITE_PAIRS = [inst.pair for inst in benchmark_instances()] + list(dirichlet_pairs(12, 5, 34))
+
+
+@pytest.mark.parametrize("pair", FINITE_PAIRS + [ZERO_MASS_PAIR])
+def test_np_scorer_equals_per_block_checks(pair):
+    ratio = np_log_ratio(pair.p0, pair.mixture)
+    assert np.isfinite(ratio).all() == (pair is not ZERO_MASS_PAIR)
+    score = np_trial_detector()(pair)
+    for b in range(3):
+        symbols = dataset_block(pair, 9, seed=40 + b)
+        expected = np_verdicts_checked_per_block(symbols, ratio)
+        assert score(symbols, substream(1, b)).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda pair: estimate_risk(np_trial_detector(), pair, 2, 3 * BLOCK, seed=0),
+        lambda pair: estimate_conditional_errors(np_trial_detector(), pair, 2, 3 * BLOCK, seed=0),
+    ],
+    ids=["risk", "conditional"],
+)
+def test_np_log_ratio_checked_once_per_estimate(monkeypatch, run):
+    # every symbol has mass under both laws, so the ratio is finite and the
+    # blocks need no NaN handling; the O(K) check must not run per block
+    k = 10**6
+    pair = DistributionPair(
+        Categorical.uniform(k), Categorical.point_mass(0, k), gamma=0.5, beta=0.01
+    )
+    checked = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        if np.size(x) == k:
+            checked.append(1)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    run(pair)
+    assert len(checked) == 1
 
 
 @pytest.mark.parametrize("label,pair,n,m", PAIRS, ids=[p[0] for p in PAIRS])

@@ -48,6 +48,63 @@ class TestSubstream:
         with pytest.raises(ParameterError, match=f"seed must be >= 0, got {seed}"):
             substream(seed, 1)
 
+    @pytest.mark.parametrize("seed", [True, False, np.True_, 1.9, 2.0, "1", None])
+    def test_seed_taken_whole(self, seed):
+        # a bool or a float would be truncated to another seed's stream
+        with pytest.raises(ParameterError, match="seed must be an integer, got"):
+            substream(seed, 1)
+
+    def test_non_integral_seed_rejected_by_estimates(self):
+        pair = uniform_vs_point_mass(3, 0.5, 0.5)
+        with pytest.raises(ParameterError, match="seed must be an integer, got 1.9"):
+            estimate_risk(np_trial_detector(), pair, 4, 100, seed=1.9)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), np.uint64(5), np.int8(5)])
+    def test_numpy_integer_seed_is_its_value(self, seed):
+        assert np.array_equal(substream(seed, 1).random(4), substream(5, 1).random(4))
+
+
+def tuple_keyed(*key) -> np.random.Generator:
+    """The stream of a key given to numpy as a tuple of Python ints."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(tuple(map(int, key)))))
+
+
+class TestStreamKeys:
+    """A key below 2^32 goes to numpy as one uint32 array, a wider one as a
+    tuple; both must spell the words numpy splits the tuple into."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**33 + 7, 2**64 + 5])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            (1, 0),
+            (np.int64(1), np.int64(2**31)),
+            (Domain.CONDITIONAL, 1, 3),
+            (2**32 - 1,),
+            (2**32,),
+            (),
+        ],
+        ids=["int", "np.int64", "Domain", "widest-word", "two-words", "empty"],
+    )
+    def test_same_stream_as_tuple_key(self, seed, path):
+        got = substream(seed, *path).integers(0, 2**63, 4)
+        assert got.tolist() == tuple_keyed(seed, *path).integers(0, 2**63, 4).tolist()
+
+    def test_random_keys_below_two_to_the_32(self):
+        keys = np.random.default_rng(34).integers(0, 2**32, (300, 4))
+        for seed, *path in keys.tolist():
+            assert substream(seed, *path).random() == tuple_keyed(seed, *path).random()
+
+    @pytest.mark.parametrize("b", [0, 1, 5])
+    def test_wide_seed_collision_unchanged(self, b):
+        # documented: a seed above 2^32 can spell another seed's key
+        wide = substream(2**33 + 7, Domain.RISK, b).random(3)
+        assert np.array_equal(wide, substream(7, Domain.CONDITIONAL, 1, b).random(3))
+
+    def test_negative_path_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            substream(3, Domain.RISK, -1)
+
 
 def record_substreams(monkeypatch) -> list[tuple[tuple, np.random.Generator]]:
     """Record the key and the generator of every stream ``block_errors`` builds."""
