@@ -486,16 +486,16 @@ def type_counts(
     in 0..k-1; a symbol the row never observed counts 0. Up to k = n the
     lookup gathers from the block's (rows, k) type table
     (:func:`_type_table`); larger alphabets binary-search the sorted keys
-    row * k + symbol of its sparse types. Outside the alphabet the answer
-    is undefined and unchecked: the table raises ``IndexError``, and the
-    search answers with a later row's count or 0, since the key of (row 0,
-    symbol k) is that of (row 1, symbol 0).
+    row * k + symbol of its sorted types (:func:`_sorted_types`). Outside
+    the alphabet the answer is undefined and unchecked: the table raises
+    ``IndexError``, and the search answers with a later row's count or 0,
+    since the key of (row 0, symbol k) is that of (row 1, symbol 0).
     """
     table = _type_table(symbols, k)
     if table is not None:
         return lambda rows, syms: table[rows, syms]
-    row, sym, counts = sparse_types(symbols)
-    keys = row * k + sym  # ascending, since sparse_types sorts by (row, symbol)
+    row, sym, counts = _sorted_types(symbols)
+    keys = row * k + sym  # ascending, since the triples are sorted by (row, symbol)
 
     def at(rows: np.ndarray, syms: np.ndarray) -> np.ndarray:
         query = rows * k + syms

@@ -30,8 +30,8 @@ shape: a Type-2 detector is a Type-3 one that reads only ``pair.p0``
 Type-1 test as a Type-2 detector, drawing its clean samples from p0 with
 the block's generator.
 
-The results file and its config hash live in :mod:`~bdlimits.results` and
-are re-exported here.
+The results file and its config hash live in :mod:`~bdlimits.results`;
+:func:`~bdlimits.results.append_result` is re-exported here.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .distributions import (
     type_distances,
 )
 from .errors import ConfigurationError, ParameterError
-from .results import _SCAN_BLOCK, _holds_digest, append_result, config_hash  # noqa: F401 (re-exported)
+from .results import append_result  # noqa: F401 (re-exported)
 from .rng import Domain, count_errors
 
 #: two-sided 99% normal quantile used by the Wilson interval

@@ -1,11 +1,11 @@
 """Deterministic random streams and the one Monte-Carlo block kernel.
 
 All randomness in the package flows through :func:`substream`, which maps an
-integer seed >= 0, taken whole, plus a path of integers (domain tag, block
-index, ...) onto a fresh SFC64 generator seeded from that key alone. Each
-block seeds its own, so a stream depends only on its key, not on what a
-sibling stream drew, and the same (seed, path) gives the same stream on any
-platform.
+integer seed >= 0, taken whole, plus a path of integers below 2^32 (domain
+tag, block index, ...) onto a fresh SFC64 generator seeded from that key
+alone. Each block seeds its own, so a stream depends only on its key, not on
+what a sibling stream drew, and the same (seed, path) gives the same stream
+on any platform.
 
 Every risk the package estimates counts the seeded trials whose verdict
 differs from a target, by one block rule (:func:`block_errors`), over fixed
@@ -17,6 +17,7 @@ bit-identical no matter how blocks are scheduled.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,8 +28,9 @@ from .errors import ParameterError
 #: it changes every seeded Monte-Carlo value.
 BLOCK = 4096
 
-#: Keys whose entries all lie below this are one 32-bit word per entry.
+#: Each word of a stream's key is below this.
 _WORD = 1 << 32
+_MASK = _WORD - 1
 
 
 class Domain(enum.IntEnum):
@@ -50,30 +52,27 @@ class Domain(enum.IntEnum):
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """A fresh SFC64 generator seeded from (seed, *path) alone, for any integer
-    seed >= 0 (a Python or numpy integer, not a bool).
+    seed >= 0 (a Python or numpy integer, not a bool) and path entries in
+    [0, 2^32).
 
-    Its key is the 32-bit words of the seed and of each path entry in turn,
-    padded with zero words to four. Equal keys give the same stream and
-    distinct keys statistically independent ones. A seed below 2^32 is one
-    word, so on the package's paths, one length per domain, distinct (seed,
-    path) have distinct keys. A wider seed takes more words and can spell
-    another seed's key: substream(2**33 + 7, RISK, b) is substream(7,
-    CONDITIONAL, 1, b).
-
-    A key whose entries all lie below 2^32 goes to numpy as one uint32 array
-    of those words, which skips its per-entry conversion; a wider key goes
-    as a tuple of ints, which numpy splits into the same words.
+    Its key is the uint32 array [len(path), *path, w0, w1, ...], where the
+    w_i are the seed's 32-bit words, least significant first, as many as the
+    seed needs and at least one. The first word fixes where the seed starts
+    and the last seed word is nonzero unless the seed is 0, so numpy's zero
+    padding of short keys never makes two keys equal: distinct (seed, path)
+    give statistically independent streams.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    key = (seed, *path)
-    if 0 <= min(key) and max(key) < _WORD:
-        words = np.array(key, dtype=np.uint32)
-    else:
-        words = tuple(map(int, key))
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
+    words = [len(path), *map(operator.index, path)]
+    if min(words) < 0 or max(words) >= _WORD:
+        bad = next(entry for entry in words[1:] if not 0 <= entry < _WORD)
+        raise ParameterError(f"path entries must lie in [0, 2^32), got {bad}")
+    words += [(seed >> shift) & _MASK for shift in range(0, seed.bit_length() or 1, 32)]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(np.array(words, np.uint32))))
 
 
 def block_errors(

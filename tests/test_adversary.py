@@ -554,13 +554,13 @@ class TestProbeGoldens:
     def test_type2_huge_alphabet(self):
         cfg = ImpossibilityConfig(k=10**5, beta=0.01, gamma=1.0, n=20)
         fixed = lambda d, p0: int(type2_tv(d, p0, 1.0, 0.01))  # noqa: E731
-        assert imposs_probe(fixed, cfg, trials=500, seed=7).p_hat * 500 == 256
+        assert imposs_probe(fixed, cfg, trials=500, seed=7).p_hat * 500 == 234
 
     def test_collision_beta_one(self):
         cfg = ImpossibilityConfig(k=200, beta=1.0, gamma=1.0, n=10)
-        assert imposs_probe(_collision_row, cfg, trials=5000, seed=4).p_hat == 0.4136
+        assert imposs_probe(_collision_row, cfg, trials=5000, seed=4).p_hat == 0.4218
 
     def test_collision_across_block_boundary(self):
         cfg = ImpossibilityConfig(k=200, beta=0.1, gamma=0.3, n=10)
         estimate = imposs_probe(_collision_row, cfg, trials=4596, seed=11)
-        assert estimate.p_hat == 1922 / 4596
+        assert estimate.p_hat == 1924 / 4596

@@ -825,7 +825,10 @@ class TestProductTv:
         # class count
         pairs = {inst.label: inst.pair for inst in benchmark_instances()}
         values = [exact_type3_risk(pairs[label], n) for label, ns in EXACT_GRID.items() for n in ns]
-        rng = substream(16, 6)
+        # the laws come from the stream keyed by the words [16, 6], which
+        # substream(16, 6) drew from when the digest was recorded
+        words = np.array([16, 6], np.uint32)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
         chunks = (distributions._TYPE_CHUNK, 3, 7)
         for k in range(1, 7):
             for trial in range(8):
@@ -900,11 +903,11 @@ class TestTypeConcentration:
         assert a == b
 
     def test_golden_value(self):
-        # two blocks on substream(4, CONCENTRATION, b): 361 of 5000 trials exceed
+        # two blocks on substream(4, CONCENTRATION, b): 398 of 5000 trials exceed
         p = Categorical.uniform(3)
         estimate = type_exceedance_frequency(p, 30, 0.2, 5000, seed=4)
         assert isinstance(estimate, RiskEstimate) and estimate.trials == 5000
-        assert estimate.p_hat == 0.0722
+        assert estimate.p_hat == 0.0796
         assert estimate.ci_low < estimate.p_hat < estimate.ci_high
 
     def test_minimum_trials_enforced(self):

@@ -46,7 +46,7 @@ from bdlimits import (
 )
 from bdlimits import harness, results
 from bdlimits.distributions import draw_labeled, draw_symbols
-from bdlimits.harness import append_result, config_hash
+from bdlimits.results import append_result, config_hash
 from bdlimits.rng import BLOCK, Domain, block_errors, substream
 
 
@@ -458,24 +458,24 @@ class TestEstimatorGoldens:
     @pytest.mark.parametrize(
         "estimate, errors",
         [
-            (lambda: estimate_risk(np_trial_detector(), K3.pair, K3.n, 5000, 7), 36),
-            (lambda: estimate_risk(type2_trial_detector(), K3.pair, K3.n, 5000, 7), 166),
-            (lambda: estimate_risk(type1_trial_detector(K3.m), K3.pair, K3.n, 5000, 7), 357),
-            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[0], 51),
-            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[1], 25),
+            (lambda: estimate_risk(np_trial_detector(), K3.pair, K3.n, 5000, 7), 51),
+            (lambda: estimate_risk(type2_trial_detector(), K3.pair, K3.n, 5000, 7), 185),
+            (lambda: estimate_risk(type1_trial_detector(K3.m), K3.pair, K3.n, 5000, 7), 349),
+            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[0], 45),
+            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[1], 48),
             (
                 lambda: estimate_generalized_risk(
                     bayes_probe_detector(K3.pair), K3.pair, K3.n, K3.m, JointPrior.sbd_default(),
                     Flavor.SBD, TrainerStub(), 5000, 7,
                 ),
-                577,
+                641,
             ),
             (
                 lambda: type0_demo_risk(
                     type0_tv_detector(K3.pair.gamma, K3.pair.beta), K3.pair, K3.n, K3.m,
                     TrainerStub(), 5000, 7,
                 ),
-                307,
+                308,
             ),
         ],
         ids=["risk-np", "risk-type2", "risk-type1", "false-backdoor", "missed-backdoor", "sbd", "type0"],
@@ -560,7 +560,7 @@ class TestResultsFile:
             lines.append(json.dumps({"config_hash": f"{i:016x}", "payload": payload}, sort_keys=True))
         path = tmp_path / "results.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        assert path.stat().st_size > 4 * harness._SCAN_BLOCK
+        assert path.stat().st_size > 4 * results._SCAN_BLOCK
         assert append_result(str(path), {"config_hash": digest}) is True
         expected = [line for line in lines if digest in line or "\\" in line]
         assert len(expected) == 240
@@ -581,17 +581,17 @@ class TestResultsFile:
         digest = "0123456789abcdef"
         prefix = "".join(json.dumps({"config_hash": f"{i:016x}"}) + "\n" for i in range(100))
         before, key = '{"a": "', '", "config_hash": "'
-        pad = 3 * harness._SCAN_BLOCK
+        pad = 3 * results._SCAN_BLOCK
         # "straddle" starts the hash 8 bytes before the first block ends
-        straddle = harness._SCAN_BLOCK - 8 - len(prefix + before + key)
+        straddle = results._SCAN_BLOCK - 8 - len(prefix + before + key)
         head = {"head": 0, "straddle": straddle, "tail": pad}[where]
         line = before + "x" * head + key + digest + '", "z": "' + "x" * (pad - head) + '"}\n'
         path = tmp_path / "results.jsonl"
         path.write_text(prefix + line + prefix)
         offset = (prefix + line).index(digest)
         if where == "straddle":
-            assert offset < harness._SCAN_BLOCK < offset + len(digest)
-        assert len(line) > harness._SCAN_BLOCK
+            assert offset < results._SCAN_BLOCK < offset + len(digest)
+        assert len(line) > results._SCAN_BLOCK
         assert append_result(str(path), {"config_hash": digest}) is False
         assert path.read_text() == prefix + line + prefix
 
@@ -602,7 +602,7 @@ class TestResultsFile:
         ]
         path.write_text("".join(lines))
         size = path.stat().st_size
-        assert size > 4 * harness._SCAN_BLOCK
+        assert size > 4 * results._SCAN_BLOCK
         reads = []  # the length of every block read
         real_pread = os.pread
 
@@ -613,7 +613,7 @@ class TestResultsFile:
 
         monkeypatch.setattr(results.os, "pread", pread)
         assert append_result(str(path), {"config_hash": f"{5999:016x}"}) is False
-        assert 0 < sum(reads) <= harness._SCAN_BLOCK
+        assert 0 < sum(reads) <= results._SCAN_BLOCK
         # a miss reads every byte once, plus the partial first line of each
         # block, which the next, earlier read takes again
         reads.clear()
@@ -636,16 +636,16 @@ class TestResultsFile:
     def test_last_line_longer_than_a_block_found(self, tmp_path, newline):
         digest = "0123456789abcdef"
         prefix = "".join(json.dumps({"config_hash": f"{i:016x}"}) + "\n" for i in range(100))
-        pad = "x" * (3 * harness._SCAN_BLOCK)
+        pad = "x" * (3 * results._SCAN_BLOCK)
         line = json.dumps({"a": pad, "config_hash": digest, "z": pad}) + newline
-        assert len(line) > harness._SCAN_BLOCK
+        assert len(line) > results._SCAN_BLOCK
         path = tmp_path / "results.jsonl"
         path.write_text(prefix + line)
         with _deadline(10):
             assert append_result(str(path), {"config_hash": digest}) is False
         assert path.read_text() == prefix + line
 
-    @pytest.mark.parametrize("block", [1, 7, harness._SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, results._SCAN_BLOCK])
     @pytest.mark.parametrize("stored", [False, True])
     @pytest.mark.parametrize("digest", ["\nab", "ab\n", "\n", "", "\\", "a\\b"])
     def test_newline_and_empty_hashes_terminate(self, tmp_path, parsed, digest, stored, block):
@@ -691,14 +691,14 @@ class TestResultsFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * harness._SCAN_BLOCK + longest
+        assert peak < 4 * results._SCAN_BLOCK + longest
 
     @pytest.mark.parametrize("stored", [False, True], ids=["miss", "hit"])
     def test_every_block_a_candidate_parses_each_line_once(self, tmp_path, parsed, stored):
         digest = "0123456789abcdef"
         path = tmp_path / "results.jsonl"
         lines = _escaped_results(path, 6000, digest if stored else None)
-        assert path.stat().st_size > 4 * harness._SCAN_BLOCK
+        assert path.stat().st_size > 4 * results._SCAN_BLOCK
         assert append_result(str(path), {"config_hash": digest}) is not stored
         assert parsed == lines[::-1]  # newest first, each line once
 
@@ -716,7 +716,7 @@ class TestResultsFile:
         finally:
             tracemalloc.stop()
         assert parsed == lines[-1:]
-        assert peak < 1.5 * harness._SCAN_BLOCK
+        assert peak < 1.5 * results._SCAN_BLOCK
 
     @pytest.mark.parametrize("stored", [False, True], ids=["miss", "hit"])
     def test_every_block_a_candidate_memory_bounded(self, tmp_path, stored):
@@ -731,7 +731,7 @@ class TestResultsFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * harness._SCAN_BLOCK + longest
+        assert peak < 4 * results._SCAN_BLOCK + longest
 
     def test_concurrent_writers_serialized(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -767,7 +767,7 @@ class TestResultsFile:
         if content and data.draw(st.booleans()):
             content = content.rstrip(b"\n")  # a partial last line
         record = {"config_hash": digest, "payload": 1}
-        block = data.draw(st.sampled_from([1, 7, 64, harness._SCAN_BLOCK]))
+        block = data.draw(st.sampled_from([1, 7, 64, results._SCAN_BLOCK]))
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(results, "_SCAN_BLOCK", block):
             path = Path(tmp) / "results.jsonl"
             path.write_bytes(content)

@@ -1,5 +1,8 @@
 """The determinism contract: one stream per seed, one generator per block."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,15 +20,21 @@ from bdlimits.rng import BLOCK, Domain, substream
 
 TRIALS = 2 * BLOCK + 37
 
+#: numpy's generators, bit generators and seeders; only ``rng`` may name one
+GENERATOR_NAMES = {
+    "SeedSequence", "default_rng", "RandomState",
+    "SFC64", "PCG64", "PCG64DXSM", "Philox", "MT19937",
+}
+
 
 class TestSubstream:
     @pytest.mark.parametrize(
         "seed, draws",
         [
-            (0, [6173295166163544437, 5603661728689618961]),
-            (7, [5203777326315721154, 2436123261115208572]),
-            (2**63, [3188810874255758774, 2780696889305424629]),
-            (2**64 - 1, [6183778891753401621, 4695567287652799367]),
+            (0, [4534101526943308299, 7418760212452799692]),
+            (7, [6275058507318024234, 8535112915791605163]),
+            (2**63, [7158576151886998285, 3528714695494689694]),
+            (2**64 - 1, [4659173041518654206, 6010686054268748075]),
         ],
     )
     def test_seeds_below_two_to_the_64_pinned(self, seed, draws):
@@ -64,46 +73,104 @@ class TestSubstream:
         assert np.array_equal(substream(seed, 1).random(4), substream(5, 1).random(4))
 
 
+def words_stream(*words) -> np.random.Generator:
+    """The SFC64 generator numpy seeds from these 32-bit words."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(np.array(words, np.uint32))))
+
+
 def tuple_keyed(*key) -> np.random.Generator:
-    """The stream of a key given to numpy as a tuple of Python ints."""
+    """The stream of a key given to numpy as a tuple of Python ints, each of
+    which numpy splits into its 32-bit words, least significant first."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(tuple(map(int, key)))))
 
 
-class TestStreamKeys:
-    """A key below 2^32 goes to numpy as one uint32 array, a wider one as a
-    tuple; both must spell the words numpy splits the tuple into."""
+#: each seed's 32-bit words, least significant first, spelled by hand
+SEED_WORDS = {
+    0: [0],
+    1: [1],
+    2**32 - 1: [2**32 - 1],
+    2**32: [0, 1],
+    2**33 + 7: [7, 2],
+    2**64 + 5: [5, 0, 1],
+    2**200: [0, 0, 0, 0, 0, 0, 256],
+}
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**33 + 7, 2**64 + 5])
+
+class TestStreamKeys:
+    """A stream's key is the uint32 array [len(path), *path, w0, w1, ...], the
+    w_i the seed's 32-bit words, least significant first, at least one: the
+    words numpy splits the tuple (len(path), *path, seed) into."""
+
+    @pytest.mark.parametrize("seed", sorted(SEED_WORDS))
     @pytest.mark.parametrize(
-        "path",
+        "path, path_words",
         [
-            (1, 0),
-            (np.int64(1), np.int64(2**31)),
-            (Domain.CONDITIONAL, 1, 3),
-            (2**32 - 1,),
-            (2**32,),
-            (),
+            pytest.param((1, 0), [1, 0], id="int"),
+            pytest.param((np.int64(1), np.int64(2**31)), [1, 2**31], id="np.int64"),
+            pytest.param((Domain.CONDITIONAL, 1, 3), [2, 1, 3], id="Domain"),
+            pytest.param((2**32 - 1,), [2**32 - 1], id="widest-word"),
+            pytest.param((2**32 - 1, 2**32 - 1), [2**32 - 1, 2**32 - 1], id="two-words"),
+            pytest.param((), [], id="empty"),
         ],
-        ids=["int", "np.int64", "Domain", "widest-word", "two-words", "empty"],
     )
-    def test_same_stream_as_tuple_key(self, seed, path):
-        got = substream(seed, *path).integers(0, 2**63, 4)
-        assert got.tolist() == tuple_keyed(seed, *path).integers(0, 2**63, 4).tolist()
+    def test_same_stream_as_tuple_key(self, seed, path, path_words):
+        got = substream(seed, *path).integers(0, 2**63, 4).tolist()
+        by_hand = words_stream(len(path_words), *path_words, *SEED_WORDS[seed])
+        assert got == by_hand.integers(0, 2**63, 4).tolist()
+        assert got == tuple_keyed(len(path), *path, seed).integers(0, 2**63, 4).tolist()
 
     def test_random_keys_below_two_to_the_32(self):
         keys = np.random.default_rng(34).integers(0, 2**32, (300, 4))
         for seed, *path in keys.tolist():
-            assert substream(seed, *path).random() == tuple_keyed(seed, *path).random()
+            assert substream(seed, *path).random() == tuple_keyed(3, *path, seed).random()
 
     @pytest.mark.parametrize("b", [0, 1, 5])
-    def test_wide_seed_collision_unchanged(self, b):
-        # documented: a seed above 2^32 can spell another seed's key
+    def test_wide_seed_spells_no_other_key(self, b):
+        # as bare words, 2**33 + 7 was (7, 2), and both keys were 7, 2, 1, b
         wide = substream(2**33 + 7, Domain.RISK, b).random(3)
-        assert np.array_equal(wide, substream(7, Domain.CONDITIONAL, 1, b).random(3))
+        assert not np.array_equal(wide, substream(7, Domain.CONDITIONAL, 1, b).random(3))
+
+    def test_trailing_zero_entry_is_another_key(self):
+        # numpy pads a short key with zero words; the length word tells them apart
+        assert not np.array_equal(substream(3, 1).random(3), substream(3, 1, 0).random(3))
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+    def test_seeds_two_to_the_32_apart_differ(self, domain, seed):
+        low = substream(seed, domain, 0).random(3)
+        assert not np.array_equal(low, substream(seed + 2**32, domain, 0).random(3))
 
     def test_negative_path_entry_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            substream(3, Domain.RISK, -1)
+        message = r"^path entries must lie in \[0, 2\^32\), got -1$"
+        for entry in (-1, np.int64(-1)):
+            with pytest.raises(ParameterError, match=message):
+                substream(3, Domain.RISK, entry)
+
+    def test_path_entry_of_two_words_rejected(self):
+        # as a numpy integer cast to uint32 it would wrap silently onto another key
+        for entry in (2**32, np.int64(2**32)):
+            with pytest.raises(ParameterError, match=r"got 4294967296$"):
+                substream(3, Domain.RISK, entry)
+
+
+def test_all_randomness_goes_through_substream():
+    # a module that seeded its own generator would draw outside the stream keys
+    named = {}
+    for path in sorted(Path(rng.__file__).parent.rglob("*.py")):
+        if path.name == "rng.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        names |= {
+            alias.name.split(".")[-1]
+            for node in nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        if names & GENERATOR_NAMES:
+            named[path.name] = sorted(names & GENERATOR_NAMES)
+    assert not named
 
 
 def record_substreams(monkeypatch) -> list[tuple[tuple, np.random.Generator]]:
