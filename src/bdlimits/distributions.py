@@ -12,12 +12,13 @@ keeps them sparse, as the symbols each row holds and their counts
 canonical finite-alphabet form, half the L1 distance, which equals the
 supremum over event sets.
 
-Sampling inverts the cumulative mass at uniforms in [0, 1): the symbol at
-u is the number of inner CDF levels at or below u. Small alphabets count
-those levels, level by level; large ones binary-search them. Types of a
-block with a type table are counted, looked up and scored on it; others
-are found by sorting each row. Each pair of kernels gives the same
-symbols, the same triples, counts and distances, bit for bit, so the
+Sampling inverts the cumulative mass: the symbol at a uniform is the
+number of inner CDF levels at or below it. Small alphabets read 32-bit
+lanes of the generator's raw words against integer levels, level by level
+(:func:`draw_symbols`); large ones binary-search the float levels at
+uniforms in [0, 1). Types of a block with a type table are counted, looked
+up and scored on it; others are found by sorting each row. Both type
+kernels give the same triples, counts and distances, bit for bit, so the
 choice never moves a seeded value.
 
 No function here takes a seed: sampling takes a numpy ``Generator``, which
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -61,17 +63,19 @@ _TYPE_CHUNK = 1 << 14
 #: 0 * this = -0.0, not NaN, and n times it stays finite.
 _NO_MASS_LOG = -1e200
 
-#: Alphabets up to this size invert the CDF by counting levels, one pass over
-#: the uniforms per level; larger ones binary-search. Counting beats the
-#: search, whose branches mispredict on unsorted keys, up to K of about 96
-#: on 4e3 uniforms and about 256 on 8e4.
+#: Alphabets up to this size draw from 32-bit lanes by counting integer
+#: levels, one pass over the lanes per level; larger ones binary-search the
+#: float levels at uniforms. Counting beats the search, whose branches
+#: mispredict on unsorted keys, up to K of about 96 on 4e3 uniforms and
+#: about 256 on 8e4. Part of the determinism contract: the two paths read
+#: the stream differently, so changing it changes seeded values.
 _COUNT_LEVELS_MAX_K = 64
 
-#: Labeled blocks up to this size compare each uniform with its row's level,
-#: one (rows, 1) column per level. A column broadcast along the rows costs
-#: several scalar levels, so larger alphabets gather each law's rows and
-#: invert them with :meth:`Categorical.quantile`; the crossover is K of 6 to 10.
-_ROW_LEVELS_MAX_K = 6
+#: A lane is a 32-bit half of a raw word, so it lies below this.
+_LANES = 1 << 32
+
+#: Raw words and lanes, little-endian, so a word's low half is its first lane.
+_WORD, _LANE = np.dtype("<u8"), np.dtype("<u4")
 
 
 @dataclass(frozen=True)
@@ -138,22 +142,30 @@ class Categorical:
             logs = np.maximum(np.log(head), _NO_MASS_LOG)
         return np.broadcast_to(logs, self.probs.shape)
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
-        """Symbols at cumulative-mass levels u in [0, 1), by inverting the CDF.
+    @cached_property
+    def _lane_levels(self) -> tuple[np.ndarray, ...]:
+        """The inner CDF levels c as lane levels L = ceil(c * 2^32), exact
+        integers, each a read-only 0-d uint32 array, which a ufunc reads
+        faster than a scalar. The levels from the first one at or above 2^32
+        on, +inf included, are dropped: no lane reaches them, and they are
+        all trailing, since the levels never decrease."""
+        levels = []
+        for c in self._levels.tolist():
+            if not c < 1.0 or (level := math.ceil(c * _LANES)) >= _LANES:
+                break
+            levels.append(np.array(level, dtype=np.uint32))
+            levels[-1].setflags(write=False)
+        return tuple(levels)
 
-        Consumes ``u``, a C-contiguous float64 array: the caller must not
-        use it afterwards. The symbol at u is the number of inner CDF
-        levels at or below u, zero masses and u on a level included. The
-        levels from the last positive mass on are +inf, so the symbol is at
-        most the last one with mass, even where the masses' rounded sum
-        falls short of 1. Alphabets of up to
-        ``_COUNT_LEVELS_MAX_K`` symbols count those levels in one byte per
-        uniform and write the symbols over u's memory; larger ones
-        binary-search them. Either way a block draw holds no more than two
-        8-byte arrays, the uniforms and the symbols.
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Symbols at cumulative-mass levels u in [0, 1), by binary search of
+        the float CDF: the symbol at u is the number of inner CDF levels at
+        or below u, zero masses and u on a level included. The levels from
+        the last positive mass on are +inf, so the symbol is at most the
+        last one with mass, even where the masses' rounded sum falls short
+        of 1. :func:`draw_symbols` inverts uniforms with it above
+        ``_COUNT_LEVELS_MAX_K`` symbols.
         """
-        if self.alphabet_size <= _COUNT_LEVELS_MAX_K:
-            return _count_levels(u, self._levels)
         return np.searchsorted(self._levels, u, side="right")
 
     @classmethod
@@ -363,53 +375,77 @@ def mix(pair: DistributionPair) -> Categorical:
 def draw_symbols(
     p: Categorical, n: int | tuple[int, ...], rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw i.i.d. symbols from p by inverting the cumulative mass.
+    """Draw i.i.d. symbols from p, a count or a shape ``n`` of them, as int64.
 
-    ``n`` is a count or a shape; a (rows, n) shape draws row after row, so
-    it consumes the stream exactly as ``rows`` draws of n symbols would.
+    Up to ``_COUNT_LEVELS_MAX_K`` symbols, the i-th symbol in row-major
+    order reads lane i of the generator's raw words (:func:`_lanes`) and is
+    the number of p's lane levels at or below it: each symbol's sampled mass
+    is within 2^-32 of its mass under the float CDF, and a massless symbol
+    is never drawn. Larger alphabets invert ``rng.random(n)`` with
+    :meth:`Categorical.quantile`.
     """
-    return p.quantile(rng.random(n))
+    if p.alphabet_size > _COUNT_LEVELS_MAX_K:
+        return p.quantile(rng.random(n))
+    shape = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
+    count = np.empty(shape, dtype=np.uint8)
+    _count_lanes(_lanes(rng, count.size).reshape(shape), p._lane_levels, count)
+    return count.astype(np.int64)
 
 
-def draw_labeled(
-    laws: Sequence[Categorical], labels: np.ndarray, n: int, rng: np.random.Generator
+def draw_grouped(
+    laws: Sequence[Categorical], counts: Sequence[int], n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """A (rows, n) block whose row r is an i.i.d. sample from ``laws[labels[r]]``.
+    """A (sum(counts), n) block whose rows come group by group: the first
+    counts[0] are i.i.d. samples from laws[0], the next counts[1] from
+    laws[1], and so on.
 
-    The labeled twin of :func:`draw_symbols`: the laws share one alphabet,
-    and the block inverts one (rows, n) array of uniforms u. Up to
-    ``_ROW_LEVELS_MAX_K`` symbols each uniform is compared with its row's
-    level, one (rows, 1) column per level, and the symbols are written over
-    u; no mask and no rows x K table is built. Larger alphabets gather each
-    law's rows and invert them with :meth:`Categorical.quantile`. Both give
-    the same symbols.
+    The laws share one alphabet, and the block inverts one buffer, drawn as
+    :func:`draw_symbols` draws a (rows, n) block: lanes up to
+    ``_COUNT_LEVELS_MAX_K`` symbols, each group's rows counted against its
+    own law's levels, and uniforms above, whose symbols each group writes
+    over its own rows. No mask and no rows x K table is built.
     """
-    u = rng.random((labels.size, n))
-    if laws[0].alphabet_size <= _ROW_LEVELS_MAX_K:
-        levels = np.array([law._levels for law in laws]).T
-        return _count_levels(u, (level[labels, None] for level in levels))
-    symbols = np.empty(u.shape, dtype=np.int64)
-    for label, law in enumerate(laws):
-        labeled = labels == label
-        symbols[labeled] = law.quantile(u[labeled])
-    return symbols
+    ends = list(accumulate(counts))
+    groups = [
+        (law, slice(end - count, end)) for law, count, end in zip(laws, counts, ends) if count
+    ]
+    if laws[0].alphabet_size > _COUNT_LEVELS_MAX_K:
+        u = rng.random((ends[-1], n))
+        symbols = u.view(np.int64)
+        for law, rows in groups:
+            symbols[rows] = law.quantile(u[rows])
+        return symbols
+    count = np.empty((ends[-1], n), dtype=np.uint8)
+    lanes = _lanes(rng, count.size).reshape(count.shape)
+    for law, rows in groups:
+        _count_lanes(lanes[rows], law._lane_levels, count[rows])
+    return count.astype(np.int64)
 
 
-def _count_levels(u: np.ndarray, levels) -> np.ndarray:
-    """How many of ``levels`` lie at or below each u, written over u as int64.
+def _lanes(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uint32 lanes from ceil(size / 2) raw 64-bit words of ``rng``'s
+    bit generator: each word's low half, then its high half, on any platform."""
+    words = rng.bit_generator.random_raw((size + 1) // 2)
+    return words.astype(_WORD, copy=False).view(_LANE)[:size]
 
-    Each level is a scalar or an array that broadcasts against u. Counts
-    are kept in uint8, which holds the at most ``_COUNT_LEVELS_MAX_K - 1``
-    levels, and widened into u's memory at the end.
+
+def _count_lanes(lanes: np.ndarray, levels: Sequence[np.ndarray], count: np.ndarray) -> None:
+    """Write into ``count``, a contiguous uint8 array of ``lanes``' shape, how
+    many of ``levels`` lie at or below each lane.
+
+    uint8 holds the at most ``_COUNT_LEVELS_MAX_K - 1`` levels; the first
+    level's hits are written as the count itself, and each later level's
+    are added to it.
     """
-    count = np.zeros(u.shape, dtype=np.uint8)
-    hit = np.empty(u.shape, dtype=bool)
-    for level in levels:
-        np.greater_equal(u, level, out=hit)
-        np.add(count, hit.view(np.uint8), out=count)
-    symbols = u.view(np.int64)
-    symbols[...] = count
-    return symbols
+    if not levels:
+        count[...] = 0
+        return
+    np.greater_equal(lanes, levels[0], out=count.view(bool))
+    hit = np.empty(lanes.shape, dtype=bool)
+    hit_bytes = hit.view(np.uint8)
+    for level in levels[1:]:
+        np.greater_equal(lanes, level, out=hit)
+        np.add(count, hit_bytes, out=count)
 
 
 #: A reference law per row of a symbol block: (row, symbol) index arrays,

@@ -51,7 +51,7 @@ from .distributions import (
     DistributionPair,
     Reference,
     SymbolDataset,
-    draw_labeled,
+    draw_grouped,
     draw_symbols,
     type_counts,
     type_distances,
@@ -62,6 +62,9 @@ from .rng import Domain, count_errors
 
 #: two-sided 99% normal quantile used by the Wilson interval
 _Z99 = 2.5758293035489004
+
+#: The law of a fair label J: J = 1 on a lane at or above 2^31.
+_FAIR_COIN = Categorical.uniform(2)
 
 #: A detector as seen by the harness: a pair to a block scorer.
 Detector = Callable[[DistributionPair], Callable[..., np.ndarray]]
@@ -292,13 +295,15 @@ def estimate_risk(
     """Unbiased Monte-Carlo estimate of the detector's risk on the pair.
 
     Each row draws a fair label J, then a dataset of size n from p0 (J = 0)
-    or the mixture (J = 1); an error is a verdict other than J.
+    or the mixture (J = 1); an error is a verdict other than J. A block
+    draws its labels first, as fair coins, and holds its J = 0 rows first.
     """
     at_least("n", n)
 
     def draw(rows: int, rng: np.random.Generator) -> tuple:
-        j = rng.integers(0, 2, rows)
-        return j, draw_labeled((pair.p0, pair.mixture), j, n, rng)
+        ones = int(np.count_nonzero(draw_symbols(_FAIR_COIN, rows, rng)))
+        j = np.arange(rows) >= rows - ones
+        return j, draw_grouped((pair.p0, pair.mixture), (rows - ones, ones), n, rng)
 
     return _estimate(draw, detector(pair), trials, seed, (Domain.RISK,))
 
@@ -361,19 +366,21 @@ def _trained_risk(
     seed: int,
     domain: Domain,
 ) -> RiskEstimate:
-    """:func:`estimate_generalized_risk` on the blocks of ``domain``."""
+    """:func:`estimate_generalized_risk` on the blocks of ``domain``. A block
+    draws its cells 2j + i first and holds its rows cell by cell."""
     at_least("n", n)
     at_least("m", m)
     prior.validate_for(target)
     cells = prior.cell_law
+    # the target of cell 2j + i
+    targets = np.array([target.target(j, i) for j in (0, 1) for i in (0, 1)])
 
     def draw(rows: int, rng: np.random.Generator) -> tuple:
-        cell = cells.quantile(rng.random(rows))
-        j, i = cell // 2, cell % 2
-        train = draw_labeled((pair.p0, pair.mixture), j, n, rng)
+        c = np.bincount(draw_symbols(cells, rows, rng), minlength=4).tolist()
+        train = draw_grouped((pair.p0, pair.mixture), (c[0] + c[1], c[2] + c[3]), n, rng)
         d_prime = draw_symbols(pair.p0, (rows, m), rng)
-        x = draw_labeled((pair.p0, pair.pb), i, 1, rng)[:, 0]
-        return target.target(j, i), trainer.batch(train, pair.alphabet_size), d_prime, x
+        x = draw_grouped((pair.p0, pair.pb, pair.p0, pair.pb), c, 1, rng)[:, 0]
+        return targets.repeat(c), trainer.batch(train, pair.alphabet_size), d_prime, x
 
     return _estimate(draw, detector(pair), trials, seed, (domain,))
 

@@ -903,11 +903,11 @@ class TestTypeConcentration:
         assert a == b
 
     def test_golden_value(self):
-        # two blocks on substream(4, CONCENTRATION, b): 398 of 5000 trials exceed
+        # two blocks on substream(4, CONCENTRATION, b): 408 of 5000 trials exceed
         p = Categorical.uniform(3)
         estimate = type_exceedance_frequency(p, 30, 0.2, 5000, seed=4)
         assert isinstance(estimate, RiskEstimate) and estimate.trials == 5000
-        assert estimate.p_hat == 0.0796
+        assert estimate.p_hat == 0.0816
         assert estimate.ci_low < estimate.p_hat < estimate.ci_high
 
     def test_minimum_trials_enforced(self):

@@ -45,7 +45,7 @@ from bdlimits import (
     wilson_interval,
 )
 from bdlimits import harness, results
-from bdlimits.distributions import draw_labeled, draw_symbols
+from bdlimits.distributions import draw_grouped, draw_symbols
 from bdlimits.results import append_result, config_hash
 from bdlimits.rng import BLOCK, Domain, block_errors, substream
 
@@ -167,8 +167,10 @@ class TestEstimateRisk:
         score = np_trial_detector()(ORACLE_PAIR)
 
         def draw(rows, rng):
-            j = rng.integers(0, 2, rows)
-            return j, draw_labeled((ORACLE_PAIR.p0, p1), j, 2, rng)
+            # fair labels as lanes at or above 2^31, then the J = 0 rows first
+            ones = int(np.count_nonzero(draw_symbols(Categorical.uniform(2), rows, rng)))
+            j = np.repeat([0, 1], [rows - ones, ones])
+            return j, draw_grouped((ORACLE_PAIR.p0, p1), (rows - ones, ones), 2, rng)
 
         sizes = [BLOCK, BLOCK, 37]
         forward = [
@@ -458,24 +460,24 @@ class TestEstimatorGoldens:
     @pytest.mark.parametrize(
         "estimate, errors",
         [
-            (lambda: estimate_risk(np_trial_detector(), K3.pair, K3.n, 5000, 7), 51),
-            (lambda: estimate_risk(type2_trial_detector(), K3.pair, K3.n, 5000, 7), 185),
-            (lambda: estimate_risk(type1_trial_detector(K3.m), K3.pair, K3.n, 5000, 7), 349),
-            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[0], 45),
-            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[1], 48),
+            (lambda: estimate_risk(np_trial_detector(), K3.pair, K3.n, 5000, 7), 39),
+            (lambda: estimate_risk(type2_trial_detector(), K3.pair, K3.n, 5000, 7), 186),
+            (lambda: estimate_risk(type1_trial_detector(K3.m), K3.pair, K3.n, 5000, 7), 356),
+            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[0], 46),
+            (lambda: estimate_conditional_errors(np_trial_detector(), K3.pair, K3.n, 5000, 7)[1], 45),
             (
                 lambda: estimate_generalized_risk(
                     bayes_probe_detector(K3.pair), K3.pair, K3.n, K3.m, JointPrior.sbd_default(),
                     Flavor.SBD, TrainerStub(), 5000, 7,
                 ),
-                641,
+                636,
             ),
             (
                 lambda: type0_demo_risk(
                     type0_tv_detector(K3.pair.gamma, K3.pair.beta), K3.pair, K3.n, K3.m,
                     TrainerStub(), 5000, 7,
                 ),
-                308,
+                281,
             ),
         ],
         ids=["risk-np", "risk-type2", "risk-type1", "false-backdoor", "missed-backdoor", "sbd", "type0"],

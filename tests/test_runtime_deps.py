@@ -6,20 +6,29 @@ loads only the package modules that every command uses; the closed-form
 bounds load with ``bounds-table`` and ``risk --oracle``.
 """
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import click
 import pytest
+from click.testing import CliRunner
 
 import bdlimits
+from bdlimits.cli import main
+
+#: Ends each command's stdout in a blocked run, before its exit code.
+END = b"\x1e"
 
 #: Makes every import of the package named by the first argument fail as if
-#: it were not installed, then runs the CLI on the remaining arguments.
+#: it were not installed, then runs the CLI on each argument list of the
+#: second, a JSON list, one after another in this one interpreter. After
+#: each command's stdout it prints END, the command's exit code and a newline.
 BLOCK = """
-import sys
+import json, sys
 
 class Block:
     def __init__(self, package):
@@ -30,12 +39,14 @@ class Block:
             raise ImportError(f"{name} is blocked")
         return None
 
-sys.meta_path.insert(0, Block(sys.argv.pop(1)))
+sys.meta_path.insert(0, Block(sys.argv[1]))
 from bdlimits.cli import main
-main(sys.argv[1:], prog_name="bdlimits")
+for args in json.loads(sys.argv[2]):
+    try:
+        main(args, prog_name="bdlimits")
+    except SystemExit as exit:
+        print(f"\\x1e{exit.code}", flush=True)
 """
-
-RUN_CLI = "import sys; from bdlimits.cli import main; main(sys.argv[1:], prog_name='bdlimits')"
 
 #: Runs the CLI on the arguments, then prints whether the bounds module loaded.
 BOUNDS_LOADED = """
@@ -49,10 +60,57 @@ finally:
 
 
 def python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout's package."""
+    """Run a fresh interpreter that imports this checkout's package, with
+    help text 80 columns wide, as :func:`unblocked` prints it."""
     src = str(Path(bdlimits.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {
+        **os.environ,
+        "COLUMNS": "80",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
     return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+def blocked(package: str, commands: list[list[str]]) -> tuple[list[tuple[bytes, bytes]], bytes]:
+    """Run the commands one after another in one fresh interpreter that cannot
+    import ``package``: each command's (exit code, stdout), and the stderr."""
+    result = python("-c", BLOCK, package, json.dumps(commands))
+    assert result.returncode == 0, result.stderr
+    runs = re.findall(b"(.*?)" + END + b"(.*?)\n", result.stdout, re.S)
+    assert len(runs) == len(commands), result.stdout
+    return [(code, stdout) for stdout, code in runs], result.stderr
+
+
+def unblocked(args: list[str]) -> bytes:
+    """The command's stdout bytes, run in-process, as the CLI prints them
+    unblocked (``stdout_bytes``: ``stdout`` would turn \\r\\n into \\n)."""
+    result = CliRunner(env={"COLUMNS": "80"}).invoke(main, args, prog_name="bdlimits")
+    assert result.exit_code == 0, result.output
+    return result.stdout_bytes
+
+
+def assert_runs_blocked(runs, commands, args) -> None:
+    """The blocked run of ``args`` exited 0 and printed what it prints unblocked."""
+    (code, stdout), stderr = runs[0][commands.index(args)], runs[1]
+    assert code == b"0", stderr
+    assert stdout == unblocked(args)
+
+
+#: The commands that run without scipy, all in one blocked interpreter.
+SCIPY_FREE = [["bounds-table"], ["risk", "--oracle"], ["toy", "--seeds", "3"], ["probe", "--trials", "500"]]
+
+#: The commands that run without numpy, all in one blocked interpreter.
+NUMPY_FREE = [["bounds-table"], ["bounds-table", "--format", "json", "--alpha", "0.01", "--beta", "0.1"], ["--help"]]
+
+
+@pytest.fixture(scope="module")
+def without_scipy():
+    return blocked("scipy", SCIPY_FREE)
+
+
+@pytest.fixture(scope="module")
+def without_numpy():
+    return blocked("numpy", NUMPY_FREE)
 
 
 def test_cli_import_loads_no_scipy():
@@ -62,17 +120,9 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout == b"[]\n"
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["bounds-table"], ["risk", "--oracle"], ["toy", "--seeds", "3"], ["probe", "--trials", "500"]],
-    ids=lambda args: args[0],
-)
-def test_commands_run_without_scipy(args):
-    blocked = python("-c", BLOCK, "scipy", *args)
-    assert blocked.returncode == 0, blocked.stderr
-    normal = python("-c", RUN_CLI, *args)
-    assert normal.returncode == 0, normal.stderr
-    assert blocked.stdout == normal.stdout
+@pytest.mark.parametrize("args", SCIPY_FREE, ids=lambda args: args[0])
+def test_commands_run_without_scipy(args, without_scipy):
+    assert_runs_blocked(without_scipy, SCIPY_FREE, args)
 
 
 def test_import_loads_no_numpy():
@@ -92,17 +142,9 @@ def test_numpy_loads_with_the_first_name_that_needs_it():
     assert result.stdout == b"False\nTrue\n"
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["bounds-table"], ["bounds-table", "--format", "json", "--alpha", "0.01", "--beta", "0.1"], ["--help"]],
-    ids=["bounds-table", "bounds-table-json", "help"],
-)
-def test_commands_run_without_numpy(args):
-    blocked = python("-c", BLOCK, "numpy", *args)
-    assert blocked.returncode == 0, blocked.stderr
-    normal = python("-c", RUN_CLI, *args)
-    assert normal.returncode == 0, normal.stderr
-    assert blocked.stdout == normal.stdout
+@pytest.mark.parametrize("args", NUMPY_FREE, ids=["bounds-table", "bounds-table-json", "help"])
+def test_commands_run_without_numpy(args, without_numpy):
+    assert_runs_blocked(without_numpy, NUMPY_FREE, args)
 
 
 def test_cli_import_loads_no_importlib_resources():

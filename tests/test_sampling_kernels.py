@@ -1,14 +1,19 @@
 """Contract tests for the small-alphabet sampling and type kernels.
 
-Small alphabets invert the CDF by counting levels and read types off a
-type table; large ones binary-search the CDF and sort each row. Each kernel
-must give exactly what the search and the sort give, on both sides of its
-size threshold, and the seeded streams and type distances are pinned by
-digest so that no kernel change can move a seeded value silently.
+Small alphabets draw symbols by counting integer levels at or below 32-bit
+lanes of raw words and read types off a type table; large ones
+binary-search the float CDF at uniforms and sort each row. The sampler must
+give exactly what a pure-Python inversion of the same words gives, or the
+search on the same uniforms, on both sides of its size threshold; each
+type kernel must give exactly what the sort gives. The seeded streams and
+type distances are pinned by digest so that no kernel change can move a
+seeded value silently.
 """
 
 import hashlib
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +24,7 @@ from bdlimits import Categorical
 from bdlimits.detectors import type1_distances
 from bdlimits.distributions import (
     _COUNT_LEVELS_MAX_K,
-    _ROW_LEVELS_MAX_K,
-    draw_labeled,
+    draw_grouped,
     draw_symbols,
     sparse_types,
     type_counts,
@@ -29,11 +33,15 @@ from bdlimits.distributions import (
 from bdlimits.harness import TrainerStub
 from bdlimits.rng import substream
 
-#: alphabet sizes on both sides of each kernel's threshold
-THRESHOLD_KS = (_ROW_LEVELS_MAX_K, _ROW_LEVELS_MAX_K + 1, _COUNT_LEVELS_MAX_K, _COUNT_LEVELS_MAX_K + 1)
+#: alphabet sizes the sampler is checked at: one and two symbols, two
+#: mid-size alphabets, and both sides of its lane threshold
+THRESHOLD_KS = (1, 2, 6, 7, _COUNT_LEVELS_MAX_K, _COUNT_LEVELS_MAX_K + 1)
 
 #: 1 - 2**-53, the largest value ``Generator.random`` returns
 TOP_UNIFORM = np.nextafter(1.0, 0.0)
+
+#: lanes are 32-bit: they lie below this
+LANES = 2**32
 
 
 def full_cdf(law):
@@ -48,6 +56,75 @@ def searched(law, u):
     min(searchsorted(cdf, u, "right"), that symbol)."""
     last = np.flatnonzero(law.probs)[-1]
     return np.minimum(np.searchsorted(np.cumsum(law.probs), u, side="right"), last)
+
+
+def lane_levels(law):
+    """The integer levels ceil(c * 2^32) of the float inner CDF levels c, in
+    exact rational arithmetic."""
+    return [math.ceil(Fraction(c) * LANES) for c in np.cumsum(law.probs)[:-1].tolist()]
+
+
+def lanes_of(words):
+    """The 32-bit lanes of raw 64-bit words, each word's low half first."""
+    return [half for w in words for half in (w & (LANES - 1), w >> 32)]
+
+
+def lane_inverted(law, lanes):
+    """The pure-Python inversion of lanes: the number of integer levels at
+    or below each lane, capped at the last symbol with mass."""
+    last = int(np.flatnonzero(law.probs)[-1])
+    levels = lane_levels(law)
+    return [min(sum(level <= lane for level in levels), last) for lane in lanes]
+
+
+def reference_draw(law, shape, rng):
+    """What ``draw_symbols(law, shape, rng)`` must give: the lane inversion
+    of ceil(size / 2) raw words up to ``_COUNT_LEVELS_MAX_K`` symbols, and
+    ``searched`` on ``rng.random(shape)`` above."""
+    if law.alphabet_size > _COUNT_LEVELS_MAX_K:
+        return searched(law, rng.random(shape))
+    size = math.prod(shape)
+    lanes = lanes_of(rng.bit_generator.random_raw((size + 1) // 2).tolist())[:size]
+    return np.array(lane_inverted(law, lanes), dtype=np.int64).reshape(shape)
+
+
+def reference_grouped(laws, counts, n, rng):
+    """What ``draw_grouped`` must give: one block buffer of ``reference_draw``'s
+    kind, each group's rows inverted with its own law."""
+    rows = sum(counts)
+    if laws[0].alphabet_size > _COUNT_LEVELS_MAX_K:
+        u = rng.random((rows, n))
+        parts = np.split(u, np.cumsum(counts)[:-1])
+        return np.concatenate([searched(law, part) for law, part in zip(laws, parts)])
+    lanes = lanes_of(rng.bit_generator.random_raw((rows * n + 1) // 2).tolist())[: rows * n]
+    symbols, start = [], 0
+    for law, count in zip(laws, counts):
+        symbols += lane_inverted(law, lanes[start : start + count * n])
+        start += count * n
+    return np.array(symbols, dtype=np.int64).reshape(rows, n)
+
+
+class Words:
+    """A stand-in generator whose bit generator yields these raw 64-bit words,
+    then all-ones words, and whose uniforms are the doubles those words give."""
+
+    def __init__(self, words=()):
+        self.words = list(words)
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        taken, self.words = self.words[:size], self.words[size:]
+        return np.array(taken + [2**64 - 1] * (size - len(taken)), dtype=np.uint64)
+
+    def random(self, shape):
+        words = self.random_raw(math.prod(np.atleast_1d(shape)))
+        return ((words >> np.uint64(11)) * 2.0**-53).reshape(shape)
+
+
+def from_lanes(lanes):
+    """Raw words that carry these lanes, low half first."""
+    lanes = list(lanes) + [0] * (len(lanes) % 2)
+    return [lo | hi << 32 for lo, hi in zip(lanes[::2], lanes[1::2])]
 
 
 def sorted_types(symbols):
@@ -129,29 +206,60 @@ class TestLevelCounting:
     @given(data=st.data())
     def test_both_sides_of_the_threshold(self, k, data):
         law = data.draw(laws(k))
-        u = data.draw(uniforms(law, 200)).reshape(20, 10)
-        np.testing.assert_array_equal(law.quantile(u.copy()), searched(law, u))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_labeled_draw_equals_search_row_by_row(self, data):
-        k = data.draw(st.integers(1, 8) | st.sampled_from(THRESHOLD_KS))
-        pair = (data.draw(laws(k)), data.draw(laws(k)))
-        rows, n = data.draw(st.integers(1, 40)), data.draw(st.sampled_from([1, 3, 20]))
+        shape = data.draw(st.sampled_from([(20, 10), (7, 3), (5,)]))
         seed = data.draw(st.integers(0, 2**32))
-        labels = substream(seed, 1).integers(0, 2, rows)
-        symbols = draw_labeled(pair, labels, n, substream(seed, 0))
-        u = substream(seed, 0).random((rows, n))
-        assert symbols.shape == (rows, n) and symbols.dtype == np.int64
-        for r in range(rows):
-            np.testing.assert_array_equal(symbols[r], searched(pair[labels[r]], u[r]))
+        got = draw_symbols(law, shape, substream(seed, 0))
+        assert got.shape == shape and got.dtype == np.int64
+        np.testing.assert_array_equal(got, reference_draw(law, shape, substream(seed, 0)))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_lanes_on_a_level_and_one_below(self, data):
+        # a lane exactly on a level counts it, a lane one below does not
+        law = data.draw(laws(data.draw(st.integers(1, 8) | st.just(_COUNT_LEVELS_MAX_K))))
+        levels = [level for level in lane_levels(law) if level < LANES]
+        lanes = [0, LANES - 1, *levels, *(level - 1 for level in levels if level > 0)]
+        got = draw_symbols(law, len(lanes), Words(from_lanes(lanes)))
+        assert got.tolist() == lane_inverted(law, lanes)
 
-class TopUniforms:
-    """A stand-in generator whose every uniform is ``TOP_UNIFORM``."""
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_lane_masses_within_two_to_the_minus_32(self, data):
+        # bisect, for each symbol s > 0, the first lane at which the sampler
+        # draws s or more (2^32 if none does); symbol s's mass is its share
+        # of the 2^32 lanes, compared with p_s in exact arithmetic
+        law = data.draw(laws(data.draw(st.integers(1, 8) | st.just(_COUNT_LEVELS_MAX_K))))
+        k = law.alphabet_size
+        targets = np.arange(1, k)
+        low, high = np.zeros(k - 1, dtype=np.int64), np.full(k - 1, LANES)
+        while (active := low < high).any():
+            mid = (low + high) // 2
+            lanes = np.minimum(mid, LANES - 1).tolist()
+            above = draw_symbols(law, k - 1, Words(from_lanes(lanes))) >= targets
+            high = np.where(active & above, mid, high)
+            low = np.where(active & ~above, mid + 1, low)
+        starts = [0, *high.tolist(), LANES]
+        masses = [Fraction(b - a, LANES) for a, b in zip(starts, starts[1:])]
+        # the float CDF the levels are taken from adds its own rounding
+        slack = Fraction(1, LANES) + Fraction(k, 2**52)
+        for s, (mass, p) in enumerate(zip(masses, law.probs.tolist())):
+            if p == 0.0:
+                assert mass == 0, s
+            else:
+                assert abs(mass - Fraction(p)) < slack, s
 
-    def random(self, shape):
-        return np.full(shape, TOP_UNIFORM)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_grouped_draw_equals_inversion_group_by_group(self, data):
+        k = data.draw(st.integers(1, 8) | st.sampled_from(THRESHOLD_KS))
+        group_laws = data.draw(st.lists(laws(k), min_size=1, max_size=4))
+        counts = data.draw(st.lists(st.integers(0, 15), min_size=len(group_laws), max_size=len(group_laws)))
+        n = data.draw(st.sampled_from([1, 3, 20]))
+        seed = data.draw(st.integers(0, 2**32))
+        symbols = draw_grouped(group_laws, counts, n, substream(seed, 0))
+        assert symbols.shape == (sum(counts), n) and symbols.dtype == np.int64
+        expected = reference_grouped(group_laws, counts, n, substream(seed, 0))
+        np.testing.assert_array_equal(symbols, expected)
 
 
 class TestMasslessLastSymbol:
@@ -165,12 +273,21 @@ class TestMasslessLastSymbol:
         assert np.cumsum(law.probs)[2] == TOP_UNIFORM
         assert law.quantile(np.full(5, TOP_UNIFORM)).tolist() == [2] * 5
 
-    @pytest.mark.parametrize("k", [4, _COUNT_LEVELS_MAX_K + 9], ids=["row-levels", "gathered"])
-    def test_labeled_draw_stops_at_the_last_mass(self, k):
+    @pytest.mark.parametrize("k", [4, _COUNT_LEVELS_MAX_K + 9], ids=["lanes", "floats"])
+    def test_draw_stops_at_the_last_mass(self, k):
+        # all-ones words: every lane is 2^32 - 1 and every uniform TOP_UNIFORM
         law = Categorical(np.r_[self.MASSES, np.zeros(k - 4)])
         other = Categorical.uniform(k)
-        symbols = draw_labeled((law, other), np.array([0, 1, 0]), 4, TopUniforms())
+        assert draw_symbols(law, 5, Words()).tolist() == [2] * 5
+        symbols = draw_grouped((law, other, law), (1, 1, 1), 4, Words())
         assert symbols.tolist() == [[2] * 4, [k - 1] * 4, [2] * 4]
+
+    @pytest.mark.parametrize("k", [2, _COUNT_LEVELS_MAX_K])
+    def test_tail_below_one_lane_is_never_drawn(self, k):
+        # the last level ceil(c * 2^32) is 2^32, above the top lane 2^32 - 1
+        law = Categorical(np.r_[np.zeros(k - 2), 1.0 - 1e-12, 1e-12])
+        assert lane_levels(law)[-1] == LANES
+        assert draw_symbols(law, 5, Words()).tolist() == [k - 2] * 5
 
 
 class TestHistogramTypes:
@@ -284,59 +401,66 @@ def digest(*arrays):
 
 
 def words_stream(*words):
-    """The SFC64 generator keyed by these 32-bit words. The digests below were
-    recorded when substream(seed, *path) was keyed by the words (seed, *path)
-    alone, so they draw from those keys to stay pinned to the same inputs."""
+    """The SFC64 generator keyed by these 32-bit words. The distance digests
+    below were recorded when substream(seed, *path) was keyed by the words
+    (seed, *path) alone, so they draw from those keys to stay pinned to the
+    same inputs; the stream digests draw from the same keys."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(np.array(words, np.uint32))))
 
 
 #: SHA-256 of the seeded streams below, recorded with the reference kernels
-#: above (``searched`` for every draw, row by row for the labeled ones, and
-#: ``sorted_types``), so they pin the package kernels to the references
+#: above (``reference_draw`` for every draw, ``reference_grouped`` for the
+#: grouped ones, and ``sorted_types``), so they pin the package kernels to
+#: the references
 STREAM_DIGESTS = {
     2: (
-        "8873481453bdf7904189ee3ce70389824cff3fef2ab5feb17ec1c12584897589",
-        "4f21f669b40de9d02865e5ebba7da9e1a72b756d522e86a3069f5a3aa219f579",
-        "1acc7a8e1e2ddffee7016c9e80318400ccc51ac6aff97b59176548a3264febe9",
+        "e62c681a57f6790e9b88ff63f041e749e7e0ae831d1cc5173e8c82beceeb20a6",
+        "06cd0dbb56672002db214e3cbb3f698223b8aedd49af7e2e5ec465679b30f956",
+        "63f1bd0d747ad27674cc63a136e5276fa9b8ccf6d6db1cd80f8e2088a5f7f078",
     ),
     4: (
-        "74417a7aa8318ff759788e346906f983eb1ea02977edfbed82ddd3f3265f5cd8",
-        "aea9b247c886f4af53179b0738a63e81f34708c6d910aa4caa45daeb413da1a9",
-        "d18919f544cc414eff50062db42cbe425368570662f198f26545c38f049eb240",
+        "2f637fe6c2dc11fb601d77b7533dd3453c575ae83119f68b992e5de3b83a90e4",
+        "c65df7351103818d655314c3e8b00d0c2d8d3d8b3e3468611b094785987bee68",
+        "bcc46bee3e14d98fa1387d93235c7d231acd1278a762892ad9b54bb7f7d7ee36",
     ),
     64: (
-        "f3a52af28cc93e4910a12cb690991ae42de79fd08f435727973193867251ee3b",
-        "da22cc47d9fd98e27a0951829ba01e63303b2c30640f024ea91ccafb4279cee4",
-        "c699b2668907af59562ba7d6bd993d41b525ae157b5fab460196fbde48286341",
+        "919ad9364fd0352044d69f7739099ddb8fb1729364793d419712615db5ae3729",
+        "dcb941058b45d42ef35f82e6ae4abc91bbdf876b38afb615c59c78697f91cb75",
+        "bb2a9223a4d7c3823290feded87345b6dd067456aa859b618f1a8d2843c79d43",
     ),
     65: (
         "60b31a9dea4c98ffc18da2a0acf684500f968100a84044ef10847ae7a994c026",
-        "61d70eee485f5aa10dd6a45ecc0e898ac80502dd24642f7b7ef5234393e4091f",
+        "b726ea0648737f4f52b92e6b77099f7737fcbcfcfc05396ddaaf90f4ae5c760f",
         "51ca2dd7be2fdebedecc1488181c3e7eae59fc0310ae69cc1bcccfc472a14dfb",
     ),
     1000: (
         "53d6f3301a30527fde71d17767bdfd8b18c0590bbf527f7d5cbc846f5151b0d5",
-        "4b914985cd414faa02f7bc2b9d5ffbad8818d3f7e98c82d7231aed52f80d357e",
+        "9533263d8799bae6b5234284f203c50e8591ab44ad4b73d3fc7ce839f4af8732",
         "60e8509d2229e722d6e420d2896e4363287180e8a5fbf93bb36bc04b950a952d",
     ),
 }
 
 
-@pytest.mark.parametrize("k", sorted(STREAM_DIGESTS))
-def test_seeded_streams_are_pinned(k):
+def seeded_streams(k, draw, grouped):
+    """The pinned draws on the stream of key (13, k), with these samplers:
+    a block, fair labels, the block and probes of those labels, a wide block."""
     law, other = pinned_law(k), pinned_law(k, flip=True)
     rng = words_stream(13, k)
-    drawn = draw_symbols(law, (300, 20), rng)
-    labels = rng.integers(0, 2, 300)
-    labeled = draw_labeled((law, other), labels, 20, rng)
-    probe = draw_labeled((law, other), labels, 1, rng)
-    wide = draw_symbols(law, (40, 80), rng)
-    got = (
+    drawn = draw(law, (300, 20), rng)
+    ones = int(np.count_nonzero(draw(Categorical.uniform(2), (300,), rng)))
+    labeled = grouped((law, other), (300 - ones, ones), 20, rng)
+    probe = grouped((law, other), (300 - ones, ones), 1, rng)
+    wide = draw(law, (40, 80), rng)
+    return (
         digest(drawn, wide),
         digest(labeled, probe),
         digest(*sparse_types(drawn), *sparse_types(wide)),
     )
-    assert got == STREAM_DIGESTS[k]
+
+
+@pytest.mark.parametrize("k", sorted(STREAM_DIGESTS))
+def test_seeded_streams_are_pinned(k):
+    assert seeded_streams(k, draw_symbols, draw_grouped) == STREAM_DIGESTS[k]
 
 
 def full_law(k):
@@ -348,7 +472,9 @@ def full_law(k):
 #: SHA-256 of the ``float.hex`` of ``type_distances`` on the seeded blocks
 #: below against each of the package's references, recorded with the sparse
 #: types, before any block was scored on its type table. At n = k - 1 the
-#: blocks take the sort path, at n = k and k + 1 the table.
+#: blocks take the sort path, at n = k and k + 1 the table. The blocks are
+#: drawn as they were then, by ``searched`` on float uniforms, so the digests
+#: pin the type layer alone, whatever the sampler.
 DISTANCE_DIGESTS = {
     "p0": "daad05f8fe83081294b4f6443bf34c55dfe71edada998f58812a7fb33a6c14ef",
     "trained": "60a6ca7c513a5345d865a7b7d5f6367bb40da10cb0449b79c1e7ae2121551101",
@@ -362,7 +488,8 @@ def test_seeded_distances_are_pinned(reference):
     for k in (2, 3, 4, 64):
         for n in (k - 1, k, k + 1):
             rng = words_stream(17, k, n)
-            symbols, train, clean = (draw_symbols(full_law(k), (40, n), rng) for _ in range(3))
+            law = full_law(k)
+            symbols, train, clean = (searched(law, rng.random((40, n))) for _ in range(3))
             if reference == "p0":
                 probs = pinned_law(k).probs
                 distances = type_distances(symbols, lambda row, sym: probs[sym])
@@ -385,15 +512,17 @@ def peak_bytes(fn):
 
 @pytest.mark.parametrize("n", [1, 20])
 def test_labeled_draw_memory(n):
-    # the uniforms and the symbols, plus O(rows) per level: no rows x K table
-    k, rows = _ROW_LEVELS_MAX_K, 4096
-    pair = (pinned_law(k), pinned_law(k, flip=True))
-    labels = substream(2, 1).integers(0, 2, rows)
-    rng = substream(2, 0)
-    draw_labeled(pair, labels, n, rng)
-    symbols, peak = peak_bytes(lambda: draw_labeled(pair, labels, n, rng))
-    assert symbols.shape == (rows, n)
-    assert peak <= 2 * 8 * rows * n + 8 * rows * k + 16 * 1024, peak
+    # a grouped draw holds no more than the uniforms and the symbols, plus
+    # O(rows) per level: no rows x K table, on lanes and on floats
+    rows = 4096
+    counts = (rows // 2 - 100, rows // 2 + 100)
+    for k in (4, _COUNT_LEVELS_MAX_K + 1):
+        pair = (pinned_law(k), pinned_law(k, flip=True))
+        rng = substream(2, 0)
+        draw_grouped(pair, counts, n, rng)
+        symbols, peak = peak_bytes(lambda: draw_grouped(pair, counts, n, rng))
+        assert symbols.shape == (rows, n)
+        assert peak <= 2 * 8 * rows * n + 8 * rows * k + 16 * 1024, (k, peak)
 
 
 def test_histogram_types_memory():
