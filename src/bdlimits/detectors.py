@@ -9,8 +9,11 @@ between them are harness detectors (:mod:`bdlimits.harness`): a Type-2
 detector is a Type-3 one that reads only ``pair.p0``, and
 ``type1_trial_detector(m)`` runs the Type-1 test as a Type-2 detector by
 drawing its m clean samples from p0. The block kernels here score a whole
-block of datasets; :func:`np_type3`, :func:`type2_tv` and :func:`type1_tv`
-are their one-dataset cases.
+block of datasets. :func:`np_type3` is its kernel's one-dataset case;
+:func:`type2_tv` and :func:`type1_tv` threshold the distance their kernel
+gives on one row, bit for bit, but a dataset of at most ``_SHORT_ROW``
+symbols is walked in Python rather than passed to the kernel, which costs
+more on so short a row.
 
 Polarity, for every detector in the package: a verdict of 1 flags the
 training set as drawn from the contaminated mixture, 0 as clean. Ties in
@@ -20,6 +23,7 @@ the likelihood ratio and the threshold tests resolve to 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,9 +31,11 @@ import numpy as np
 
 from .checks import at_least, within
 from .distributions import (
+    _SHORT_ROW,
     Categorical,
     DistributionPair,
     SymbolDataset,
+    _short_row_distance,
     same_alphabet,
     tv_to_type,
     type_counts,
@@ -138,6 +144,18 @@ def type1_distances(symbols: np.ndarray, clean: np.ndarray, k: int) -> np.ndarra
     return type_distances(symbols, lambda row, sym: counts(row, sym) / m)
 
 
+def _type1_distance(d: SymbolDataset, d_clean: SymbolDataset) -> float:
+    """TV distance between the types of two datasets: :func:`type1_distances`
+    on one row each, bit for bit, which two datasets of at most
+    ``_SHORT_ROW`` symbols skip for a walk in Python."""
+    k = same_alphabet(d, d_clean)
+    m = d_clean.symbols.size
+    if max(d.symbols.size, m) > _SHORT_ROW:
+        return float(type1_distances(d.symbols[None, :], d_clean.symbols[None, :], k)[0])
+    counts = Counter(d_clean.symbols.tolist())
+    return _short_row_distance(d.symbols, lambda s: counts[s] / m)
+
+
 def type1_tv(
     d: SymbolDataset, d_clean: SymbolDataset, gamma: float, beta: float
 ) -> int:
@@ -147,9 +165,7 @@ def type1_tv(
     independently collected clean dataset.
     """
     threshold = tv_threshold(gamma, beta)
-    k = same_alphabet(d, d_clean)
-    distance = type1_distances(d.symbols[None, :], d_clean.symbols[None, :], k)[0]
-    return int(distance >= threshold)
+    return int(_type1_distance(d, d_clean) >= threshold)
 
 
 def ks_statistic(values: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:

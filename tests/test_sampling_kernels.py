@@ -10,6 +10,7 @@ type distances are pinned by digest so that no kernel change can move a
 seeded value silently.
 """
 
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -20,13 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdlimits import Categorical
-from bdlimits.detectors import type1_distances
+from bdlimits import Categorical, SymbolDataset
+from bdlimits.detectors import _type1_distance, type1_distances
 from bdlimits.distributions import (
     _COUNT_LEVELS_MAX_K,
+    _SHORT_ROW,
     draw_grouped,
     draw_symbols,
     sparse_types,
+    tv_to_type,
     type_counts,
     type_distances,
 )
@@ -380,6 +383,51 @@ class TestTypeTable:
             assert hexes(type_distances(symbols, reference)) == hexes(
                 sparse_distances(symbols, expected)
             )
+
+
+@functools.cache
+def huge_uniform():
+    """The uniform law on 10**9 symbols, built once: its check sums 10**9
+    broadcast entries."""
+    return Categorical.uniform(10**9)
+
+
+@st.composite
+def short_rows(draw, k):
+    """A row of 1 to 2 * ``_SHORT_ROW`` symbols below k, so both sides of the
+    cutoff run; its symbols span at most its length when k allows, which
+    scores it on a type table, or anywhere below k, which sorts it."""
+    n = draw(st.integers(1, 2 * _SHORT_ROW))
+    span = min(k, n) if draw(st.booleans()) else k
+    return substream(draw(st.integers(0, 2**32)), 0).integers(0, span, n)
+
+
+class TestShortRow:
+    """``tv_to_type`` and ``type1_tv`` walk a dataset of at most
+    ``_SHORT_ROW`` symbols in Python instead of calling the block kernel;
+    on either side of the cutoff each must give the kernel's one-row
+    distance bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_tv_to_type_equals_type_distances(self, data):
+        law = data.draw(laws() | st.builds(huge_uniform))
+        symbols = data.draw(short_rows(law.alphabet_size))
+        expected = type_distances(symbols[None, :], lambda row, sym: law.probs[sym])
+        got = tv_to_type(law, SymbolDataset(symbols, law.alphabet_size))
+        assert float.hex(got) == hexes(expected)[0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_type1_distance_equals_type1_distances(self, data):
+        k = data.draw(st.integers(1, 3 * _SHORT_ROW) | st.just(10**9))
+        symbols, clean = data.draw(short_rows(k)), data.draw(short_rows(k))
+        if data.draw(st.booleans()):
+            # the clean sample misses every symbol of d above its smallest
+            clean = np.minimum(clean, symbols.min())
+        expected = type1_distances(symbols[None, :], clean[None, :], k)
+        got = _type1_distance(SymbolDataset(symbols, k), SymbolDataset(clean, k))
+        assert float.hex(got) == hexes(expected)[0]
 
 
 def pinned_law(k, flip=False):
