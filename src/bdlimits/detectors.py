@@ -11,9 +11,9 @@ detector is a Type-3 one that reads only ``pair.p0``, and
 drawing its m clean samples from p0. The block kernels here score a whole
 block of datasets. :func:`np_type3` is its kernel's one-dataset case;
 :func:`type2_tv` and :func:`type1_tv` threshold the distance their kernel
-gives on one row, bit for bit, but a dataset of at most ``_SHORT_ROW``
-symbols is walked in Python rather than passed to the kernel, which costs
-more on so short a row.
+gives on one row, bit for bit, but walk the dataset in Python
+(:func:`bdlimits.distributions._row_distance`) rather than pass it to the
+kernel, whose numpy calls cost more on a short dataset.
 
 Polarity, for every detector in the package: a verdict of 1 flags the
 training set as drawn from the contaminated mixture, 0 as clean. Ties in
@@ -31,11 +31,10 @@ import numpy as np
 
 from .checks import at_least, within
 from .distributions import (
-    _SHORT_ROW,
     Categorical,
     DistributionPair,
     SymbolDataset,
-    _short_row_distance,
+    _row_distance,
     same_alphabet,
     tv_to_type,
     type_counts,
@@ -146,14 +145,11 @@ def type1_distances(symbols: np.ndarray, clean: np.ndarray, k: int) -> np.ndarra
 
 def _type1_distance(d: SymbolDataset, d_clean: SymbolDataset) -> float:
     """TV distance between the types of two datasets: :func:`type1_distances`
-    on one row each, bit for bit, which two datasets of at most
-    ``_SHORT_ROW`` symbols skip for a walk in Python."""
-    k = same_alphabet(d, d_clean)
+    on one row each, bit for bit, by the walk of :func:`tv_to_type`."""
+    same_alphabet(d, d_clean)
     m = d_clean.symbols.size
-    if max(d.symbols.size, m) > _SHORT_ROW:
-        return float(type1_distances(d.symbols[None, :], d_clean.symbols[None, :], k)[0])
     counts = Counter(d_clean.symbols.tolist())
-    return _short_row_distance(d.symbols, lambda s: counts[s] / m)
+    return _row_distance(d.symbols, lambda s: counts[s] / m)
 
 
 def type1_tv(

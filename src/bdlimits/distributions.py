@@ -20,7 +20,7 @@ uniforms in [0, 1). Types of a block with a type table are counted, looked
 up and scored on it; others are found by sorting each row. Both type
 kernels give the same triples, counts and distances, bit for bit, so the
 choice never moves a seeded value; nor does the walk in Python that scores
-one short dataset (:func:`tv_to_type`).
+one dataset (:func:`tv_to_type`).
 
 No function here takes a seed: sampling takes a numpy ``Generator``, which
 the estimators seed. Everything here is a pure function of its inputs
@@ -71,14 +71,6 @@ _NO_MASS_LOG = -1e200
 #: about 256 on 8e4. Part of the determinism contract: the two paths read
 #: the stream differently, so changing it changes seeded values.
 _COUNT_LEVELS_MAX_K = 64
-
-#: Datasets of at most this many symbols are scored by a Python walk
-#: (:func:`_short_row_distance`), longer ones by :func:`type_distances`, to
-#: the same bits. The walk pays per run of equal symbols, the kernel a fixed
-#: set of numpy calls. On one pinned Xeon CPU (numpy 2.4) they cross at
-#: n = 48 on K = 1e5, where each symbol is its own run: 11.7 against 11.2 us
-#: (5.2 against 10.8 us at n = 20). On K = 4 the walk still wins at n = 128.
-_SHORT_ROW = 48
 
 #: A lane is a 32-bit half of a raw word, so it lies below this.
 _LANES = 1 << 32
@@ -584,14 +576,17 @@ def type_distances(symbols: np.ndarray, reference: Reference) -> np.ndarray:
     return 0.5 * (sums + 1.0)
 
 
-def _short_row_distance(symbols: np.ndarray, mass: Callable[[int], float]) -> float:
+def _row_distance(symbols: np.ndarray, mass: Callable[[int], float]) -> float:
     """:func:`type_distances` of one row, bit for bit, by a walk in Python.
 
     ``mass(s)`` is the reference's mass at an observed symbol s, a Python
     float. Each run of c equal symbols adds |c/N - p| - p to +0.0 in
     ascending symbol order, and the result is 0.5 * (sum + 1.0): the float
     operations of the kernel's sort path, in its order, and of its table
-    path but for the +0.0 terms it adds for unobserved symbols.
+    path but for the +0.0 terms it adds for unobserved symbols. The walk
+    pays per run, the kernel a fixed set of numpy calls: on a row of 20
+    distinct symbols the walk takes half the kernel's time, and on rows of
+    more than about 50 distinct symbols the kernel would be faster.
     """
     ordered = sorted(symbols.tolist())
     n = len(ordered)
@@ -609,14 +604,11 @@ def tv_to_type(p: Categorical, d: SymbolDataset) -> float:
     """TV distance between p and the type of d, touching only observed symbols.
 
     Equal, bit for bit, to the one-row case of :func:`type_distances`, so
-    per-dataset and block computations agree. A dataset of at most
-    ``_SHORT_ROW`` symbols skips that kernel for a walk in Python
-    (:func:`_short_row_distance`), which a property test holds to it.
+    per-dataset and block computations agree, but computed by a walk in
+    Python (:func:`_row_distance`) that a property test holds to it.
     """
     same_alphabet(p, d)
-    if d.symbols.size > _SHORT_ROW:
-        return float(type_distances(d.symbols[None, :], lambda row, sym: p.probs[sym])[0])
-    return _short_row_distance(d.symbols, p.probs.item)
+    return _row_distance(d.symbols, p.probs.item)
 
 
 #: log c! for c = 0, 1, ...: one ``math.lgamma`` per entry, grown on demand

@@ -85,17 +85,14 @@ class TestType2Tv:
         # type (1,0): TV to (0.5,0.5) = 0.5, threshold gamma(1-beta)/2 = 0.5
         d = SymbolDataset(np.array([0]), 2)
         assert type2_tv(d, Categorical.uniform(2), gamma=1.0, beta=0.0) == 1
-
-    def test_exact_tie_flagged_by_both_tests(self):
-        # type (3/4, 1/4) against (1/2, 1/2): TV = 0.25 exactly, as is the
-        # threshold gamma(1-beta)/2 at gamma = 1, beta = 0.5; the clean
-        # sample [0, 1] has type (1/2, 1/2), so type1_tv ties as well
+        # type (3/4, 1/4): TV = 0.25, threshold at beta = 0.5 = 0.25; the
+        # clean sample [0, 1] has type (1/2, 1/2), so type1_tv ties as well,
+        # and so do the block scorers
         d = SymbolDataset(np.array([0, 0, 0, 1]), 2)
         pair = DistributionPair(Categorical.uniform(2), Categorical.uniform(2), 1.0, 0.5)
         clean = np.array([[0, 1]])
         assert type2_tv(d, pair.p0, pair.gamma, pair.beta) == 1
         assert type1_tv(d, SymbolDataset(clean[0], 2), pair.gamma, pair.beta) == 1
-        # so do the block scorers, the Type-1 one on the same clean sample
         assert type2_trial_detector()(pair)(d.symbols[None, :], substream(0, 0)).tolist() == [1]
         threshold = tv_threshold(pair.gamma, pair.beta)
         assert (type1_distances(d.symbols[None, :], clean, 2) >= threshold).tolist() == [True]

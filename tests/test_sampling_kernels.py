@@ -25,7 +25,6 @@ from bdlimits import Categorical, SymbolDataset
 from bdlimits.detectors import _type1_distance, type1_distances
 from bdlimits.distributions import (
     _COUNT_LEVELS_MAX_K,
-    _SHORT_ROW,
     draw_grouped,
     draw_symbols,
     sparse_types,
@@ -393,26 +392,25 @@ def huge_uniform():
 
 
 @st.composite
-def short_rows(draw, k):
-    """A row of 1 to 2 * ``_SHORT_ROW`` symbols below k, so both sides of the
-    cutoff run; its symbols span at most its length when k allows, which
-    scores it on a type table, or anywhere below k, which sorts it."""
-    n = draw(st.integers(1, 2 * _SHORT_ROW))
+def one_rows(draw, k):
+    """A row of 1 to 128 symbols below k, whose symbols span at most its
+    length when k allows, which ``type_distances`` scores on a type table,
+    or anywhere below k, which it sorts."""
+    n = draw(st.integers(1, 128))
     span = min(k, n) if draw(st.booleans()) else k
     return substream(draw(st.integers(0, 2**32)), 0).integers(0, span, n)
 
 
-class TestShortRow:
-    """``tv_to_type`` and ``type1_tv`` walk a dataset of at most
-    ``_SHORT_ROW`` symbols in Python instead of calling the block kernel;
-    on either side of the cutoff each must give the kernel's one-row
-    distance bit for bit."""
+class TestRowWalk:
+    """``tv_to_type`` and ``type1_tv`` walk one dataset in Python instead of
+    calling the block kernel; each must give the kernel's one-row distance
+    bit for bit, on either of the kernel's paths."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
     def test_tv_to_type_equals_type_distances(self, data):
         law = data.draw(laws() | st.builds(huge_uniform))
-        symbols = data.draw(short_rows(law.alphabet_size))
+        symbols = data.draw(one_rows(law.alphabet_size))
         expected = type_distances(symbols[None, :], lambda row, sym: law.probs[sym])
         got = tv_to_type(law, SymbolDataset(symbols, law.alphabet_size))
         assert float.hex(got) == hexes(expected)[0]
@@ -420,8 +418,8 @@ class TestShortRow:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
     def test_type1_distance_equals_type1_distances(self, data):
-        k = data.draw(st.integers(1, 3 * _SHORT_ROW) | st.just(10**9))
-        symbols, clean = data.draw(short_rows(k)), data.draw(short_rows(k))
+        k = data.draw(st.integers(1, 160) | st.just(10**9))
+        symbols, clean = data.draw(one_rows(k)), data.draw(one_rows(k))
         if data.draw(st.booleans()):
             # the clean sample misses every symbol of d above its smallest
             clean = np.minimum(clean, symbols.min())
