@@ -69,6 +69,7 @@ _EXPORTS = {
         "estimate_conditional_errors",
         "estimate_generalized_risk",
         "estimate_risk",
+        "exact_conditional_errors",
         "np_trial_detector",
         "per_row",
         "type0_demo_risk",

@@ -9,9 +9,9 @@ carry a timestamp and a config hash used for deduplication.
 Each command imports what it runs inside its own body: numpy, the harness,
 the adversaries and the plots load only with the command that needs them,
 so ``bounds-table`` and ``--help`` run without numpy, and the closed-form
-bounds load only with ``bounds-table`` and ``risk --oracle``. A command reads
-each such name through its module when it runs (``bounds.table_report``), so
-a wrapper set on the module sees every call.
+bounds load only with ``bounds-table`` and ``risk --oracle --detector np``.
+A command reads each such name through its module when it runs
+(``bounds.table_report``), so a wrapper set on the module sees every call.
 """
 
 from __future__ import annotations
@@ -129,7 +129,13 @@ def bounds_table(alpha: float, beta: float, catalog_path: str | None, fmt: str, 
 )
 @click.option("--trials", default=10000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--oracle", is_flag=True, help="Also print the exact optimal risk, summed over the types of n draws on the pair's symbol classes.")
+@click.option(
+    "--oracle",
+    is_flag=True,
+    help="Also print the detector's exact risk: for np the optimal risk, summed over the "
+    "types of n draws on the pair's symbol classes; for type2-tv its own risk, summed over "
+    "the types of n draws on the symbols either law reaches.",
+)
 @click.option("--out", default=None, type=click.Path())
 def risk(
     detector_name: str,
@@ -145,14 +151,15 @@ def risk(
 ) -> None:
     """Monte-Carlo risk of a detector on a distribution pair."""
     from .distributions import DistributionPair
-    from .harness import DETECTORS, estimate_risk, uniform_vs_point_mass
+    from .harness import DETECTORS, estimate_risk, exact_conditional_errors, uniform_vs_point_mass
 
     if pair_path is not None:
         with open(pair_path, "r", encoding="utf-8") as fh:
             pair = DistributionPair.from_jsonable(json.load(fh))
     else:
         pair = uniform_vs_point_mass(k, gamma, beta)
-    estimate = estimate_risk(DETECTORS[detector_name](), pair, n, trials, seed)
+    detector = DETECTORS[detector_name]()
+    estimate = estimate_risk(detector, pair, n, trials, seed)
     payload = {
         "detector": detector_name,
         "k": pair.alphabet_size,
@@ -166,9 +173,12 @@ def risk(
         "oracle_gap": None,
     }
     if oracle:
-        from . import bounds
+        if detector_name == "np":
+            from . import bounds
 
-        exact = bounds.exact_type3_risk(pair, n)
+            exact = bounds.exact_type3_risk(pair, n)
+        else:
+            exact = 0.5 * sum(exact_conditional_errors(detector, pair, n))
         payload["oracle_exact"] = exact
         payload["oracle_gap"] = abs(estimate.p_hat - exact)
     config = {

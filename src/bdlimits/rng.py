@@ -48,6 +48,7 @@ class Domain(enum.IntEnum):
     TOY_CLEAN = 7
     TOY_POISON = 8
     CONCENTRATION = 11
+    EXACT = 12
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

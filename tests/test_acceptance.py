@@ -23,6 +23,7 @@ from bdlimits import (
     achievability_alpha_bound,
     benchmark_instances,
     estimate_risk,
+    exact_conditional_errors,
     exact_type3_risk,
     imposs_probe,
     imposs_risk_floor,
@@ -45,6 +46,7 @@ from bdlimits import (
     type2_tv,
     type_exceedance_frequency,
 )
+from bdlimits import harness
 from bdlimits.cli import main as cli_main
 from bdlimits.distributions import draw_symbols
 from bdlimits.rng import substream
@@ -189,6 +191,11 @@ def test_criterion_6_type_concentration_grid():
                     bound = min(1.0, 2 * k * math.exp(-8 * n * t * t / (k * k)))
                     sd = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
                     assert freq <= bound + 3 * sd, (k, n, t, freq, bound)
+                    # the exact exceedance: p's flagged mass, where the cap allows
+                    if math.comb(n + k - 1, n) * n <= harness.EXACT_SCORE_CAP:
+                        exceeds = lambda pair: harness._type_exceeds(p, t)
+                        exact, _ = exact_conditional_errors(exceeds, DistributionPair(p, p, 1.0, 0.0), n)
+                        assert exact <= bound, (k, n, t, exact, bound)
 
 
 def test_criterion_7_tv_identity_suite():
@@ -263,3 +270,7 @@ def test_criterion_9_reduction_ordering():
             assert r0.p_hat >= r1.p_hat - 3 * width, inst.label
             assert r1.p_hat >= r2.p_hat - 3 * width, inst.label
             assert r2.p_hat >= r3.p_hat - 3 * width, inst.label
+
+            # and exactly: the Type-2 test's own exact risk against the optimum
+            exact2 = 0.5 * sum(exact_conditional_errors(type2_trial_detector(), pair, n))
+            assert exact2 >= exact_type3_risk(pair, n), inst.label

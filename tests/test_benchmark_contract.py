@@ -94,8 +94,12 @@ def test_loops_take_trials(layers):
         (["bounds-table"], {"table_report": 1, "exact_type3_risk": 0}),
         (["risk", "--oracle", "--trials", "100"], {"table_report": 0, "exact_type3_risk": 1}),
         (["risk", "--trials", "100"], {"table_report": 0, "exact_type3_risk": 0}),
+        (
+            ["risk", "--oracle", "--detector", "type2-tv", "--trials", "100"],
+            {"table_report": 0, "exact_type3_risk": 0},
+        ),
     ],
-    ids=["bounds-table", "risk-oracle", "risk"],
+    ids=["bounds-table", "risk-oracle", "risk", "risk-oracle-type2-tv"],
 )
 def test_cli_reads_bounds_names_at_call_time(monkeypatch, args, calls):
     # ``--trace 1`` sets its wrappers on the module, as ``setattr`` does here,

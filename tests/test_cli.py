@@ -266,6 +266,37 @@ class TestRisk:
         expected = exact_type3_risk(uniform_vs_point_mass(3, 0.5, 0.5), 40)
         assert payload_of(result)["oracle_exact"] == expected
 
+    def test_type2_oracle_is_the_detectors_exact_risk(self, runner):
+        # the type-distance detector's own exact risk, not the NP optimum 0.1256
+        args = ["risk", "--detector", "type2-tv", "--k", "4", "--n", "8", "--trials", "20000", "--oracle"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        envelope = json.loads(result.stdout)
+        assert envelope["config_hash"] == "924a4b8ee466bd74"
+        payload = envelope["payload"]
+        jsonschema.validate(payload, schema("risk_record"))
+        assert payload["risk"] == {
+            "p_hat": 0.48715,
+            "ci_low": 0.4780518464008683,
+            "ci_high": 0.496256676613798,
+            "trials": 20000,
+        }
+        assert abs(payload["oracle_exact"] - 0.4826514720916748) <= 1e-12
+        assert payload["oracle_gap"] == abs(0.48715 - payload["oracle_exact"])
+
+    @pytest.mark.parametrize("k, n", [(1000, 20), (100000, 2)])
+    def test_type2_oracle_cap_exits_3(self, runner, k, n):
+        result = runner.invoke(
+            main,
+            ["risk", "--detector", "type2-tv", "--k", str(k), "--n", str(n), "--trials", "100", "--oracle"],
+        )
+        assert_clean_failure(result, 3)
+        types = math.comb(n + k - 1, n)
+        assert result.stderr == (
+            f"error: {types} types of {n} draws on the {k} symbols that p0 or the mixture "
+            f"reaches are {types * n} symbols to score, above the cap 10000000\n"
+        )
+
     def test_config_hash_pinned(self, runner, tmp_path):
         assert_config_hash(runner, tmp_path, ["risk"], "77bc81b1c37af499")
 

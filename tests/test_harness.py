@@ -33,6 +33,8 @@ from bdlimits import (
     estimate_conditional_errors,
     estimate_generalized_risk,
     estimate_risk,
+    exact_conditional_errors,
+    exact_type3_risk,
     imposs_risk,
     mix,
     np_trial_detector,
@@ -205,6 +207,8 @@ class TestEstimateRisk:
             t2_est = estimate_risk(type2_trial_detector(), pair, 4, 2000, seed=900 + i)
             width = max(np_est.ci_width, t2_est.ci_width)
             assert t2_est.p_hat >= np_est.p_hat - 3 * width
+            exact2 = 0.5 * sum(exact_conditional_errors(type2_trial_detector(), pair, 4))
+            assert exact2 >= exact_type3_risk(pair, 4)
 
 
 class TestConditionalErrors:

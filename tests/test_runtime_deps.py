@@ -3,7 +3,7 @@
 Commands that need no numpy, ``bounds-table`` and ``--help``, run without it,
 and importing the package and its CLI loads none of it. Importing the CLI
 loads only the package modules that every command uses; the closed-form
-bounds load with ``bounds-table`` and ``risk --oracle``.
+bounds load with ``bounds-table`` and ``risk --oracle --detector np``.
 """
 
 import json
@@ -177,9 +177,10 @@ def test_cli_import_loads_only_what_every_command_uses():
         (["--help"], False),
         (["risk", "--trials", "100"], False),
         (["risk", "--trials", "100", "--oracle"], True),
+        (["risk", "--trials", "100", "--oracle", "--detector", "type2-tv"], False),
         (["bounds-table"], True),
     ],
-    ids=["help", "risk", "risk-oracle", "bounds-table"],
+    ids=["help", "risk", "risk-oracle", "risk-oracle-type2-tv", "bounds-table"],
 )
 def test_bounds_load_only_with_the_commands_that_use_them(args, loaded):
     result = python("-c", BOUNDS_LOADED, *args)
